@@ -33,7 +33,6 @@ from .oracle import (
     decompose_prefix,
     decompose_stride,
     hamming_suboracle,
-    indicator,
     inner_product_suboracle,
     load_bit_vector,
     load_marked_set,
@@ -41,7 +40,6 @@ from .oracle import (
     oracle_for_universe,
 )
 from .qsim import (
-    AmplitudeModel,
     AnalyticSampler,
     ExactSampler,
     StatevectorSampler,
@@ -49,7 +47,7 @@ from .qsim import (
     apply_A,
     apply_A_dagger,
     apply_Q,
-    prob11_analytic,
+    prob11,
     prob11_statevector,
     sample_shots,
 )

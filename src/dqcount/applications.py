@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import metrics
-from .diqc import DiqcConfig, NodeResult, run_node
+from .coordinator import node_config
+from .diqc import NodeResult, run_node
 from .oracle import BitVector, hamming_suboracle, inner_product_suboracle
 
 __all__ = [
@@ -117,10 +118,7 @@ def _run_pair(
     base_seed: int,
     backend: str,
 ) -> ApplicationResult:
-    if not 0 < epsilon <= 0.01:
-        raise ValueError("epsilon must lie in (0, 0.01]")
-    if not 0 < alpha < 0.75:
-        raise ValueError("alpha must lie in (0, 3/4)")
+    config = node_config(epsilon, alpha, k, shots_per_batch)
     x_bits = _as_bits(x, "x")
     y_bits = _as_bits(y, "y")
     if len(x_bits) != len(y_bits):
@@ -128,11 +126,6 @@ def _run_pair(
     x_bits, n = _pad_to_power_of_two(x_bits)
     y_bits, _ = _pad_to_power_of_two(y_bits)
     nodes = 1 << k
-    config = DiqcConfig(
-        epsilon_node=epsilon / nodes,
-        alpha_node=alpha / nodes,
-        shots_per_batch=shots_per_batch,
-    )
     results = []
     for j in range(nodes):
         sub = build(x_bits, y_bits, k, j)

@@ -15,7 +15,7 @@ import numpy as np
 from . import metrics
 from .diqc import find_next_k
 from .oracle import SubOracle
-from .qsim import AmplitudeModel, StateVector, apply_A, apply_Q, prob11_analytic
+from .qsim import AnalyticSampler, StateVector, apply_A, apply_Q
 
 __all__ = [
     "check_backend_equivalence",
@@ -33,7 +33,7 @@ def check_backend_equivalence(
     max_power: int = 10,
     tolerance: float = 1e-10,
 ) -> dict:
-    """Exact-circuit P[11] against the closed form on an exhaustive grid."""
+    """Exact-circuit P[11] against the analytic sampler on an exhaustive grid."""
     worst = 0.0
     cases = 0
     for m in range(1, max_m + 1):
@@ -42,14 +42,14 @@ def check_backend_equivalence(
                 m=m, node_id=0, k=1, scheme="prefix",
                 marked_local=frozenset(range(t)),
             )
+            analytic = AnalyticSampler.from_sub_oracle(sub)
             for r in r_values:
-                model = AmplitudeModel(m=m, t_local=t, r=r)
                 state = StateVector.zero(m + 2)
                 apply_A(state, sub, r)
                 for power in range(max_power + 1):
                     if power:
                         apply_Q(state, sub, r)
-                    err = abs(state.prob11() - prob11_analytic(model, power))
+                    err = abs(state.prob11() - analytic.probability(power, r))
                     worst = max(worst, err)
                     cases += 1
     return {

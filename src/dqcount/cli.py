@@ -97,20 +97,31 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset flags from the JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+def _config_argv(args, parser, argv: list[str]) -> list[str]:
+    """Splice the JSON config file's settings in as flags after the command.
+
+    The settings land ahead of the command line's own flags, so they go
+    through the same type and choice checks and explicit flags win.
+    """
+    try:
+        with open(args.config, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file: {exc}")
     if not isinstance(payload, dict):
         parser.error("config file must hold a JSON object")
+    settable = set(vars(args)) - {"command", "config"}
+    tokens = []
     for key, value in payload.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in settable:
             parser.error(f"config file sets unknown option {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool) and isinstance(value, bool):
+            tokens += [flag] if value else []  # on/off switch
+        else:
+            tokens.append(f"{flag}={value}")
+    return argv[:1] + tokens + argv[1:]
 
 
 def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
@@ -149,10 +160,8 @@ def _cmd_count(args, parser) -> int:
     n, marked = _resolve_marked(args, parser)
     oracle = make_oracle(n, marked)
     epsilon, alpha = _node_budget(args, parser)
-    reps = args.reps if args.reps is not None else 1
-    seed = args.seed if args.seed is not None else 0
     nodes = 1 << args.k
-    out = Path(args.out if args.out is not None else "count-out")
+    out = Path(args.out)
 
     rows: list[list] = []
     trace_rows: list[list] = []
@@ -163,8 +172,8 @@ def _cmd_count(args, parser) -> int:
         for _ in range(nodes)
     ]
     statuses = []
-    for rep in range(reps):
-        base_seed = seed + rep * nodes
+    for rep in range(args.reps):
+        base_seed = args.seed + rep * nodes
         agg = run_distributed(
             oracle,
             args.k,
@@ -174,7 +183,6 @@ def _cmd_count(args, parser) -> int:
             shots_per_batch=args.shots_per_batch,
             base_seed=base_seed,
             backend=args.backend,
-            parallel=args.parallel,
         )
         statuses.append(agg.status)
         t_counts[agg.t_prime] = t_counts.get(agg.t_prime, 0) + 1
@@ -218,27 +226,27 @@ def _cmd_count(args, parser) -> int:
             "shots_per_batch": args.shots_per_batch,
             "scheme": args.scheme,
             "backend": args.backend,
-            "reps": reps,
-            "seed": seed,
+            "reps": args.reps,
+            "seed": args.seed,
         },
         "qubits_per_node": n - args.k + 2,
         "per_node": [
             {
                 "node_id": j,
-                "mean_c": acc["c"] / reps,
-                "mean_t_prime": acc["t"] / reps,
-                "mean_oracle_calls": acc["calls"] / reps,
-                "mean_max_big_k": acc["max_k"] / reps,
-                "mean_depth": acc["depth"] / reps,
-                "mean_total_shots": acc["shots"] / reps,
+                "mean_c": acc["c"] / args.reps,
+                "mean_t_prime": acc["t"] / args.reps,
+                "mean_oracle_calls": acc["calls"] / args.reps,
+                "mean_max_big_k": acc["max_k"] / args.reps,
+                "mean_depth": acc["depth"] / args.reps,
+                "mean_total_shots": acc["shots"] / args.reps,
                 "successes": acc["successes"],
             }
             for j, acc in enumerate(per_node_acc)
         ],
         "t_prime_counts": {str(t): c for t, c in sorted(t_counts.items())},
         "failed_reps": sum(s != "success" for s in statuses),
-        "error_bound": (1 << (n - args.k)) / 2 * 3 * epsilon + (1 << (args.k + 1)) / 3,
-        "confidence": 1 - 4 * alpha / 3,
+        "error_bound": agg.error_bound,
+        "confidence": agg.confidence,
     }
     _write_csv(out / "runs.csv", _RUN_COLUMNS, rows)
     _write_json(out / "summary.json", summary)
@@ -258,16 +266,15 @@ def _load_vector(arg: str):
 
 
 def _cmd_pair(args, parser, which: str) -> int:
+    if args.x is None or args.y is None:
+        parser.error("need --x and --y")
     x = _load_vector(args.x)
     y = _load_vector(args.y)
-    epsilon = args.epsilon if args.epsilon is not None else 0.01
-    alpha = args.alpha if args.alpha is not None else 0.05
-    seed = args.seed if args.seed is not None else 0
     runner = estimate_inner_product if which == INNER_PRODUCT else estimate_hamming
     result = runner(
-        x, y, args.k, epsilon, alpha,
+        x, y, args.k, args.epsilon, args.alpha,
         shots_per_batch=args.shots_per_batch,
-        base_seed=seed,
+        base_seed=args.seed,
         backend=args.backend,
     )
     if which == INNER_PRODUCT:
@@ -278,13 +285,13 @@ def _cmd_pair(args, parser, which: str) -> int:
     payload["exact"] = exact
     payload["abs_error"] = abs(result.estimate - exact)
     payload["communication_bound"] = communication_bound(
-        which, result.n, args.k, epsilon / (1 << args.k), alpha / (1 << args.k)
+        which, result.n, args.k, args.epsilon / (1 << args.k), args.alpha / (1 << args.k)
     )
     payload["config"] = {
-        "epsilon": epsilon,
-        "alpha": alpha,
+        "epsilon": args.epsilon,
+        "alpha": args.alpha,
         "k": args.k,
-        "seed": seed,
+        "seed": args.seed,
         "backend": args.backend,
         "shots_per_batch": args.shots_per_batch,
     }
@@ -298,28 +305,21 @@ def _cmd_pair(args, parser, which: str) -> int:
 
 
 def _cmd_compare(args, parser) -> int:
-    amplitude = args.amplitude if args.amplitude is not None else 1 / 64
-    alpha = args.alpha if args.alpha is not None else 0.05
-    reps = args.reps if args.reps is not None else 100
-    seed = args.seed if args.seed is not None else 0
-    if args.epsilons is not None:
-        sweep = [float(tok) for tok in args.epsilons.split(",") if tok]
-        if not sweep:
-            parser.error("empty epsilon sweep")
-    else:
-        sweep = [0.005, 0.002, 0.001]
-    out = Path(args.out if args.out is not None else "compare-out")
+    sweep = [float(tok) for tok in args.epsilons.split(",") if tok]
+    if not sweep:
+        parser.error("empty epsilon sweep")
+    out = Path(args.out)
     rows = []
     for eps in sweep:
-        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=alpha,
+        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=args.alpha,
                               shots_per_batch=args.shots_per_batch)
-        base_cfg = MiqaeConfig(epsilon=eps, alpha=alpha,
+        base_cfg = MiqaeConfig(epsilon=eps, alpha=args.alpha,
                                shots_per_batch=args.shots_per_batch)
         for name, runner in (
-            ("diqc", lambda s: run_amplitude(amplitude, node_cfg, seed=s)),
-            ("miqae", lambda s: run_for_amplitude(amplitude, base_cfg, seed=s)),
+            ("diqc", lambda s: run_amplitude(args.amplitude, node_cfg, seed=s)),
+            ("miqae", lambda s: run_for_amplitude(args.amplitude, base_cfg, seed=s)),
         ):
-            results = [runner(seed + rep) for rep in range(reps)]
+            results = [runner(args.seed + rep) for rep in range(args.reps)]
             good = [res for res in results if res.succeeded]
             pool = good if good else results
             rows.append(
@@ -343,10 +343,10 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    n = args.n if args.n is not None else 6
+    n = args.n
     k = args.k
-    epsilon_node = args.epsilon_node if args.epsilon_node is not None else 0.001
-    alpha_node = args.alpha_node if args.alpha_node is not None else 0.05
+    epsilon_node = args.epsilon_node
+    alpha_node = args.alpha_node
     central, node = metrics.counting_comparison(n, k)
     payload = {
         "n": n,
@@ -374,8 +374,7 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_prop_check(args, parser) -> int:
-    seed = args.seed if args.seed is not None else 0
-    reports = checks.run_all(seed=seed, quick=not args.full)
+    reports = checks.run_all(seed=args.seed, quick=not args.full)
     if args.inject_failure:
         reports.append(
             {"name": "injected_failure", "passed": False, "cases": 0,
@@ -388,9 +387,16 @@ def _cmd_prop_check(args, parser) -> int:
     return 0 if all(rep["passed"] for rep in reports) else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    sub.add_argument("--out", type=str, default=None, help="output path")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_common(sub: argparse.ArgumentParser, out: Union[str, None] = None) -> None:
+    sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    sub.add_argument("--out", type=str, default=out, help="output path")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file supplying defaults; flags win")
 
@@ -414,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("count", help="repeated distributed counting runs")
-    _add_common(p)
+    _add_common(p, out="count-out")
     _add_estimation(p)
     p.add_argument("--n", type=int, default=None, help="index register width")
     p.add_argument("--marked", type=str, default=None,
@@ -426,36 +432,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-node", type=float, default=None,
                    help="per-node significance (alternative to --alpha)")
     p.add_argument("--scheme", choices=("prefix", "stride"), default="prefix")
-    p.add_argument("--reps", type=int, default=None, help="repetitions (default 1)")
-    p.add_argument("--parallel", action="store_true",
-                   help="run nodes in a thread pool (same output)")
+    p.add_argument("--reps", type=_positive_int, default=1,
+                   help="repetitions (default 1)")
     p.add_argument("--trace", action="store_true", help="also write trace.csv")
 
     for cmd, blurb in (("inner-product", "inner product"), ("hamming", "Hamming distance")):
         p = subs.add_parser(cmd, help=f"two-party {blurb} estimation")
         _add_common(p)
         _add_estimation(p)
-        p.add_argument("--x", type=str, required=True,
-                       help="bit vector: 0/1 string or file path")
-        p.add_argument("--y", type=str, required=True)
+        p.set_defaults(epsilon=0.01, alpha=0.05)
+        p.add_argument("--x", type=str, default=None,
+                       help="bit vector: 0/1 string or file path (required)")
+        p.add_argument("--y", type=str, default=None, help="(required)")
 
     p = subs.add_parser("compare-miqae",
                         help="sweep epsilon, node estimator vs baseline")
-    _add_common(p)
-    p.add_argument("--amplitude", type=float, default=None,
+    _add_common(p, out="compare-out")
+    p.add_argument("--amplitude", type=float, default=1 / 64,
                    help="true amplitude (default 1/64)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--epsilons", type=str, default=None,
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--epsilons", type=str, default="0.005,0.002,0.001",
                    help="comma-separated sweep (default 0.005,0.002,0.001)")
-    p.add_argument("--reps", type=int, default=None, help="runs per point (default 100)")
+    p.add_argument("--reps", type=_positive_int, default=100,
+                   help="runs per point (default 100)")
     p.add_argument("--shots-per-batch", type=int, default=1)
 
     p = subs.add_parser("bench", help="closed-form resource report")
     _add_common(p)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--epsilon-node", type=float, default=None)
-    p.add_argument("--alpha-node", type=float, default=None)
+    p.add_argument("--epsilon-node", type=float, default=0.001)
+    p.add_argument("--alpha-node", type=float, default=0.05)
 
     p = subs.add_parser("prop-check", help="run the built-in property suites")
     _add_common(p)
@@ -469,8 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    _load_config_file(args, parser)
+    if args.config is not None:
+        args = parser.parse_args(_config_argv(args, parser, argv))
     try:
         if args.command == "count":
             return _cmd_count(args, parser)
@@ -489,7 +498,6 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -2,20 +2,19 @@
 
 The coordinator hands node j the sub-oracle from the chosen partition
 scheme, a per-node budget (epsilon/2^k, alpha/2^k) and the seed
-base_seed + j, then sums the integer estimates. Node runs share no state,
-so the sequential and thread-pool execution modes produce bit-identical
-results.
+base_seed + j, runs the nodes in order, then sums the integer estimates.
+Node runs share no state, so a node's result depends only on its
+sub-oracle, budget and seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .diqc import DiqcConfig, NodeResult, run_node
 from .oracle import PREFIX, STRIDE, OracleSpec, decompose_prefix, decompose_stride
 
-__all__ = ["AggregateResult", "run_distributed", "aggregate"]
+__all__ = ["AggregateResult", "node_config", "run_distributed", "aggregate"]
 
 
 @dataclass
@@ -103,6 +102,22 @@ def aggregate(node_results: list[NodeResult]) -> AggregateResult:
     )
 
 
+def node_config(
+    epsilon: float, alpha: float, k: int, shots_per_batch: int = 1
+) -> DiqcConfig:
+    """Validate the global budget and give each of the 2^k nodes a 2^k-th."""
+    if not 0 < epsilon <= 0.01:
+        raise ValueError("epsilon must lie in (0, 0.01]")
+    if not 0 < alpha < 0.75:
+        raise ValueError("alpha must lie in (0, 3/4)")
+    nodes = 1 << k
+    return DiqcConfig(
+        epsilon_node=epsilon / nodes,
+        alpha_node=alpha / nodes,
+        shots_per_batch=shots_per_batch,
+    )
+
+
 def run_distributed(
     oracle: OracleSpec,
     k: int,
@@ -112,37 +127,21 @@ def run_distributed(
     shots_per_batch: int = 1,
     base_seed: int = 0,
     backend: str = "analytic",
-    parallel: bool = False,
 ) -> AggregateResult:
     """Decompose, run every node, and aggregate.
 
     `epsilon`/`alpha` are the global budget; each node gets a 2^k-th of
-    both. Node j is seeded with base_seed + j, so the result does not
-    depend on the execution mode.
+    both. Node j is seeded with base_seed + j.
     """
-    if not 0 < epsilon <= 0.01:
-        raise ValueError("epsilon must lie in (0, 0.01]")
-    if not 0 < alpha < 0.75:
-        raise ValueError("alpha must lie in (0, 3/4)")
     if scheme == PREFIX:
         subs = decompose_prefix(oracle, k)
     elif scheme == STRIDE:
         subs = decompose_stride(oracle, k)
     else:
         raise ValueError(f"unknown partition scheme {scheme!r}")
-    nodes = 1 << k
-    config = DiqcConfig(
-        epsilon_node=epsilon / nodes,
-        alpha_node=alpha / nodes,
-        shots_per_batch=shots_per_batch,
-    )
-
-    def one(sub):
-        return run_node(sub, config, seed=base_seed + sub.node_id, backend=backend)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=nodes) as pool:
-            results = list(pool.map(one, subs))
-    else:
-        results = [one(sub) for sub in subs]
+    config = node_config(epsilon, alpha, k, shots_per_batch)
+    results = [
+        run_node(sub, config, seed=base_seed + sub.node_id, backend=backend)
+        for sub in subs
+    ]
     return aggregate(results)

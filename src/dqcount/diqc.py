@@ -56,6 +56,10 @@ __all__ = [
 
 _HALF_PI = math.pi / 2
 
+# Two-stage rule: an amplitude interval at least this many epsilon_node wide
+# selects growth factor q = 2, a narrower one q = 3.
+_WIDE_ROUND_FACTOR = 50.0
+
 
 class EstimationIncompleteError(RuntimeError):
     """No round produced an interval narrow enough to post-process."""
@@ -66,16 +70,14 @@ class DiqcConfig:
     """Per-node estimation parameters.
 
     `epsilon_node`/`alpha_node` are the per-node target half-width and
-    significance (a coordinator divides its global budget by the node
-    count before building these). `wide_round_factor` is the threshold of
-    the two-stage rule: amplitude-interval width >= wide_round_factor *
-    epsilon_node selects growth factor 2, otherwise 3.
+    significance (`coordinator.node_config` builds them from a global
+    budget). `shots_per_batch` is the number of shots drawn per sampler
+    call; a round always takes its full shot budget.
     """
 
     epsilon_node: float
     alpha_node: float
     shots_per_batch: int = 1
-    wide_round_factor: float = 50.0
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon_node <= 0.01:
@@ -84,8 +86,6 @@ class DiqcConfig:
             raise ValueError("alpha_node must lie in (0, 3/4)")
         if self.shots_per_batch < 1:
             raise ValueError("shots_per_batch must be positive")
-        if self.wide_round_factor <= 0:
-            raise ValueError("wide_round_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ def _estimate(
     i = 0
     while a_width() > 2 * eps and not failed:
         i += 1
-        q = 2 if a_width() >= config.wide_round_factor * eps else 3
+        q = 2 if a_width() >= _WIDE_ROUND_FACTOR * eps else 3
         alpha_i = (q - 1) * alpha * big_k / (q * big_k_cap)
         n_cap = metrics.shots_cap(alpha_i)
         quadrant = quadrant_count(
@@ -345,9 +345,8 @@ def _estimate(
         new_k, new_r = find_next_k(
             theta_min, theta_max, q, big_k, backtracked, big_k_cap=big_k_cap
         )
-        if new_k != big_k:
+        if new_r is not None:
             big_k = new_k
-            assert new_r is not None
             r = new_r
             max_big_k = max(max_big_k, big_k)
             pooled_ones = pooled_shots = 0

@@ -21,7 +21,6 @@ __all__ = [
     "SubOracle",
     "make_oracle",
     "oracle_for_universe",
-    "indicator",
     "decompose_prefix",
     "decompose_stride",
     "inner_product_suboracle",
@@ -144,11 +143,6 @@ def oracle_for_universe(size: int, marked: Iterable[int]) -> OracleSpec:
     _check_members(marked, size, "marked")
     n = max(1, (size - 1).bit_length())
     return OracleSpec(n=n, marked=marked)
-
-
-def indicator(oracle: Union[OracleSpec, SubOracle], x: int) -> int:
-    """1 iff `x` is marked in `oracle`; raises if x is out of range."""
-    return oracle.indicator(x)
 
 
 def _split(oracle: OracleSpec, k: int) -> int:

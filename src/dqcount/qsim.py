@@ -10,9 +10,10 @@ iterates yields outcome 11 with probability
     P[11] = sin^2((2*power + 1) * theta_tilde),
     sin(theta_tilde) = sqrt(r * t_local / 2^m).
 
-The closed-form model evaluates this directly and is the default backend
-for the estimation loops; the dense statevector backend implements the
-circuit gate by gate and exists to prove the two agree.
+`prob11` evaluates this closed form; both analytic samplers draw from it,
+and it is the default backend for the estimation loops. The dense
+statevector backend implements the circuit gate by gate and exists to
+prove the two agree.
 
 Register convention: m index qubits, then the oracle flag qubit, then the
 rotation qubit; a basis index reads (x << 2) | (flag << 1) | rot. The
@@ -22,7 +23,6 @@ measurement statistics are invariant to the order of the last two qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol, Union
 
 import numpy as np
@@ -31,9 +31,8 @@ from .oracle import SubOracle
 
 __all__ = [
     "STATEVECTOR_QUBIT_LIMIT",
-    "AmplitudeModel",
     "StateVector",
-    "prob11_analytic",
+    "prob11",
     "prob11_statevector",
     "apply_A",
     "apply_A_dagger",
@@ -56,42 +55,14 @@ def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-@dataclass(frozen=True)
-class AmplitudeModel:
-    """Closed-form model of one node's measurement distribution."""
-
-    m: int
-    t_local: int
-    r: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("register width must be non-negative")
-        if not 0 <= self.t_local <= (1 << self.m):
-            raise ValueError(f"t_local {self.t_local} outside [0, {1 << self.m}]")
-        if not 0 < self.r <= 1:
-            raise ValueError("rotation parameter must lie in (0, 1]")
-
-    @property
-    def theta(self) -> float:
-        """Unrescaled angle, sin(theta) = sqrt(t_local / 2^m)."""
-        return math.asin(math.sqrt(self.t_local / (1 << self.m)))
-
-    @property
-    def theta_tilde(self) -> float:
-        """Rescaled angle, sin = sqrt(r * t_local / 2^m)."""
-        return math.asin(math.sqrt(self.r * self.t_local / (1 << self.m)))
-
-    @classmethod
-    def from_sub_oracle(cls, sub: SubOracle, r: float = 1.0) -> "AmplitudeModel":
-        return cls(m=sub.m, t_local=sub.t_local, r=r)
-
-
-def prob11_analytic(model: AmplitudeModel, grover_power: int) -> float:
-    """P[11] after `grover_power` amplification iterates."""
+def prob11(sin_theta: float, r: float, grover_power: int) -> float:
+    """Closed-form P[11] of a slice with sin(theta) = `sin_theta`."""
     if grover_power < 0:
         raise ValueError("grover_power must be non-negative")
-    return math.sin((2 * grover_power + 1) * model.theta_tilde) ** 2
+    if not 0 < r <= 1:  # _check_r inlined: this runs once per analytic shot
+        raise ValueError("rotation parameter must lie in (0, 1]")
+    theta_tilde = math.asin(math.sqrt(r) * sin_theta)
+    return math.sin((2 * grover_power + 1) * theta_tilde) ** 2
 
 
 class StateVector:
@@ -273,12 +244,10 @@ class AnalyticSampler:
 
     @classmethod
     def from_sub_oracle(cls, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
-        return cls(AmplitudeModel.from_sub_oracle(sub).theta, rng)
+        return cls.from_amplitude(sub.amplitude, rng)
 
     def probability(self, grover_power: int, r: float) -> float:
-        _check_r(r)
-        theta_tilde = math.asin(math.sqrt(r) * self._sin_theta)
-        return math.sin((2 * grover_power + 1) * theta_tilde) ** 2
+        return prob11(self._sin_theta, r, grover_power)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
         return sample_shots(self.probability(grover_power, r), shots, self.rng)
@@ -317,8 +286,7 @@ class ExactSampler:
         return cls(math.asin(math.sqrt(amplitude)))
 
     def probability(self, grover_power: int, r: float) -> float:
-        theta_tilde = math.asin(math.sqrt(r) * self._sin_theta)
-        return math.sin((2 * grover_power + 1) * theta_tilde) ** 2
+        return prob11(self._sin_theta, r, grover_power)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
         return round(self.probability(grover_power, r) * shots)

@@ -49,14 +49,14 @@ def test_count_command_statevector_backend(tmp_path):
     assert summary["per_node"][0]["mean_t_prime"] == 2.0
 
 
-def test_count_command_oracle_file_and_parallel(tmp_path):
+def test_count_command_oracle_file(tmp_path):
     oracle_file = tmp_path / "marked.txt"
     oracle_file.write_text("100110\n001000\n010000\n")
     out = tmp_path / "out"
     code = main([
         "count", "--oracle-file", str(oracle_file), "--k", "1",
         "--epsilon", "0.002", "--alpha", "0.1", "--reps", "1",
-        "--seed", "3", "--parallel", "--out", str(out),
+        "--seed", "3", "--out", str(out),
     ])
     assert code == 0
     summary = json.loads(read(out / "summary.json"))
@@ -76,6 +76,24 @@ def test_config_file_merges_with_flag_priority(tmp_path):
     summary = json.loads(read(out / "summary.json"))
     assert summary["config"]["reps"] == 1  # flag wins
     assert summary["config"]["seed"] == 5  # config fills the gap
+
+    # the config file can set flags that have a non-None default
+    config.write_text(json.dumps({
+        "n": 6, "marked": "38,8,16", "k": 2, "backend": "statevector",
+        "scheme": "stride", "trace": True, "shots-per-batch": 50,
+    }))
+    out = tmp_path / "out2"
+    code = main([
+        "count", "--config", str(config), "--shots-per-batch", "100",
+        "--epsilon-node", "0.0025", "--alpha-node", "0.025", "--out", str(out),
+    ])
+    assert code == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["config"]["k"] == 2
+    assert summary["config"]["backend"] == "statevector"
+    assert summary["config"]["scheme"] == "stride"
+    assert summary["config"]["shots_per_batch"] == 100  # flag wins
+    assert (out / "trace.csv").exists()
 
 
 def test_inner_product_and_hamming_commands(tmp_path):
@@ -142,6 +160,33 @@ def test_prop_check_command_and_injection(tmp_path, capsys):
 
     assert main(["prop-check", "--inject-failure"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["count", "--n", "6", "--marked", "1", "--reps", "0"], None),
+    (["count", "--n", "6", "--marked", "1", "--reps", "-1"], None),
+    (["compare-miqae", "--epsilons", "0.005", "--reps", "0"], None),
+    (["count", "--n", "6", "--marked", "1", "--parallel"], None),
+    (["count", "--n", "6", "--marked", "1"], {"workers": 4}),
+    (["count", "--n", "6", "--marked", "1"], {"scheme": "modulo"}),
+])
+def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -1,8 +1,6 @@
-import dataclasses
-
 import pytest
 
-from dqcount.coordinator import aggregate, run_distributed
+from dqcount.coordinator import aggregate, node_config, run_distributed
 from dqcount.diqc import DiqcConfig, NodeResult, run_node
 from dqcount.oracle import decompose_prefix, make_oracle
 
@@ -83,14 +81,13 @@ def test_run_distributed_validation():
         run_distributed(oracle, 6, epsilon=0.002, alpha=0.1)
 
 
-def test_parallel_matches_sequential_bitwise():
-    oracle = make_oracle(7, {5, 17, 44, 101, 120})
-    kwargs = dict(k=2, epsilon=0.008, alpha=0.1, shots_per_batch=25, base_seed=7)
-    seq = run_distributed(oracle, **kwargs, parallel=False)
-    par = run_distributed(oracle, **kwargs, parallel=True)
-    assert seq.to_dict() == par.to_dict()
-    for a, b in zip(seq.per_node, par.per_node):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+def test_node_config_splits_global_budget():
+    config = node_config(0.004, 0.1, 2, shots_per_batch=25)
+    assert config == DiqcConfig(epsilon_node=0.001, alpha_node=0.025, shots_per_batch=25)
+    with pytest.raises(ValueError):
+        node_config(0.02, 0.1, 1)
+    with pytest.raises(ValueError):
+        node_config(0.002, 0.75, 1)
 
 
 def test_aggregate_matches_node_runs():

@@ -6,7 +6,6 @@ from dqcount.oracle import (
     decompose_prefix,
     decompose_stride,
     hamming_suboracle,
-    indicator,
     inner_product_suboracle,
     load_bit_vector,
     load_marked_set,
@@ -40,17 +39,17 @@ def test_oracle_for_universe_rounds_up():
 
 def test_indicator_examples():
     oracle = make_oracle(6, {38, 8, 16})
-    assert indicator(oracle, 38) == 1
-    assert indicator(oracle, 0) == 0
+    assert oracle.indicator(38) == 1
+    assert oracle.indicator(0) == 0
     sub0 = decompose_prefix(oracle, 1)[0]
     # brute-force restriction: local i is marked iff the 6-bit value 0|i is
     brute = {i for i in range(32) if i in oracle.marked}
     assert 8 in brute
-    assert indicator(sub0, 8) == 1
+    assert sub0.indicator(8) == 1
     with pytest.raises(ValueError):
-        indicator(oracle, 64)
+        oracle.indicator(64)
     with pytest.raises(ValueError):
-        indicator(sub0, 32)
+        sub0.indicator(32)
 
 
 def test_decompose_prefix_example():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 from dqcount.qsim import (
-    AmplitudeModel,
     AnalyticSampler,
     ExactSampler,
     StatevectorSampler,
@@ -14,7 +13,7 @@ from dqcount.qsim import (
     apply_A,
     apply_A_dagger,
     apply_Q,
-    prob11_analytic,
+    prob11,
     prob11_statevector,
     sample_shots,
 )
@@ -25,23 +24,21 @@ def sub_for(m: int, t: int) -> SubOracle:
 
 
 def test_prob11_analytic_examples():
-    assert prob11_analytic(AmplitudeModel(5, 2), 0) == pytest.approx(2 / 32, abs=1e-15)
-    for power in range(5):
-        assert prob11_analytic(AmplitudeModel(5, 0), power) == 0.0
-    # independent closed form: sin(3*asin(s)) = 3s - 4s^3 with s = 1/4
     s = math.sqrt(2 / 32)
+    assert prob11(s, 1.0, 0) == pytest.approx(2 / 32, abs=1e-15)
+    for power in range(5):
+        assert prob11(0.0, 1.0, power) == 0.0
+    # independent closed form: sin(3*asin(s)) = 3s - 4s^3 with s = 1/4
     expected = (3 * s - 4 * s ** 3) ** 2
     assert expected == 0.47265625
-    assert prob11_analytic(AmplitudeModel(5, 2), 1) == pytest.approx(expected, abs=1e-14)
+    assert prob11(s, 1.0, 1) == pytest.approx(expected, abs=1e-14)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        AmplitudeModel(3, 9)
+        prob11(0.5, 0.0, 0)
     with pytest.raises(ValueError):
-        AmplitudeModel(3, 1, r=0.0)
-    with pytest.raises(ValueError):
-        prob11_analytic(AmplitudeModel(3, 1), -1)
+        prob11(0.5, 1.0, -1)
 
 
 def test_apply_A_masses():
@@ -80,7 +77,7 @@ def test_prepared_state_matches_two_component_decomposition():
             rest[(x << 2) | 0b01] = math.sqrt(r / (1 << m))
             rest[(x << 2) | 0b00] = math.sqrt((1 - r) / (1 << m))
     rest *= math.sqrt((1 << m) / ((1 << m) - t * r))
-    theta = AmplitudeModel(m, t, r).theta_tilde
+    theta = math.asin(math.sqrt(r * t / (1 << m)))
     expected = math.sin(theta) * good + math.cos(theta) * rest
 
     state = apply_A(StateVector.zero(m + 2), sub, r)
@@ -97,14 +94,14 @@ def test_apply_Q_matches_analytic_on_small_grid():
     for m in (1, 2, 3):
         for t in range(0, (1 << m) + 1):
             sub = sub_for(m, t)
+            analytic = AnalyticSampler.from_sub_oracle(sub)
             for r in (0.25, 0.8, 1.0):
-                model = AmplitudeModel(m, t, r)
                 state = apply_A(StateVector.zero(m + 2), sub, r)
                 for power in range(6):
                     if power:
                         apply_Q(state, sub, r)
                     assert state.prob11() == pytest.approx(
-                        prob11_analytic(model, power), abs=1e-10
+                        analytic.probability(power, r), abs=1e-10
                     )
                 assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
@@ -193,3 +190,12 @@ def test_samplers_agree_and_cache():
     a = AnalyticSampler.from_amplitude(0.3, 42)
     b = AnalyticSampler.from_amplitude(0.3, 42)
     assert [a.sample(1, 1.0, 9) for _ in range(5)] == [b.sample(1, 1.0, 9) for _ in range(5)]
+
+
+def test_analytic_and_exact_samplers_share_one_closed_form():
+    for amplitude in (0.0, 3 / 16, 0.7, 1.0):
+        analytic = AnalyticSampler.from_amplitude(amplitude)
+        exact = ExactSampler.from_amplitude(amplitude)
+        for power in (0, 1, 2, 7, 40):
+            for r in (0.3, 0.75, 1.0):
+                assert exact.probability(power, r) == analytic.probability(power, r)
