@@ -26,7 +26,7 @@ from .diqc import (
     run_amplitude,
     run_node,
 )
-from .miqae import AngleInterval, MiqaeConfig, MiqaeResult, run_miqae
+from .miqae import MiqaeConfig, MiqaeResult, run_miqae
 from .oracle import (
     OracleSpec,
     SubOracle,
@@ -37,7 +37,6 @@ from .oracle import (
     load_bit_vector,
     load_marked_set,
     make_oracle,
-    oracle_for_universe,
 )
 from .qsim import (
     AnalyticSampler,

@@ -19,12 +19,11 @@ modelled as 64 bits per node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 from . import metrics
 from .coordinator import node_config
 from .diqc import NodeResult, run_node
-from .oracle import BitVector, hamming_suboracle, inner_product_suboracle
+from .oracle import BitVector, check_split, hamming_suboracle, inner_product_suboracle
 
 __all__ = [
     "CommunicationLedger",
@@ -40,6 +39,12 @@ INNER_PRODUCT = "inner"
 HAMMING = "hamming"
 
 _CLASSICAL_BITS_PER_NODE = 64
+
+# Qubits that cross between the parties per state preparation, by (n, k).
+_QUBITS_PER_PREPARATION = {
+    INNER_PRODUCT: lambda n, k: 2 * n - 2 * k + 3,
+    HAMMING: lambda n, k: n - k + 1,
+}
 
 
 @dataclass(frozen=True)
@@ -90,41 +95,33 @@ class ApplicationResult:
         return out
 
 
-def _as_bits(v: Union[str, BitVector], what: str) -> list[int]:
-    bits = [int(b) for b in v]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"{what} must contain only 0/1 entries")
-    return bits
-
-
-def _pad_to_power_of_two(bits: list[int]) -> tuple[list[int], int]:
+def _pad_to_power_of_two(bits: BitVector) -> tuple[list[int], int]:
     """Append zeros up to the next power of two; zeros never mark anything."""
     size = len(bits)
     if size < 2:
         raise ValueError("vectors need at least two entries")
     n = max(1, (size - 1).bit_length())
-    return bits + [0] * ((1 << n) - size), n
+    return list(bits) + [0] * ((1 << n) - size), n
 
 
 def _run_pair(
-    x: Union[str, BitVector],
-    y: Union[str, BitVector],
+    problem: str,
+    x: BitVector,
+    y: BitVector,
     k: int,
     epsilon: float,
     alpha: float,
-    build,
-    qubits_per_preparation,
     shots_per_batch: int,
     base_seed: int,
     backend: str,
 ) -> ApplicationResult:
-    config = node_config(epsilon, alpha, k, shots_per_batch)
-    x_bits = _as_bits(x, "x")
-    y_bits = _as_bits(y, "y")
-    if len(x_bits) != len(y_bits):
-        raise ValueError(f"vector lengths differ: {len(x_bits)} != {len(y_bits)}")
-    x_bits, n = _pad_to_power_of_two(x_bits)
-    y_bits, _ = _pad_to_power_of_two(y_bits)
+    if len(x) != len(y):
+        raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
+    x_bits, n = _pad_to_power_of_two(x)
+    y_bits, _ = _pad_to_power_of_two(y)
+    config = node_config(epsilon, alpha, n, k, shots_per_batch)
+    # Looked up at call time, so a tracer that wraps these module names sees the calls.
+    build = inner_product_suboracle if problem == INNER_PRODUCT else hamming_suboracle
     nodes = 1 << k
     results = []
     for j in range(nodes):
@@ -132,7 +129,7 @@ def _run_pair(
         results.append(run_node(sub, config, seed=base_seed + j, backend=backend))
     estimate = sum(res.c for res in results) / (1 << n)
     ledger = CommunicationLedger(
-        qubits_per_preparation=qubits_per_preparation(n, k),
+        qubits_per_preparation=_QUBITS_PER_PREPARATION[problem](n, k),
         preparations=sum(res.oracle_calls_physical for res in results),
         classical_bits=_CLASSICAL_BITS_PER_NODE * nodes,
     )
@@ -149,8 +146,8 @@ def _run_pair(
 
 
 def estimate_inner_product(
-    x: Union[str, BitVector],
-    y: Union[str, BitVector],
+    x: BitVector,
+    y: BitVector,
     k: int,
     epsilon: float,
     alpha: float,
@@ -159,19 +156,13 @@ def estimate_inner_product(
     backend: str = "analytic",
 ) -> ApplicationResult:
     """Estimate (1/2^n) sum x_i y_i from the un-rounded node estimates."""
-    return _run_pair(
-        x, y, k, epsilon, alpha,
-        build=inner_product_suboracle,
-        qubits_per_preparation=lambda n, kk: 2 * n - 2 * kk + 3,
-        shots_per_batch=shots_per_batch,
-        base_seed=base_seed,
-        backend=backend,
-    )
+    return _run_pair(INNER_PRODUCT, x, y, k, epsilon, alpha,
+                     shots_per_batch, base_seed, backend)
 
 
 def estimate_hamming(
-    x: Union[str, BitVector],
-    y: Union[str, BitVector],
+    x: BitVector,
+    y: BitVector,
     k: int,
     epsilon: float,
     alpha: float,
@@ -180,14 +171,8 @@ def estimate_hamming(
     backend: str = "analytic",
 ) -> ApplicationResult:
     """Estimate the Hamming distance divided by 2^n."""
-    return _run_pair(
-        x, y, k, epsilon, alpha,
-        build=hamming_suboracle,
-        qubits_per_preparation=lambda n, kk: n - kk + 1,
-        shots_per_batch=shots_per_batch,
-        base_seed=base_seed,
-        backend=backend,
-    )
+    return _run_pair(HAMMING, x, y, k, epsilon, alpha,
+                     shots_per_batch, base_seed, backend)
 
 
 def communication_bound(
@@ -195,16 +180,14 @@ def communication_bound(
 ) -> float:
     """Worst-case total qubits moved between the parties.
 
-    2^k * (4n-4k+6) * M for the inner product (round trips) and
-    2^k * (2n-2k+2) * M for the Hamming distance (one-way sends), with M
-    the per-node query bound at the given budget.
+    2^k * 2q * M, with q the qubits of one preparation, M the per-node
+    query bound at the given budget, and one preparation plus one
+    unpreparation per query: 2^k * (4n-4k+6) * M for the inner product
+    (round trips) and 2^k * (2n-2k+2) * M for the Hamming distance
+    (one-way sends).
     """
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}")
-    if problem == INNER_PRODUCT:
-        per = 4 * n - 4 * k + 6
-    elif problem == HAMMING:
-        per = 2 * n - 2 * k + 2
-    else:
+    check_split(n, k)
+    if problem not in _QUBITS_PER_PREPARATION:
         raise ValueError(f"unknown problem {problem!r}")
+    per = 2 * _QUBITS_PER_PREPARATION[problem](n, k)
     return (1 << k) * per * metrics.query_bound(epsilon_node, alpha_node)

@@ -11,9 +11,11 @@ Subcommands:
   bench          closed-form resource report for a problem size
   prop-check     run the built-in property suites
 
-Every command takes  --seed and produces byte-identical output for
-identical (config, seed). Exit codes: 0 success, 1 estimation failure,
-2 usage or domain error.
+Every command but bench (which is closed-form) takes --seed, and every
+command produces byte-identical output for identical (config, seed). The
+(n, k) split is checked before any per-node budget is derived, and the
+count summary is read from the per-repetition AggregateResults. Exit
+codes: 0 success, 1 estimation failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -33,10 +36,10 @@ from .applications import (
     estimate_hamming,
     estimate_inner_product,
 )
-from .coordinator import run_distributed
+from .coordinator import AggregateResult, run_distributed
 from .diqc import DiqcConfig, run_amplitude
 from .miqae import MiqaeConfig, run_for_amplitude
-from .oracle import load_bit_vector, load_marked_set, make_oracle
+from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
 
 # column meanings: count_estimate is the real-valued 2^m * amplitude;
 # amplitude_low/high bound the slice's marked fraction; oracle_calls counts
@@ -138,8 +141,9 @@ def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
     return int(n), marked
 
 
-def _node_budget(args, parser) -> tuple[float, float]:
+def _node_budget(args, parser, n: int) -> tuple[float, float]:
     """Global (epsilon, alpha) from either global or per-node flags."""
+    check_split(n, args.k)
     nodes = 1 << args.k
     if args.epsilon_node is not None:
         if args.epsilon is not None:
@@ -156,36 +160,51 @@ def _node_budget(args, parser) -> tuple[float, float]:
     return epsilon, alpha
 
 
+def _node_means(aggs: list[AggregateResult], j: int) -> dict:
+    """Node j's means over the repetitions."""
+    results = [agg.per_node[j] for agg in aggs]
+
+    def mean(values) -> float:
+        total = 0.0
+        for value in values:  # in rep order; sum() compensates floats from 3.12 on
+            total += value
+        return total / len(results)
+
+    return {
+        "node_id": j,
+        "mean_c": mean(res.c for res in results),
+        "mean_t_prime": mean(res.t_prime for res in results),
+        "mean_oracle_calls": mean(res.oracle_calls for res in results),
+        "mean_max_big_k": mean(res.max_big_k for res in results),
+        "mean_depth": mean((res.max_big_k - 1) // 2 for res in results),
+        "mean_total_shots": mean(res.total_shots for res in results),
+        "successes": sum(res.succeeded for res in results),
+    }
+
+
 def _cmd_count(args, parser) -> int:
     n, marked = _resolve_marked(args, parser)
     oracle = make_oracle(n, marked)
-    epsilon, alpha = _node_budget(args, parser)
+    epsilon, alpha = _node_budget(args, parser, n)
     nodes = 1 << args.k
     out = Path(args.out)
 
-    rows: list[list] = []
-    trace_rows: list[list] = []
-    t_counts: dict[int, int] = {}
-    per_node_acc = [
-        {"c": 0.0, "t": 0.0, "calls": 0.0, "max_k": 0.0, "depth": 0.0,
-         "shots": 0.0, "successes": 0}
-        for _ in range(nodes)
-    ]
-    statuses = []
-    for rep in range(args.reps):
-        base_seed = args.seed + rep * nodes
-        agg = run_distributed(
+    aggs = [
+        run_distributed(
             oracle,
             args.k,
             epsilon,
             alpha,
             scheme=args.scheme,
             shots_per_batch=args.shots_per_batch,
-            base_seed=base_seed,
+            base_seed=args.seed + rep * nodes,
             backend=args.backend,
         )
-        statuses.append(agg.status)
-        t_counts[agg.t_prime] = t_counts.get(agg.t_prime, 0) + 1
+        for rep in range(args.reps)
+    ]
+    rows: list[list] = []
+    trace_rows: list[list] = []
+    for rep, agg in enumerate(aggs):
         for res in agg.per_node:
             rows.append(
                 [
@@ -195,14 +214,6 @@ def _cmd_count(args, parser) -> int:
                     res.status,
                 ]
             )
-            acc = per_node_acc[res.node_id]
-            acc["c"] += res.c
-            acc["t"] += res.t_prime
-            acc["calls"] += res.oracle_calls
-            acc["max_k"] += res.max_big_k
-            acc["depth"] += (res.max_big_k - 1) // 2
-            acc["shots"] += res.total_shots
-            acc["successes"] += res.succeeded
             if args.trace:
                 for rd in res.rounds:
                     trace_rows.append(
@@ -214,6 +225,9 @@ def _cmd_count(args, parser) -> int:
                             repr(rd.theta_max), int(rd.backtracked),
                         ]
                     )
+    t_counts = Counter(agg.t_prime for agg in aggs)
+    failed_reps = sum(not agg.succeeded for agg in aggs)
+    first = aggs[0].per_node[0]
     summary = {
         "config": {
             "n": n,
@@ -221,8 +235,8 @@ def _cmd_count(args, parser) -> int:
             "marked": sorted(marked),
             "epsilon": epsilon,
             "alpha": alpha,
-            "epsilon_node": epsilon / nodes,
-            "alpha_node": alpha / nodes,
+            "epsilon_node": first.epsilon_node,
+            "alpha_node": first.alpha_node,
             "shots_per_batch": args.shots_per_batch,
             "scheme": args.scheme,
             "backend": args.backend,
@@ -230,30 +244,18 @@ def _cmd_count(args, parser) -> int:
             "seed": args.seed,
         },
         "qubits_per_node": n - args.k + 2,
-        "per_node": [
-            {
-                "node_id": j,
-                "mean_c": acc["c"] / args.reps,
-                "mean_t_prime": acc["t"] / args.reps,
-                "mean_oracle_calls": acc["calls"] / args.reps,
-                "mean_max_big_k": acc["max_k"] / args.reps,
-                "mean_depth": acc["depth"] / args.reps,
-                "mean_total_shots": acc["shots"] / args.reps,
-                "successes": acc["successes"],
-            }
-            for j, acc in enumerate(per_node_acc)
-        ],
+        "per_node": [_node_means(aggs, j) for j in range(nodes)],
         "t_prime_counts": {str(t): c for t, c in sorted(t_counts.items())},
-        "failed_reps": sum(s != "success" for s in statuses),
-        "error_bound": agg.error_bound,
-        "confidence": agg.confidence,
+        "failed_reps": failed_reps,
+        "error_bound": aggs[-1].error_bound,
+        "confidence": aggs[-1].confidence,
     }
     _write_csv(out / "runs.csv", _RUN_COLUMNS, rows)
     _write_json(out / "summary.json", summary)
     if args.trace:
         _write_csv(out / "trace.csv", _TRACE_COLUMNS, trace_rows)
     print(f"wrote {out}/runs.csv and {out}/summary.json")
-    return 0 if all(s == "success" for s in statuses) else 1
+    return 0 if failed_reps == 0 else 1
 
 
 def _load_vector(arg: str):
@@ -284,8 +286,9 @@ def _cmd_pair(args, parser, which: str) -> int:
     payload = result.to_dict()
     payload["exact"] = exact
     payload["abs_error"] = abs(result.estimate - exact)
+    node = result.per_node[0]
     payload["communication_bound"] = communication_bound(
-        which, result.n, args.k, args.epsilon / (1 << args.k), args.alpha / (1 << args.k)
+        which, result.n, result.k, node.epsilon_node, node.alpha_node
     )
     payload["config"] = {
         "epsilon": args.epsilon,
@@ -375,11 +378,6 @@ def _cmd_bench(args, parser) -> int:
 
 def _cmd_prop_check(args, parser) -> int:
     reports = checks.run_all(seed=args.seed, quick=not args.full)
-    if args.inject_failure:
-        reports.append(
-            {"name": "injected_failure", "passed": False, "cases": 0,
-             "note": "forced by --inject-failure"}
-        )
     for rep in reports:
         print(f"{'PASS' if rep['passed'] else 'FAIL'}  {rep['name']} ({rep['cases']} cases)")
     if args.out is not None:
@@ -394,8 +392,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, out: Union[str, None] = None) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+def _add_common(
+    sub: argparse.ArgumentParser, out: Union[str, None] = None, seeded: bool = True
+) -> None:
+    if seeded:
+        sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     sub.add_argument("--out", type=str, default=out, help="output path")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file supplying defaults; flags win")
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots-per-batch", type=int, default=1)
 
     p = subs.add_parser("bench", help="closed-form resource report")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--epsilon-node", type=float, default=0.001)
@@ -468,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--full", action="store_true",
                    help="use the full equivalence grid (slower)")
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)
 
     return parser
 

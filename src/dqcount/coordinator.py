@@ -1,8 +1,10 @@
 """Splits a counting problem across 2^k virtual nodes and aggregates.
 
-The coordinator hands node j the sub-oracle from the chosen partition
-scheme, a per-node budget (epsilon/2^k, alpha/2^k) and the seed
-base_seed + j, runs the nodes in order, then sums the integer estimates.
+`node_config` checks the (n, k) split and the global budget before it
+divides anything by 2^k. The coordinator then hands node j the sub-oracle
+from the chosen partition scheme, a per-node budget (epsilon/2^k,
+alpha/2^k) and the seed base_seed + j, runs the nodes in order, and sums
+the integer estimates.
 Node runs share no state, so a node's result depends only on its
 sub-oracle, budget and seed.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diqc import DiqcConfig, NodeResult, run_node
-from .oracle import PREFIX, STRIDE, OracleSpec, decompose_prefix, decompose_stride
+from .oracle import PREFIX, STRIDE, OracleSpec, check_split, decompose_prefix, decompose_stride
 
 __all__ = ["AggregateResult", "node_config", "run_distributed", "aggregate"]
 
@@ -103,9 +105,11 @@ def aggregate(node_results: list[NodeResult]) -> AggregateResult:
 
 
 def node_config(
-    epsilon: float, alpha: float, k: int, shots_per_batch: int = 1
+    epsilon: float, alpha: float, n: int, k: int, shots_per_batch: int = 1
 ) -> DiqcConfig:
-    """Validate the global budget and give each of the 2^k nodes a 2^k-th."""
+    """Check the split of n index bits and the global budget, then give
+    each of the 2^k nodes a 2^k-th of the budget."""
+    check_split(n, k)
     if not 0 < epsilon <= 0.01:
         raise ValueError("epsilon must lie in (0, 0.01]")
     if not 0 < alpha < 0.75:
@@ -133,13 +137,13 @@ def run_distributed(
     `epsilon`/`alpha` are the global budget; each node gets a 2^k-th of
     both. Node j is seeded with base_seed + j.
     """
+    config = node_config(epsilon, alpha, oracle.n, k, shots_per_batch)
     if scheme == PREFIX:
         subs = decompose_prefix(oracle, k)
     elif scheme == STRIDE:
         subs = decompose_stride(oracle, k)
     else:
         raise ValueError(f"unknown partition scheme {scheme!r}")
-    config = node_config(epsilon, alpha, k, shots_per_batch)
     results = [
         run_node(sub, config, seed=base_seed + sub.node_id, backend=backend)
         for sub in subs

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .oracle import check_split
+
 __all__ = [
     "SHOT_CAP_CONSTANT",
     "k_max_cap",
@@ -68,9 +70,7 @@ def gates_controlled_grover(n: int) -> int:
 
 def gates_node_grover(n: int, k: int) -> int:
     """Gate count of one uncontrolled per-node iterate on an (n-k)-bit slice."""
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}")
-    m = n - k
+    m = check_split(n, k)
     return 2 ** (2 * m + 5) - 2 ** (m + 3)
 
 
@@ -88,8 +88,7 @@ def centralized_cost_dominates(n: int, k: int) -> bool:
     (2^(2n-2k+5) - 2^(n-k+3)) (3*2^(n-3)*pi + 1/2), the latter evaluated
     with a rational upper bound on pi so `True` is a proof.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}")
+    check_split(n, k)
     lhs = Fraction(n * n + 7 * n + 4, 2) + 2 ** (n + 2) * (4 ** (n + 1) - 2 ** (n + 2) + 1)
     rhs = gates_node_grover(n, k) * (Fraction(3 * 2 ** n, 8) * _PI_UPPER + Fraction(1, 2))
     return lhs > rhs
@@ -115,8 +114,7 @@ def counting_comparison(n: int, k: int) -> tuple[ResourceReport, ResourceReport]
     Node gate cost covers the depth cap plus one state preparation (the
     preparation costs the same as one iterate).
     """
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}")
+    check_split(n, k)
     m = n + 1
     central = ResourceReport(
         context="counting via controlled iterates + phase readout",

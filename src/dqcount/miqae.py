@@ -21,7 +21,6 @@ from . import metrics
 from .qsim import AnalyticSampler, Sampler
 
 __all__ = [
-    "AngleInterval",
     "MiqaeConfig",
     "MiqaeRound",
     "MiqaeResult",
@@ -52,28 +51,6 @@ def same_quadrant(big_k: int, theta_low: float, theta_high: float) -> bool:
     return quadrant_count(big_k, theta_low) == math.ceil(
         big_k * theta_high * 2 / math.pi - QUADRANT_SLACK
     ) - 1
-
-
-@dataclass(frozen=True)
-class AngleInterval:
-    """A confidence interval for the amplitude angle, inside [0, pi/2]."""
-
-    theta_low: float
-    theta_high: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.theta_low <= self.theta_high <= _HALF_PI:
-            raise ValueError(
-                f"invalid angle interval [{self.theta_low}, {self.theta_high}]"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.theta_high - self.theta_low
-
-    def amplitudes(self) -> tuple[float, float]:
-        """The interval mapped to amplitude scale, [sin^2 low, sin^2 high]."""
-        return math.sin(self.theta_low) ** 2, math.sin(self.theta_high) ** 2
 
 
 @dataclass(frozen=True)
@@ -125,12 +102,6 @@ class MiqaeResult:
     @property
     def succeeded(self) -> bool:
         return self.status == "success"
-
-    @property
-    def angle_interval(self) -> AngleInterval:
-        return AngleInterval(
-            math.asin(math.sqrt(self.a_low)), math.asin(math.sqrt(self.a_high))
-        )
 
 
 def chernoff_interval(a_hat: float, n_samples: int, alpha_i: float) -> tuple[float, float]:

@@ -6,6 +6,11 @@ index space, obtained either by fixing a k-bit prefix (node j owns the
 indices whose top k bits equal j) or by striding (node j owns the indices
 congruent to j mod 2^k, so local index i maps to 2^k * i + j).
 
+`check_split` holds the one rule every split obeys: k at least 1 and
+below n, and n at most MAX_N. It runs before anything computes 2^k.
+Counts are carried as float64 2^m * a, so the index register is capped at
+MAX_N = 1023 qubits.
+
 Oracles are plain integer sets; the quantum oracle is realised from this
 truth table by the statevector backend.
 """
@@ -19,8 +24,8 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "OracleSpec",
     "SubOracle",
+    "check_split",
     "make_oracle",
-    "oracle_for_universe",
     "decompose_prefix",
     "decompose_stride",
     "inner_product_suboracle",
@@ -33,6 +38,9 @@ PREFIX = "prefix"
 STRIDE = "stride"
 
 BitVector = Sequence[int]
+
+# Largest index register whose count scale 2^n is a finite float64.
+MAX_N = 1023
 
 
 def _check_members(marked: Iterable[int], size: int, what: str) -> None:
@@ -49,8 +57,8 @@ class OracleSpec:
     marked: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("index register needs at least one qubit")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in [1, {MAX_N}], got {self.n}")
         object.__setattr__(self, "marked", frozenset(self.marked))
         _check_members(self.marked, 1 << self.n, "marked")
 
@@ -85,12 +93,9 @@ class SubOracle:
     marked_local: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("sub-register needs at least one qubit")
+        check_split(self.m + self.k, self.k)
         if self.scheme not in (PREFIX, STRIDE):
             raise ValueError(f"unknown partition scheme {self.scheme!r}")
-        if self.k < 1:
-            raise ValueError("node count exponent k must be >= 1")
         if not 0 <= self.node_id < (1 << self.k):
             raise ValueError(f"node_id {self.node_id} outside [0, {1 << self.k})")
         object.__setattr__(self, "marked_local", frozenset(self.marked_local))
@@ -131,29 +136,18 @@ def make_oracle(n: int, marked: Iterable[int]) -> OracleSpec:
     return OracleSpec(n=n, marked=frozenset(marked))
 
 
-def oracle_for_universe(size: int, marked: Iterable[int]) -> OracleSpec:
-    """Build an oracle for a universe of `size` elements.
-
-    A size that is not a power of two is rounded up to the next one by
-    appending never-marked padding indices, which leaves the count intact.
-    """
-    if size < 1:
-        raise ValueError("universe must contain at least one element")
-    marked = frozenset(marked)
-    _check_members(marked, size, "marked")
-    n = max(1, (size - 1).bit_length())
-    return OracleSpec(n=n, marked=marked)
-
-
-def _split(oracle: OracleSpec, k: int) -> int:
-    if not 1 <= k < oracle.n:
-        raise ValueError(f"k must satisfy 1 <= k < n={oracle.n}, got {k}")
-    return oracle.n - k
+def check_split(n: int, k: int) -> int:
+    """Check a split of n index bits over 2^k nodes; return the slice width n-k."""
+    if not 1 <= k < n:
+        raise ValueError(f"k must lie in [1, {n - 1}] for n={n}, got {k}")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
+    return n - k
 
 
 def decompose_prefix(oracle: OracleSpec, k: int) -> list[SubOracle]:
     """Split by the top k index bits: node j holds {i | (j << m) | i marked}."""
-    m = _split(oracle, k)
+    m = check_split(oracle.n, k)
     buckets: list[set[int]] = [set() for _ in range(1 << k)]
     mask = (1 << m) - 1
     for x in oracle.marked:
@@ -166,7 +160,7 @@ def decompose_prefix(oracle: OracleSpec, k: int) -> list[SubOracle]:
 
 def decompose_stride(oracle: OracleSpec, k: int) -> list[SubOracle]:
     """Split by the bottom k index bits: node j holds {i | 2^k * i + j marked}."""
-    m = _split(oracle, k)
+    m = check_split(oracle.n, k)
     buckets: list[set[int]] = [set() for _ in range(1 << k)]
     mask = (1 << k) - 1
     for x in oracle.marked:
@@ -193,12 +187,9 @@ def _paired_suboracle(
         raise ValueError(f"vector length {size} is not a power of two >= 2")
     _check_bits(x, "x")
     _check_bits(y, "y")
-    n = size.bit_length() - 1
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n={n}, got {k}")
+    m = check_split(size.bit_length() - 1, k)
     if not 0 <= node_id < (1 << k):
         raise ValueError(f"node_id {node_id} outside [0, {1 << k})")
-    m = n - k
     marked = frozenset(
         i for i in range(1 << m) if keep(x[(i << k) | node_id], y[(i << k) | node_id])
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dqcount import checks
 from dqcount.cli import main
 
 
@@ -150,7 +151,7 @@ def test_bench_command(tmp_path):
     assert payload["communication_bound_hamming"] < payload["communication_bound_inner"]
 
 
-def test_prop_check_command_and_injection(tmp_path, capsys):
+def test_prop_check_command_and_injection(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["prop-check", "--seed", "0", "--out", str(out)]) == 0
     text = capsys.readouterr().out
@@ -158,7 +159,9 @@ def test_prop_check_command_and_injection(tmp_path, capsys):
     payload = json.loads(read(out))
     assert all(suite["passed"] for suite in payload["suites"])
 
-    assert main(["prop-check", "--inject-failure"]) == 1
+    failing = [{"name": "injected_failure", "passed": False, "cases": 0}]
+    monkeypatch.setattr(checks, "run_all", lambda seed, quick: failing)
+    assert main(["prop-check"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -176,6 +179,13 @@ def exit_code(argv):
     (["count", "--n", "6", "--marked", "1", "--parallel"], None),
     (["count", "--n", "6", "--marked", "1"], {"workers": 4}),
     (["count", "--n", "6", "--marked", "1"], {"scheme": "modulo"}),
+    (["count", "--n", "6", "--marked", "1", "--k", "2000",
+      "--epsilon-node", "0.001", "--alpha-node", "0.05"], None),
+    (["inner-product", "--x", "0110", "--y", "0101", "--k", "2000"], None),
+    (["count", "--n", "2000", "--marked", "1", "--k", "1"], None),
+    (["bench", "--n", "2000", "--k", "1"], None),
+    (["bench", "--seed", "1"], None),
+    (["count", "--n", "6", "--marked", "1", "--k", "-1"], None),
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
     if config is not None:
@@ -187,6 +197,8 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config)
     assert "error" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    if argv[-2:] == ["--k", "-1"]:
+        assert "k must lie in [1, 5]" in err
 
 
 def test_usage_errors_exit_2(tmp_path):

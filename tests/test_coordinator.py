@@ -82,12 +82,14 @@ def test_run_distributed_validation():
 
 
 def test_node_config_splits_global_budget():
-    config = node_config(0.004, 0.1, 2, shots_per_batch=25)
+    config = node_config(0.004, 0.1, 6, 2, shots_per_batch=25)
     assert config == DiqcConfig(epsilon_node=0.001, alpha_node=0.025, shots_per_batch=25)
     with pytest.raises(ValueError):
-        node_config(0.02, 0.1, 1)
+        node_config(0.02, 0.1, 6, 1)
     with pytest.raises(ValueError):
-        node_config(0.002, 0.75, 1)
+        node_config(0.002, 0.75, 6, 1)
+    with pytest.raises(ValueError):
+        node_config(0.002, 0.1, 6, 6)
 
 
 def test_aggregate_matches_node_runs():

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from dqcount import metrics
 from dqcount.miqae import (
-    AngleInterval,
     MiqaeConfig,
     chernoff_interval,
     find_next_k,
@@ -28,15 +27,6 @@ def scan_oracle(k_i: int, theta_low: float, theta_high: float) -> int:
         if lo == hi:
             best = big_k
     return (best - 1) // 2 if best is not None else k_i
-
-
-def test_angle_interval_validation():
-    AngleInterval(0.0, math.pi / 2)
-    with pytest.raises(ValueError):
-        AngleInterval(0.2, 0.1)
-    with pytest.raises(ValueError):
-        AngleInterval(-0.1, 0.1)
-    assert AngleInterval(0.0, math.pi / 4).amplitudes()[1] == pytest.approx(0.5)
 
 
 def test_chernoff_interval_examples():
@@ -117,7 +107,9 @@ def test_interval_and_growth_properties():
         assert result.succeeded
         assert 0.0 <= result.a_low <= result.a_high <= 1.0
         assert result.a_high - result.a_low < 2 * config.epsilon
-        assert result.angle_interval.width < 2 * config.epsilon
+        theta_low = math.asin(math.sqrt(result.a_low))
+        theta_high = math.asin(math.sqrt(result.a_high))
+        assert theta_high - theta_low < 2 * config.epsilon
         ks = [rd.big_k for rd in result.rounds]
         for prev, cur in zip(ks, ks[1:]):
             assert cur == prev or cur >= 3 * prev

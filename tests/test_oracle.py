@@ -10,7 +10,6 @@ from dqcount.oracle import (
     load_bit_vector,
     load_marked_set,
     make_oracle,
-    oracle_for_universe,
 )
 
 
@@ -27,14 +26,6 @@ def test_make_oracle_rejects_out_of_range():
         make_oracle(2, {-1})
     with pytest.raises(ValueError):
         make_oracle(0, set())
-
-
-def test_oracle_for_universe_rounds_up():
-    assert oracle_for_universe(6, {5}).n == 3
-    assert oracle_for_universe(8, {5}).n == 3
-    assert oracle_for_universe(9, {8}).n == 4
-    assert oracle_for_universe(1, set()).n == 1
-    assert oracle_for_universe(100, {38, 8, 16}).marked == frozenset({38, 8, 16})
 
 
 def test_indicator_examples():
