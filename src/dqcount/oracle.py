@@ -17,8 +17,10 @@ truth table by the statevector backend.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -178,7 +180,7 @@ def _check_bits(bits: BitVector, what: str) -> None:
 
 
 def _paired_suboracle(
-    x: BitVector, y: BitVector, k: int, node_id: int, keep
+    x: BitVector, y: BitVector, k: int, node_id: int, pair_bit
 ) -> SubOracle:
     if len(x) != len(y):
         raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
@@ -190,20 +192,21 @@ def _paired_suboracle(
     m = check_split(size.bit_length() - 1, k)
     if not 0 <= node_id < (1 << k):
         raise ValueError(f"node_id {node_id} outside [0, {1 << k})")
-    marked = frozenset(
-        i for i in range(1 << m) if keep(x[(i << k) | node_id], y[(i << k) | node_id])
-    )
+    # Local index i is global index (i << k) | node_id, so the slice is one stride.
+    stride = 1 << k
+    bits = map(pair_bit, x[node_id::stride], y[node_id::stride])
+    marked = frozenset(compress(range(1 << m), bits))
     return SubOracle(m=m, node_id=node_id, k=k, scheme=STRIDE, marked_local=marked)
 
 
 def inner_product_suboracle(x: BitVector, y: BitVector, k: int, node_id: int) -> SubOracle:
     """Marked local indices i with x_g AND y_g = 1 for g = 2^k * i + node_id."""
-    return _paired_suboracle(x, y, k, node_id, lambda a, b: a & b == 1)
+    return _paired_suboracle(x, y, k, node_id, operator.and_)
 
 
 def hamming_suboracle(x: BitVector, y: BitVector, k: int, node_id: int) -> SubOracle:
     """Marked local indices i with x_g XOR y_g = 1 for g = 2^k * i + node_id."""
-    return _paired_suboracle(x, y, k, node_id, lambda a, b: a ^ b == 1)
+    return _paired_suboracle(x, y, k, node_id, operator.xor)
 
 
 def load_marked_set(path: Union[str, os.PathLike]) -> tuple[frozenset[int], Union[int, None]]:

@@ -109,6 +109,25 @@ def test_inner_product_suboracle_matches_brute_force():
     )
 
 
+def test_paired_suboracles_match_brute_force_on_every_node():
+    import random
+
+    rng = random.Random(13)
+    x = [rng.randint(0, 1) for _ in range(64)]
+    y = [rng.randint(0, 1) for _ in range(64)]
+    for build, keep in (
+        (inner_product_suboracle, lambda a, b: a == b == 1),
+        (hamming_suboracle, lambda a, b: a != b),
+    ):
+        for k in (1, 2, 3):
+            for j in range(1 << k):
+                expected = frozenset(
+                    i for i in range(64 >> k) if keep(x[(i << k) | j], y[(i << k) | j])
+                )
+                assert build(x, y, k, j).marked_local == expected
+                assert build(tuple(x), tuple(y), k, j).marked_local == expected
+
+
 def test_hamming_suboracle():
     import random
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dqcount.checks import _gate_level_Q
 from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 from dqcount.qsim import (
     AnalyticSampler,
@@ -84,8 +85,9 @@ def test_prepared_state_matches_two_component_decomposition():
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
     # two amplification iterates stay inside span{good, rest}
-    apply_Q(state, sub, r)
-    apply_Q(state, sub, r)
+    prepared = state.copy()
+    apply_Q(state, prepared)
+    apply_Q(state, prepared)
     overlap = abs(np.vdot(good, state.amplitudes)) ** 2 + abs(np.vdot(rest, state.amplitudes)) ** 2
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -96,14 +98,47 @@ def test_apply_Q_matches_analytic_on_small_grid():
             sub = sub_for(m, t)
             analytic = AnalyticSampler.from_sub_oracle(sub)
             for r in (0.25, 0.8, 1.0):
-                state = apply_A(StateVector.zero(m + 2), sub, r)
+                prepared = apply_A(StateVector.zero(m + 2), sub, r)
+                state = prepared.copy()
                 for power in range(6):
                     if power:
-                        apply_Q(state, sub, r)
+                        apply_Q(state, prepared)
                     assert state.prob11() == pytest.approx(
                         analytic.probability(power, r), abs=1e-10
                     )
                 assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_apply_Q_matches_gate_level_iterate_on_random_states():
+    rng = np.random.default_rng(3)
+    for m in range(1, 5):
+        for t in (0, 1, (1 << m) - 1, 1 << m):
+            sub = sub_for(m, t)
+            for r in (0.25, 0.6, 1.0):
+                prepared = apply_A(StateVector.zero(m + 2), sub, r)
+                size = 1 << (m + 2)
+                raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+                raw /= np.linalg.norm(raw)
+                reflected = apply_Q(StateVector(m + 2, raw.copy()), prepared)
+                gates = StateVector(m + 2, raw.copy())
+                _gate_level_Q(gates, sub, r)
+                assert np.abs(reflected.amplitudes - gates.amplitudes).max() <= 1e-12
+
+
+def test_apply_Q_width_mismatch():
+    prepared = apply_A(StateVector.zero(6), sub_for(4, 3), 1.0)
+    with pytest.raises(ValueError):
+        apply_Q(StateVector.zero(7), prepared)
+
+
+def test_prob11_statevector_matches_closed_form_at_depth():
+    m = 10
+    for t, r in ((1, 1.0), (3, 0.6), (37, 0.25)):
+        sin_theta = math.sqrt(t / (1 << m))
+        for power in (0, 1, 7, 50, 199, 400):
+            assert prob11_statevector(sub_for(m, t), r, power) == pytest.approx(
+                prob11(sin_theta, r, power), abs=1e-10
+            )
 
 
 def test_all_marked_is_certain():
@@ -127,15 +162,15 @@ def test_prob11_linear_in_r():
 )
 def test_unitarity_under_random_gate_sequences(m, r, ops, t):
     sub = sub_for(m, min(t, 1 << m))
-    state = StateVector.zero(m + 2)
-    apply_A(state, sub, r)
+    prepared = apply_A(StateVector.zero(m + 2), sub, r)
+    state = prepared.copy()
     for op in ops:
         if op == "A":
             apply_A(state, sub, r)
         elif op == "Ad":
             apply_A_dagger(state, sub, r)
         else:
-            apply_Q(state, sub, r)
+            apply_Q(state, prepared)
     assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
