@@ -40,7 +40,6 @@ from .oracle import (
 )
 from .qsim import (
     AnalyticSampler,
-    ExactSampler,
     StatevectorSampler,
     StateVector,
     apply_A,

@@ -17,12 +17,12 @@ from .diqc import find_next_k
 from .oracle import SubOracle
 from .qsim import (
     AnalyticSampler,
+    StatevectorSampler,
     StateVector,
     _reflect_good,
     _reflect_zero,
     apply_A,
     apply_A_dagger,
-    apply_Q,
 )
 
 __all__ = [
@@ -53,8 +53,10 @@ def check_backend_equivalence(
 ) -> dict:
     """Exact-circuit P[11] against the analytic sampler on an exhaustive grid.
 
-    Each case steps two copies of A|0>: one by `apply_Q` (the reflection
-    about the prepared state) and one with A^dagger and A run gate by gate.
+    Each sub-oracle gets one `StatevectorSampler`, read at rising powers
+    for each r as the estimation loops read it (the reflection about the
+    prepared state), and each (sub-oracle, r) also steps a copy of A|0>
+    with A^dagger and A run gate by gate.
     """
     worst = 0.0
     cases = 0
@@ -65,16 +67,14 @@ def check_backend_equivalence(
                 marked_local=frozenset(range(t)),
             )
             analytic = AnalyticSampler.from_sub_oracle(sub)
+            sampler = StatevectorSampler(sub)
             for r in r_values:
-                prepared = apply_A(StateVector.zero(m + 2), sub, r)
-                state = prepared.copy()
-                gates = prepared.copy()
+                gates = apply_A(StateVector.zero(m + 2), sub, r)
                 for power in range(max_power + 1):
                     if power:
-                        apply_Q(state, prepared)
                         _gate_level_Q(gates, sub, r)
                     expected = analytic.probability(power, r)
-                    err = max(abs(state.prob11() - expected),
+                    err = max(abs(sampler.probability(power, r) - expected),
                               abs(gates.prob11() - expected))
                     worst = max(worst, err)
                     cases += 1

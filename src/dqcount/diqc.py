@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import metrics
-from .miqae import chernoff_interval, gamma_from_interval, quadrant_count, same_quadrant
+from .miqae import (
+    EPSILON_FLOOR,
+    chernoff_interval,
+    gamma_from_interval,
+    quadrant_count,
+    same_quadrant,
+)
 from .oracle import SubOracle
 from .qsim import AnalyticSampler, Sampler, StatevectorSampler
 
@@ -71,8 +77,9 @@ class DiqcConfig:
 
     `epsilon_node`/`alpha_node` are the per-node target half-width and
     significance (`coordinator.node_config` builds them from a global
-    budget). `shots_per_batch` is the number of shots drawn per sampler
-    call; a round always takes its full shot budget.
+    budget); `epsilon_node` lies in [EPSILON_FLOOR, 0.01].
+    `shots_per_batch` is the number of shots drawn per sampler call; a
+    round always takes its full shot budget.
     """
 
     epsilon_node: float
@@ -80,8 +87,8 @@ class DiqcConfig:
     shots_per_batch: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon_node <= 0.01:
-            raise ValueError("epsilon_node must lie in (0, 0.01]")
+        if not EPSILON_FLOOR <= self.epsilon_node <= 0.01:
+            raise ValueError(f"epsilon_node must lie in [{EPSILON_FLOOR:g}, 0.01]")
         if not 0 < self.alpha_node < 0.75:
             raise ValueError("alpha_node must lie in (0, 3/4)")
         if self.shots_per_batch < 1:

@@ -39,6 +39,13 @@ _HALF_PI = math.pi / 2
 # slack against rounding noise.
 QUADRANT_SLACK = 1e-9
 
+# Smallest epsilon either estimator accepts (inclusive). The target K grows
+# like 1/epsilon, and the rounding error of K theta 2/pi, about K 2^-52,
+# reaches QUADRANT_SLACK near K of 4e6 to 8e6, i.e. epsilon near 1e-7; below
+# that the quadrant tests are no longer sound in float64. With the global
+# budget's epsilon <= 0.01 it also caps the node count 2^k at 1e5.
+EPSILON_FLOOR = 1e-7
+
 
 def quadrant_count(big_k: int, theta: float) -> int:
     """Number of quadrants the amplified angle has passed, floor(2K theta/pi)."""
@@ -60,8 +67,8 @@ class MiqaeConfig:
     shots_per_batch: int = 100
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon >= EPSILON_FLOOR:
+            raise ValueError(f"epsilon must be at least {EPSILON_FLOOR:g}")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if self.shots_per_batch < 1:

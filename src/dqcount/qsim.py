@@ -19,6 +19,15 @@ is the reflection about |11> followed by the reflection about that
 prepared state: O(2^(m+2)) per iterate instead of re-running A^dagger
 and A gate by gate (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055).
 
+`StatevectorSampler` keeps one running state: the rotation weight r it
+was built for, A|0> for that r, and the state after the last requested
+power. A request at the same r and a power at or above the kept one
+advances the kept state in place by the difference; a new r rebuilds
+A|0>, and a lower power restarts from A|0>. So a live sampler holds two
+2^(m+2) complex vectors, as many as one `prob11_statevector` call holds
+while it runs; that call builds and steps a fresh state each time and is
+the reference the tests compare the sampler against.
+
 Register convention: m index qubits, then the oracle flag qubit, then the
 rotation qubit; a basis index reads (x << 2) | (flag << 1) | rot. The
 measurement statistics are invariant to the order of the last two qubits.
@@ -45,7 +54,6 @@ __all__ = [
     "Sampler",
     "AnalyticSampler",
     "StatevectorSampler",
-    "ExactSampler",
 ]
 
 STATEVECTOR_QUBIT_LIMIT = 22
@@ -203,9 +211,45 @@ def apply_Q(state: StateVector, prepared: StateVector) -> StateVector:
     amp = state.amplitudes
     psi = prepared.amplitudes
     _reflect_good(amp)
-    amp -= 2 * np.vdot(psi, amp) * psi
-    np.negative(amp, out=amp)
+    # -(amp - c psi) written as c psi - amp into amp: the same nonzero
+    # amplitudes bit for bit (an exact zero may change sign), with no
+    # separate negation pass.
+    np.subtract(2 * np.vdot(psi, amp) * psi, amp, out=amp)
     return state
+
+
+def _check_power(grover_power: int) -> None:
+    if grover_power < 0:
+        raise ValueError("grover_power must be non-negative")
+
+
+class _KeptState:
+    """A|0> for one (sub-oracle, r) and the state after `power` iterates."""
+
+    __slots__ = ("r", "prepared", "state", "power", "p11")
+
+    def __init__(self, sub: SubOracle, r: float):
+        self.r = r
+        self.prepared = apply_A(StateVector.zero(sub.m + 2), sub, r)
+        self.state = self.prepared.copy()
+        self.power = 0
+        self.p11 = self.state.prob11()
+
+    def prob11(self, grover_power: int) -> float:
+        """P[11] after `grover_power` iterates; steps forward from the kept
+        state, or from A|0> when `grover_power` is below it."""
+        if grover_power != self.power:
+            _check_power(grover_power)
+            if grover_power < self.power:
+                np.copyto(self.state.amplitudes, self.prepared.amplitudes)
+                self.power = 0
+            # Looked up per iterate, so a tracer that wraps `qsim.apply_Q`
+            # counts them.
+            for _ in range(grover_power - self.power):
+                apply_Q(self.state, self.prepared)
+            self.power = grover_power
+            self.p11 = self.state.prob11()
+        return self.p11
 
 
 def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
@@ -213,14 +257,8 @@ def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
 
     A|0> is built gate by gate once; each iterate reflects about it.
     """
-    if grover_power < 0:
-        raise ValueError("grover_power must be non-negative")
-    prepared = apply_A(StateVector.zero(sub.m + 2), sub, r)
-    state = prepared.copy()
-    # Looked up per iterate, so a tracer that wraps `qsim.apply_Q` counts them.
-    for _ in range(grover_power):
-        apply_Q(state, prepared)
-    return state.prob11()
+    _check_power(grover_power)
+    return _KeptState(sub, r).prob11(grover_power)
 
 
 def sample_shots(probability: float, shots: int, rng: Union[int, np.random.Generator]) -> int:
@@ -268,39 +306,24 @@ class AnalyticSampler:
 
 
 class StatevectorSampler:
-    """Draws from the exact-circuit distribution of a sub-oracle."""
+    """Draws from the exact-circuit distribution of a sub-oracle.
+
+    Keeps the state of its last request (see the module docstring), so a
+    run whose powers rise at one r pays each iterate once. A request that
+    raises leaves the kept state as it was.
+    """
 
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
         self.sub = sub
         self.rng = _as_generator(rng)
-        self._cache: dict[tuple[int, float], float] = {}
+        self._kept: Union[_KeptState, None] = None
 
     def probability(self, grover_power: int, r: float) -> float:
-        key = (grover_power, r)
-        p = self._cache.get(key)
-        if p is None:
-            p = prob11_statevector(self.sub, r, grover_power)
-            self._cache[key] = p
-        return p
+        kept = self._kept
+        if kept is None or r != kept.r:
+            _check_power(grover_power)
+            kept = self._kept = _KeptState(self.sub, r)
+        return kept.prob11(grover_power)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
         return sample_shots(self.probability(grover_power, r), shots, self.rng)
-
-
-class ExactSampler:
-    """Noise-free sampler returning round(p * shots); test plumbing."""
-
-    def __init__(self, theta: float):
-        if not 0 <= theta <= _HALF_PI:
-            raise ValueError("theta must lie in [0, pi/2]")
-        self._sin_theta = math.sin(theta)
-
-    @classmethod
-    def from_amplitude(cls, amplitude: float):
-        return cls(math.asin(math.sqrt(amplitude)))
-
-    def probability(self, grover_power: int, r: float) -> float:
-        return prob11(self._sin_theta, r, grover_power)
-
-    def sample(self, grover_power: int, r: float, shots: int) -> int:
-        return round(self.probability(grover_power, r) * shots)

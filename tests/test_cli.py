@@ -186,6 +186,8 @@ def exit_code(argv):
     (["bench", "--n", "2000", "--k", "1"], None),
     (["bench", "--seed", "1"], None),
     (["count", "--n", "6", "--marked", "1", "--k", "-1"], None),
+    (["count", "--n", "40", "--marked", "1", "--k", "30", "--reps", "1"], None),
+    (["count", "--n", "1000", "--marked", "1", "--k", "999", "--reps", "1"], None),
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
     if config is not None:
@@ -199,6 +201,8 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config)
     assert not (tmp_path / "out").exists()
     if argv[-2:] == ["--k", "-1"]:
         assert "k must lie in [1, 5]" in err
+    if argv[-2:] == ["--reps", "1"]:  # 2^k nodes at a budget below the epsilon floor
+        assert err == "error: epsilon_node must lie in [1e-07, 0.01]\n"
 
 
 def test_usage_errors_exit_2(tmp_path):

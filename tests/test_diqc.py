@@ -15,7 +15,8 @@ from dqcount.diqc import (
 )
 from dqcount.miqae import QUADRANT_SLACK
 from dqcount.oracle import decompose_prefix, make_oracle
-from dqcount.qsim import ExactSampler
+
+from exact_sampler import ExactSampler
 
 
 def scan_oracle(theta_min, theta_max, q, big_k_current, backtracked):
@@ -242,6 +243,9 @@ def test_stall_grants_one_retry_then_fails(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         DiqcConfig(epsilon_node=0.02, alpha_node=0.05)
+    with pytest.raises(ValueError):
+        DiqcConfig(epsilon_node=9.9e-8, alpha_node=0.05)
+    DiqcConfig(epsilon_node=1e-7, alpha_node=0.05)  # the floor is inclusive
     with pytest.raises(ValueError):
         DiqcConfig(epsilon_node=0.005, alpha_node=0.8)
     with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ from dqcount.miqae import (
     run_for_amplitude,
     run_miqae,
 )
-from dqcount.qsim import ExactSampler
+
+from exact_sampler import ExactSampler
 
 
 def scan_oracle(k_i: int, theta_low: float, theta_high: float) -> int:
@@ -153,6 +154,9 @@ def test_failure_status_when_search_stalls(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         MiqaeConfig(epsilon=0.0, alpha=0.05)
+    with pytest.raises(ValueError):
+        MiqaeConfig(epsilon=9.9e-8, alpha=0.05)
+    MiqaeConfig(epsilon=1e-7, alpha=0.05)  # the floor is inclusive
     with pytest.raises(ValueError):
         MiqaeConfig(epsilon=0.01, alpha=1.5)
     with pytest.raises(ValueError):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dqcount import qsim
 from dqcount.checks import _gate_level_Q
 from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 from dqcount.qsim import (
     AnalyticSampler,
-    ExactSampler,
     StatevectorSampler,
     StateVector,
     apply_A,
@@ -18,6 +18,8 @@ from dqcount.qsim import (
     prob11_statevector,
     sample_shots,
 )
+
+from exact_sampler import ExactSampler
 
 
 def sub_for(m: int, t: int) -> SubOracle:
@@ -209,7 +211,21 @@ def test_sample_shots_binomial_band():
     assert 0.4985 <= count / 10 ** 6 <= 0.5015
 
 
-def test_samplers_agree_and_cache():
+def count_work(monkeypatch) -> dict:
+    """Count the builds (`apply_A`) and iterates (`apply_Q`) qsim runs."""
+    counts = {"apply_A": 0, "apply_Q": 0}
+    for name in counts:
+        original = getattr(qsim, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(qsim, name, counted)
+    return counts
+
+
+def test_samplers_agree_and_cache(monkeypatch):
     sub = sub_for(4, 3)
     analytic = AnalyticSampler.from_sub_oracle(sub, 5)
     exact = ExactSampler.from_amplitude(3 / 16)
@@ -219,12 +235,43 @@ def test_samplers_agree_and_cache():
             p = analytic.probability(power, r)
             assert p == pytest.approx(sv.probability(power, r), abs=1e-10)
             assert p == pytest.approx(exact.probability(power, r), abs=1e-12)
-    assert (3, 0.5) in sv._cache
+    # a repeated (power, r) does no new work
+    counts = count_work(monkeypatch)
+    assert sv.probability(3, 1.0) == pytest.approx(analytic.probability(3, 1.0), abs=1e-10)
+    assert counts == {"apply_A": 0, "apply_Q": 0}
     assert exact.sample(0, 1.0, 1600) == round(1600 * 3 / 16)
     # same seed, same stream
     a = AnalyticSampler.from_amplitude(0.3, 42)
     b = AnalyticSampler.from_amplitude(0.3, 42)
     assert [a.sample(1, 1.0, 9) for _ in range(5)] == [b.sample(1, 1.0, 9) for _ in range(5)]
+
+
+def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
+    requests = [(0, 0.5), (1, 0.5), (4, 0.5), (4, 0.5), (9, 0.5), (2, 1.0),
+                (6, 1.0), (7, 0.5), (3, 0.5), (0, 0.5), (5, 0.5)]
+    for m in range(1, 5):
+        for t in (0, 1, (1 << m) - 1, 1 << m):
+            sub = sub_for(m, t)
+            sampler = StatevectorSampler(sub)
+            for power, r in requests:
+                assert sampler.probability(power, r) == prob11_statevector(sub, r, power)
+
+            # rising powers at one r pay each iterate once
+            sampler = StatevectorSampler(sub)
+            counts = count_work(monkeypatch)
+            for power in (1, 3, 7):
+                sampler.probability(power, 0.8)
+            assert counts == {"apply_A": 1, "apply_Q": 7}
+
+            # a failed request raises and leaves the kept state as it was
+            for power, r in ((-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (8, float("nan"))):
+                with pytest.raises(ValueError):
+                    sampler.probability(power, r)
+            expected = [prob11_statevector(sub, 0.8, power) for power in (7, 8)]
+            counts.update(apply_A=0, apply_Q=0)
+            assert [sampler.probability(power, 0.8) for power in (7, 8)] == expected
+            assert counts == {"apply_A": 0, "apply_Q": 1}
+            monkeypatch.undo()
 
 
 def test_analytic_and_exact_samplers_share_one_closed_form():

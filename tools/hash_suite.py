@@ -1,0 +1,80 @@
+"""Hash the outputs of the seeded CLI runs whose bytes must not change.
+
+    python3 tools/hash_suite.py
+
+Runs each command of `suite` in-process through `dqcount.cli.main`, importing
+dqcount from the `src` directory of the checkout this file sits in, writes
+into a temporary directory, and prints one `name sha256[:16]` line per
+output file. Two commits keep the determinism contract on these runs when
+their lines are identical. To hash a commit that predates this file, copy
+the file into that commit's checkout and run it there.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from dqcount.cli import main as cli_main  # noqa: E402
+
+
+def _bits(seed: int) -> str:
+    """64 bits, each `random.Random(seed).randint(0, 1)`."""
+    rng = random.Random(seed)
+    return "".join(str(rng.randint(0, 1)) for _ in range(64))
+
+
+def suite() -> list[tuple[str, list[str], str]]:
+    """(run name, argv without --out, output: a directory "" or a file name).
+
+    The first run is the README `count` command at 20 repetitions.
+    """
+    x, y = _bits(42), _bits(43)
+    runs = [
+        ("count-readme", ["count", "--n", "6", "--marked", "38,8,16", "--k", "1",
+                          "--epsilon-node", "0.001", "--alpha-node", "0.05",
+                          "--reps", "20", "--seed", "0", "--trace"], ""),
+        ("count-stride-sv", ["count", "--n", "6", "--marked", "38,8,16", "--k", "2",
+                             "--scheme", "stride", "--backend", "statevector",
+                             "--epsilon", "0.004", "--alpha", "0.1", "--reps", "3",
+                             "--seed", "4", "--trace"], ""),
+    ]
+    for command, k, seed in (("inner-product", "1", "1"), ("hamming", "2", "2")):
+        for backend in ("analytic", "statevector"):
+            runs.append((f"{command}-{backend}",
+                         [command, "--x", x, "--y", y, "--k", k, "--seed", seed,
+                          "--backend", backend, "--shots-per-batch", "50"],
+                         "result.json"))
+    runs += [
+        ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], ""),
+        ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json"),
+        ("prop-check", ["prop-check", "--seed", "0"], "prop.json"),
+    ]
+    return runs
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, output in suite():
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv + ["--out", str(out / output)])
+            if code != 0:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return 1
+            for path in sorted(out.iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                print(f"{name}/{path.name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
