@@ -47,7 +47,6 @@ from .qsim import (
     apply_Q,
     prob11,
     prob11_statevector,
-    sample_shots,
 )
 
 __version__ = "0.1.0"

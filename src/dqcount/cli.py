@@ -307,17 +307,33 @@ def _cmd_pair(args, parser, which: str) -> int:
     return 0 if result.succeeded else 1
 
 
+def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
+    """Both estimators' configs for one sweep point. DiqcConfig's ranges
+    are the narrower ones, so it is checked first, and its message is
+    reworded to name the flag that set the rejected value."""
+    try:
+        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=args.alpha,
+                              shots_per_batch=args.shots_per_batch)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")  # each message opens with its field
+        flag, value = {
+            "epsilon_node": ("--epsilons", eps),
+            "alpha_node": ("--alpha", args.alpha),
+            "shots_per_batch": ("--shots-per-batch", args.shots_per_batch),
+        }[field]
+        raise ValueError(f"{flag} {rest}, got {value:g}") from None
+    return node_cfg, MiqaeConfig(epsilon=eps, alpha=args.alpha,
+                                 shots_per_batch=args.shots_per_batch)
+
+
 def _cmd_compare(args, parser) -> int:
     sweep = [float(tok) for tok in args.epsilons.split(",") if tok]
     if not sweep:
         parser.error("empty epsilon sweep")
+    configs = [(eps, *_compare_configs(args, eps)) for eps in sweep]
     out = Path(args.out)
     rows = []
-    for eps in sweep:
-        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=args.alpha,
-                              shots_per_batch=args.shots_per_batch)
-        base_cfg = MiqaeConfig(epsilon=eps, alpha=args.alpha,
-                               shots_per_batch=args.shots_per_batch)
+    for eps, node_cfg, base_cfg in configs:
         for name, runner in (
             ("diqc", lambda s: run_amplitude(args.amplitude, node_cfg, seed=s)),
             ("miqae", lambda s: run_for_amplitude(args.amplitude, base_cfg, seed=s)),
@@ -348,8 +364,8 @@ def _cmd_compare(args, parser) -> int:
 def _cmd_bench(args, parser) -> int:
     n = args.n
     k = args.k
-    epsilon_node = args.epsilon_node
-    alpha_node = args.alpha_node
+    budget = DiqcConfig(epsilon_node=args.epsilon_node, alpha_node=args.alpha_node)
+    epsilon_node, alpha_node = budget.epsilon_node, budget.alpha_node
     central, node = metrics.counting_comparison(n, k)
     payload = {
         "n": n,

@@ -45,25 +45,6 @@ class AggregateResult:
     def succeeded(self) -> bool:
         return self.status == "success"
 
-    def to_dict(self, include_nodes: bool = True) -> dict:
-        out = {
-            "t_prime": self.t_prime,
-            "error_bound": self.error_bound,
-            "confidence": self.confidence,
-            "status": self.status,
-            "n": self.n,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "oracle_calls": self.oracle_calls,
-            "oracle_calls_physical": self.oracle_calls_physical,
-            "total_shots": self.total_shots,
-            "max_big_k": self.max_big_k,
-        }
-        if include_nodes:
-            out["per_node"] = [res.to_dict() for res in self.per_node]
-        return out
-
 
 def aggregate(node_results: list[NodeResult]) -> AggregateResult:
     """Fold node results into the total count and its guarantee.

@@ -33,7 +33,6 @@ inverse-width weighted average over every round whose interval reached
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -43,8 +42,8 @@ from .miqae import (
     EPSILON_FLOOR,
     chernoff_interval,
     gamma_from_interval,
+    next_odd_k as find_next_k,  # `_estimate` calls this binding, not MIQAE's
     quadrant_count,
-    same_quadrant,
 )
 from .oracle import SubOracle
 from .qsim import AnalyticSampler, Sampler, StatevectorSampler
@@ -164,8 +163,8 @@ class NodeResult:
     def succeeded(self) -> bool:
         return self.status == "success"
 
-    def to_dict(self, include_rounds: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "node_id": self.node_id,
             "m": self.m,
             "epsilon_node": self.epsilon_node,
@@ -183,57 +182,6 @@ class NodeResult:
             "total_shots": self.total_shots,
             "max_big_k": self.max_big_k,
         }
-        if include_rounds:
-            out["rounds"] = [dataclasses.asdict(rd) for rd in self.rounds]
-        return out
-
-
-def find_next_k(
-    theta_min: float,
-    theta_max: float,
-    q: int,
-    big_k_current: int,
-    backtracked: bool,
-    big_k_cap: Union[int, None] = None,
-) -> tuple[int, Union[float, None]]:
-    """Search for the next odd amplification factor and rotation weight.
-
-    Scans odd K downward from the largest odd integer <= pi/(2*width)
-    while K >= q*K_current. At each K the plain same-quadrant condition is
-    tried first and returns (K, 1.0). If it fails and no backtracking has
-    occurred this round, the rescue weight r = sin^2((R+1)pi/(2K)) /
-    sin^2(theta_max) is admitted when it exceeds both sin^2(pi/2 (1-1/K))
-    and 3/4 and the rescaled angles share a quadrant, returning (K, r).
-    Returns (K_current, None) when no factor qualifies; the caller keeps
-    its current r.
-
-    `big_k_cap` optionally caps the scan two below it so the returned K
-    stays strictly under the run's depth cap.
-    """
-    if not 0 <= theta_min < theta_max <= _HALF_PI:
-        raise ValueError(f"invalid angle interval [{theta_min}, {theta_max}]")
-    if q not in (2, 3):
-        raise ValueError("growth factor q must be 2 or 3")
-    big_k = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
-    if big_k_cap is not None and big_k > big_k_cap - 2:
-        big_k = big_k_cap - 2
-    sin_lo = math.sin(theta_min)
-    sin_hi = math.sin(theta_max)
-    sin2_hi = sin_hi * sin_hi
-    while big_k >= q * big_k_current:
-        if same_quadrant(big_k, theta_min, theta_max):
-            return big_k, 1.0
-        if not backtracked:
-            quadrant = quadrant_count(big_k, theta_min)
-            r = math.sin((quadrant + 1) * math.pi / (2 * big_k)) ** 2 / sin2_hi
-            if r > max(math.sin(_HALF_PI * (1 - 1 / big_k)) ** 2, 0.75):
-                root_r = math.sqrt(r)
-                scaled_lo = math.asin(min(1.0, root_r * sin_lo))
-                scaled_hi = math.asin(min(1.0, root_r * sin_hi))
-                if same_quadrant(big_k, scaled_lo, scaled_hi):
-                    return big_k, r
-        big_k -= 2
-    return big_k_current, None
 
 
 def post_process(
@@ -307,15 +255,12 @@ def _estimate(
         prev_min, prev_max = theta_min, theta_max
         backtracked = False
         power = (big_k - 1) // 2
-        n_round = 0
-        while n_round < n_cap:
-            batch = min(batch_size, n_cap - n_round)
-            pooled_ones += sampler.sample(power, r, batch)
-            pooled_shots += batch
-            n_round += batch
-            shots_total += batch
-            calls += power * batch
-            calls_physical += big_k * batch
+        for drawn in range(0, n_cap, batch_size):
+            pooled_ones += sampler.sample(power, r, min(batch_size, n_cap - drawn))
+        pooled_shots += n_cap
+        shots_total += n_cap
+        calls += power * n_cap
+        calls_physical += big_k * n_cap
         a_hat = pooled_ones / pooled_shots
         a_min, a_max = chernoff_interval(a_hat, pooled_shots, alpha_i)
         gamma_low, gamma_high = gamma_from_interval(a_min, a_max, quadrant)
@@ -336,7 +281,7 @@ def _estimate(
                 quadrant=quadrant,
                 r=r,
                 q=q,
-                shots=n_round,
+                shots=n_cap,
                 pooled_shots=pooled_shots,
                 shots_cap=n_cap,
                 a_hat=a_hat,

@@ -7,6 +7,10 @@ measured success probability sin^2(K * theta) invertible. K grows by at
 least 3x whenever it changes, shots within a round are pooled into one
 Chernoff-Hoeffding interval, and the loop stops once the angle interval is
 narrower than 2*epsilon.
+
+The odd-K scan, `next_odd_k`, is shared with the node estimator in `diqc`,
+which also uses its rotation-rescue branch; it lives here, beside the
+quadrant tests it is built from, because `diqc` imports this module.
 """
 
 from __future__ import annotations
@@ -58,6 +62,57 @@ def same_quadrant(big_k: int, theta_low: float, theta_high: float) -> bool:
     return quadrant_count(big_k, theta_low) == math.ceil(
         big_k * theta_high * 2 / math.pi - QUADRANT_SLACK
     ) - 1
+
+
+def next_odd_k(
+    theta_min: float,
+    theta_max: float,
+    q: int,
+    big_k_current: int,
+    backtracked: bool,
+    big_k_cap: Union[int, None] = None,
+) -> tuple[int, Union[float, None]]:
+    """Search for the next odd amplification factor and rotation weight.
+
+    Scans odd K downward from the largest odd integer <= pi/(2*width)
+    while K >= q*K_current. At each K the plain same-quadrant condition is
+    tried first and returns (K, 1.0). If it fails and no backtracking has
+    occurred this round, the rescue weight r = sin^2((R+1)pi/(2K)) /
+    sin^2(theta_max) is admitted when it exceeds both sin^2(pi/2 (1-1/K))
+    and 3/4 and the rescaled angles share a quadrant, returning (K, r).
+    Returns (K_current, None) when no factor qualifies; the caller keeps
+    its current r.
+
+    `big_k_cap` optionally caps the scan two below it so the returned K
+    stays strictly under the run's depth cap.
+
+    This is the only odd-K scan: DIQC calls it as `diqc.find_next_k`, and
+    MIQAE's `find_next_k` is its plain branch (`backtracked` set).
+    """
+    if not 0 <= theta_min < theta_max <= _HALF_PI:
+        raise ValueError(f"invalid angle interval [{theta_min}, {theta_max}]")
+    if q not in (2, 3):
+        raise ValueError("growth factor q must be 2 or 3")
+    big_k = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
+    if big_k_cap is not None and big_k > big_k_cap - 2:
+        big_k = big_k_cap - 2
+    sin_lo = math.sin(theta_min)
+    sin_hi = math.sin(theta_max)
+    sin2_hi = sin_hi * sin_hi
+    while big_k >= q * big_k_current:
+        if same_quadrant(big_k, theta_min, theta_max):
+            return big_k, 1.0
+        if not backtracked:
+            quadrant = quadrant_count(big_k, theta_min)
+            r = math.sin((quadrant + 1) * math.pi / (2 * big_k)) ** 2 / sin2_hi
+            if r > max(math.sin(_HALF_PI * (1 - 1 / big_k)) ** 2, 0.75):
+                root_r = math.sqrt(r)
+                scaled_lo = math.asin(min(1.0, root_r * sin_lo))
+                scaled_hi = math.asin(min(1.0, root_r * sin_hi))
+                if same_quadrant(big_k, scaled_lo, scaled_hi):
+                    return big_k, r
+        big_k -= 2
+    return big_k_current, None
 
 
 @dataclass(frozen=True)
@@ -143,18 +198,14 @@ def gamma_from_interval(a_min: float, a_max: float, quadrant_count: int) -> tupl
 
 def find_next_k(k_i: int, theta_low: float, theta_high: float) -> int:
     """Largest odd K <= pi/(2*width) with K >= 3*K_i that keeps the scaled
-    interval inside one quadrant; returns k_i unchanged if none exists."""
-    if theta_high <= theta_low:
-        raise ValueError("angle interval must have positive width")
-    big_k_i = 2 * k_i + 1
-    big_k = int(math.pi / (2 * (theta_high - theta_low)))
-    if big_k % 2 == 0:
-        big_k -= 1
-    while big_k >= 3 * big_k_i:
-        if same_quadrant(big_k, theta_low, theta_high):
-            return (big_k - 1) // 2
-        big_k -= 2
-    return k_i
+    interval inside one quadrant, as k = (K-1)/2; returns k_i unchanged if
+    none exists.
+
+    This is `next_odd_k` at q = 3 with the rescue branch off. theta_high
+    is clamped to pi/2, which the interval update can overshoot by an ulp.
+    """
+    big_k, r = next_odd_k(theta_low, min(theta_high, _HALF_PI), 3, 2 * k_i + 1, True)
+    return k_i if r is None else (big_k - 1) // 2
 
 
 def run_miqae(

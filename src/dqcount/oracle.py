@@ -6,8 +6,9 @@ index space, obtained either by fixing a k-bit prefix (node j owns the
 indices whose top k bits equal j) or by striding (node j owns the indices
 congruent to j mod 2^k, so local index i maps to 2^k * i + j).
 
-`check_split` holds the one rule every split obeys: k at least 1 and
-below n, and n at most MAX_N. It runs before anything computes 2^k.
+`check_split` holds the one rule every split obeys: n at least 2, k at
+least 1 and below n, and n at most MAX_N. It runs before anything
+computes 2^k.
 Counts are carried as float64 2^m * a, so the index register is capped at
 MAX_N = 1023 qubits.
 
@@ -140,6 +141,8 @@ def make_oracle(n: int, marked: Iterable[int]) -> OracleSpec:
 
 def check_split(n: int, k: int) -> int:
     """Check a split of n index bits over 2^k nodes; return the slice width n-k."""
+    if n < 2:
+        raise ValueError(f"n={n} cannot be split over nodes: n must be at least 2")
     if not 1 <= k < n:
         raise ValueError(f"k must lie in [1, {n - 1}] for n={n}, got {k}")
     if n > MAX_N:

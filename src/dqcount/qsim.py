@@ -50,7 +50,6 @@ __all__ = [
     "apply_A",
     "apply_A_dagger",
     "apply_Q",
-    "sample_shots",
     "Sampler",
     "AnalyticSampler",
     "StatevectorSampler",
@@ -261,17 +260,13 @@ def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
     return _KeptState(sub, r).prob11(grover_power)
 
 
-def sample_shots(probability: float, shots: int, rng: Union[int, np.random.Generator]) -> int:
-    """Count of good outcomes in `shots` Bernoulli trials; seed-deterministic."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability {probability} outside [0, 1]")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    return int(_as_generator(rng).binomial(shots, probability))
-
-
 class Sampler(Protocol):
-    """Measurement source: good-outcome counts for (power, r, shots)."""
+    """Measurement source: good-outcome counts for (power, r, shots).
+
+    `AnalyticSampler` and `StatevectorSampler` draw `rng.binomial(shots,
+    probability)` from the generator they were built with, so a seed
+    fixes every count.
+    """
 
     def probability(self, grover_power: int, r: float) -> float: ...
 
@@ -302,7 +297,7 @@ class AnalyticSampler:
         return prob11(self._sin_theta, r, grover_power)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
-        return sample_shots(self.probability(grover_power, r), shots, self.rng)
+        return int(self.rng.binomial(shots, prob11(self._sin_theta, r, grover_power)))
 
 
 class StatevectorSampler:
@@ -326,4 +321,4 @@ class StatevectorSampler:
         return kept.prob11(grover_power)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
-        return sample_shots(self.probability(grover_power, r), shots, self.rng)
+        return int(self.rng.binomial(shots, self.probability(grover_power, r)))

@@ -172,6 +172,23 @@ def exit_code(argv):
         return exc.code
 
 
+# the whole stderr of the rows whose message must name a flag or a rule
+_SPLIT_ERR = "error: n=1 cannot be split over nodes: n must be at least 2\n"
+_STDERR = {
+    "bench --n 6 --k 1 --epsilon-node 1e-12":
+        "error: epsilon_node must lie in [1e-07, 0.01]\n",
+    "bench --epsilon-node 0.5": "error: epsilon_node must lie in [1e-07, 0.01]\n",
+    "bench --alpha-node 0.9": "error: alpha_node must lie in (0, 3/4)\n",
+    "compare-miqae --epsilons 5e-8":
+        "error: --epsilons must lie in [1e-07, 0.01], got 5e-08\n",
+    "compare-miqae --epsilons 0.05":
+        "error: --epsilons must lie in [1e-07, 0.01], got 0.05\n",
+    "compare-miqae --alpha 0.8": "error: --alpha must lie in (0, 3/4), got 0.8\n",
+    "count --n 1 --marked 0 --k 1": _SPLIT_ERR,
+    "inner-product --x 01 --y 01": _SPLIT_ERR,
+}
+
+
 @pytest.mark.parametrize("argv, config", [
     (["count", "--n", "6", "--marked", "1", "--reps", "0"], None),
     (["count", "--n", "6", "--marked", "1", "--reps", "-1"], None),
@@ -188,8 +205,10 @@ def exit_code(argv):
     (["count", "--n", "6", "--marked", "1", "--k", "-1"], None),
     (["count", "--n", "40", "--marked", "1", "--k", "30", "--reps", "1"], None),
     (["count", "--n", "1000", "--marked", "1", "--k", "999", "--reps", "1"], None),
+    *[(line.split(), None) for line in _STDERR],
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
+    expected_err = _STDERR.get(" ".join(argv))
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -203,6 +222,8 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config)
         assert "k must lie in [1, 5]" in err
     if argv[-2:] == ["--reps", "1"]:  # 2^k nodes at a budget below the epsilon floor
         assert err == "error: epsilon_node must lie in [1e-07, 0.01]\n"
+    if expected_err is not None:
+        assert err == expected_err
 
 
 def test_usage_errors_exit_2(tmp_path):

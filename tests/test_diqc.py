@@ -195,28 +195,30 @@ def test_run_node_statevector_backend_consistent():
 def test_trace_invariants_and_query_bound():
     oracle = make_oracle(6, {38, 8, 16})
     subs = decompose_prefix(oracle, 1)
-    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=1)
-    k_cap = metrics.k_max_cap(config.epsilon_node)
-    bound = metrics.query_bound(config.epsilon_node, config.alpha_node)
-    for seed in range(8):
-        for sub in subs:
-            result = run_node(sub, config, seed=seed)
+    # 100 shots per draw also covers a round's partial last batch
+    for batch in (1, 100):
+        config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=batch)
+        k_cap = metrics.k_max_cap(config.epsilon_node)
+        bound = metrics.query_bound(config.epsilon_node, config.alpha_node)
+        results = [run_node(sub, config, seed=seed) for seed in range(8) for sub in subs]
+        for result in results:
+            rounds = result.rounds
             assert result.a_high - result.a_low <= 3 * config.epsilon_node + 1e-12
             assert result.oracle_calls <= bound
-            assert result.oracle_calls_physical == sum(
-                rd.big_k * rd.shots for rd in result.rounds
-            )
-            caps = [rd.shots_cap for rd in result.rounds]
-            ks = [rd.big_k for rd in result.rounds]
+            assert result.oracle_calls_physical == sum(rd.big_k * rd.shots for rd in rounds)
+            assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in rounds)
+            assert result.total_shots == sum(rd.shots for rd in rounds)
+            caps = [rd.shots_cap for rd in rounds]
+            ks = [rd.big_k for rd in rounds]
             assert all(k % 2 == 1 and k < k_cap for k in ks)
-            assert all(rd.shots <= rd.shots_cap for rd in result.rounds)
+            assert all(rd.shots <= rd.shots_cap for rd in rounds)
             for prev_k, cur_k, prev_cap, cur_cap, rd in zip(
-                ks, ks[1:], caps, caps[1:], result.rounds[1:]
+                ks, ks[1:], caps, caps[1:], rounds[1:]
             ):
                 assert cur_k == prev_k or cur_k >= rd.q * prev_k
                 if cur_k > prev_k:
                     assert cur_cap <= prev_cap
-            widths = [rd.a_width for rd in result.rounds]
+            widths = [rd.a_width for rd in rounds]
             assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
 
 

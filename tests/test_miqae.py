@@ -75,6 +75,9 @@ def test_find_next_k_examples():
     # tight interval, no K >= 3*K_i below the cap
     assert find_next_k(40, 0.30, 0.31) == 40
     assert find_next_k(0, 0.01, 0.02) == scan_oracle(0, 0.01, 0.02) == 38
+    # recorded from a run: the interval update put theta_high one ulp above
+    # pi/2, which the shared scan's range check would reject unclamped
+    assert find_next_k(13, 1.552670445308421, 1.5707963267948968) == 42
     with pytest.raises(ValueError):
         find_next_k(0, 0.2, 0.2)
 

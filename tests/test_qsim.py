@@ -16,7 +16,6 @@ from dqcount.qsim import (
     apply_Q,
     prob11,
     prob11_statevector,
-    sample_shots,
 )
 
 from exact_sampler import ExactSampler
@@ -197,17 +196,14 @@ def test_statevector_limits():
 
 def test_sample_shots():
     rng = np.random.default_rng(0)
-    assert sample_shots(0.0, 1000, rng) == 0
-    assert sample_shots(1.0, 100, rng) == 100
-    assert sample_shots(0.5, 10, 123) == sample_shots(0.5, 10, 123)
-    with pytest.raises(ValueError):
-        sample_shots(1.5, 10, rng)
-    with pytest.raises(ValueError):
-        sample_shots(0.5, 0, rng)
+    assert AnalyticSampler(0.0, rng).sample(0, 1.0, 1000) == 0  # p = 0
+    assert AnalyticSampler(math.pi / 2, rng).sample(0, 1.0, 100) == 100  # p = 1
+    assert (AnalyticSampler.from_amplitude(0.5, 123).sample(0, 1.0, 10)
+            == AnalyticSampler.from_amplitude(0.5, 123).sample(0, 1.0, 10))
 
 
 def test_sample_shots_binomial_band():
-    count = sample_shots(0.5, 10 ** 6, 7)
+    count = AnalyticSampler.from_amplitude(0.5, 7).sample(0, 1.0, 10 ** 6)
     assert 0.4985 <= count / 10 ** 6 <= 0.5015
 
 
