@@ -18,11 +18,13 @@ modelled as 64 bits per node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import metrics
-from .coordinator import node_config
-from .diqc import NodeResult, run_node
+from .coordinator import node_config, run_nodes
+# run_node stays imported because perfbench's tracer wraps applications.run_node.
+from .diqc import NodeResult, run_node  # noqa: F401
 from .oracle import BitVector, check_split, hamming_suboracle, inner_product_suboracle
 
 __all__ = [
@@ -123,25 +125,22 @@ def _run_pair(
     # Looked up at call time, so a tracer that wraps these module names sees the calls.
     build = inner_product_suboracle if problem == INNER_PRODUCT else hamming_suboracle
     nodes = 1 << k
-    results = []
-    for j in range(nodes):
-        sub = build(x_bits, y_bits, k, j)
-        results.append(run_node(sub, config, seed=base_seed + j, backend=backend))
-    estimate = sum(res.c for res in results) / (1 << n)
+    agg = run_nodes([build(x_bits, y_bits, k, j) for j in range(nodes)],
+                    config, base_seed, backend)
     ledger = CommunicationLedger(
         qubits_per_preparation=_QUBITS_PER_PREPARATION[problem](n, k),
-        preparations=sum(res.oracle_calls_physical for res in results),
+        preparations=agg.oracle_calls_physical,
         classical_bits=_CLASSICAL_BITS_PER_NODE * nodes,
     )
     return ApplicationResult(
-        estimate=estimate,
+        estimate=sum(res.c for res in agg.per_node) / (1 << n),
         error_bound=3 * epsilon / (1 << (k + 1)),
-        confidence=1 - 4 * alpha / 3,
-        status="success" if all(res.succeeded for res in results) else "failed",
+        confidence=agg.confidence,
+        status=agg.status,
         n=n,
         k=k,
         ledger=ledger,
-        per_node=results,
+        per_node=agg.per_node,
     )
 
 
@@ -190,4 +189,8 @@ def communication_bound(
     if problem not in _QUBITS_PER_PREPARATION:
         raise ValueError(f"unknown problem {problem!r}")
     per = 2 * _QUBITS_PER_PREPARATION[problem](n, k)
-    return (1 << k) * per * metrics.query_bound(epsilon_node, alpha_node)
+    # a float 2^k: past float64 the product reads inf instead of raising OverflowError
+    bound = 2.0 ** k * per * metrics.query_bound(epsilon_node, alpha_node)
+    if math.isinf(bound):
+        raise ValueError(f"the communication bound of 2^{k} nodes overflows float64")
+    return bound

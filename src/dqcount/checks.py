@@ -204,10 +204,10 @@ def check_gate_cost_comparison(
     }
 
 
-def run_all(seed: int = 0, quick: bool = True) -> list[dict]:
-    """Run every suite; `quick` shrinks the equivalence grid for CLI use."""
+def run_all(seed: int = 0) -> list[dict]:
+    """Run every suite, the equivalence grid at its default size (m <= 4)."""
     return [
-        check_backend_equivalence(max_m=4 if quick else 6),
+        check_backend_equivalence(),
         check_angle_slack(),
         check_k_growth(seed=seed),
         check_budget_sums(seed=seed),

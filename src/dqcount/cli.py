@@ -307,21 +307,22 @@ def _cmd_pair(args, parser, which: str) -> int:
     return 0 if result.succeeded else 1
 
 
-def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
-    """Both estimators' configs for one sweep point. DiqcConfig's ranges
-    are the narrower ones, so it is checked first, and its message is
-    reworded to name the flag that set the rejected value."""
+def _diqc_config(flags: dict[str, str], **fields) -> DiqcConfig:
+    """DiqcConfig(**fields), with a rejection reworded to name the flag
+    (`flags[field]`) that set the rejected value."""
     try:
-        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=args.alpha,
-                              shots_per_batch=args.shots_per_batch)
+        return DiqcConfig(**fields)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")  # each message opens with its field
-        flag, value = {
-            "epsilon_node": ("--epsilons", eps),
-            "alpha_node": ("--alpha", args.alpha),
-            "shots_per_batch": ("--shots-per-batch", args.shots_per_batch),
-        }[field]
-        raise ValueError(f"{flag} {rest}, got {value:g}") from None
+        raise ValueError(f"{flags[field]} {rest}, got {fields[field]:g}") from None
+
+
+def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
+    """Both estimators' configs for one sweep point. DiqcConfig's ranges
+    are the narrower ones, so it is checked first."""
+    node_cfg = _diqc_config({"epsilon_node": "--epsilons", "alpha_node": "--alpha"},
+                            epsilon_node=eps, alpha_node=args.alpha,
+                            shots_per_batch=args.shots_per_batch)
     return node_cfg, MiqaeConfig(epsilon=eps, alpha=args.alpha,
                                  shots_per_batch=args.shots_per_batch)
 
@@ -364,7 +365,8 @@ def _cmd_compare(args, parser) -> int:
 def _cmd_bench(args, parser) -> int:
     n = args.n
     k = args.k
-    budget = DiqcConfig(epsilon_node=args.epsilon_node, alpha_node=args.alpha_node)
+    budget = _diqc_config({"epsilon_node": "--epsilon-node", "alpha_node": "--alpha-node"},
+                          epsilon_node=args.epsilon_node, alpha_node=args.alpha_node)
     epsilon_node, alpha_node = budget.epsilon_node, budget.alpha_node
     central, node = metrics.counting_comparison(n, k)
     payload = {
@@ -393,7 +395,7 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_prop_check(args, parser) -> int:
-    reports = checks.run_all(seed=args.seed, quick=not args.full)
+    reports = checks.run_all(seed=args.seed)
     for rep in reports:
         print(f"{'PASS' if rep['passed'] else 'FAIL'}  {rep['name']} ({rep['cases']} cases)")
     if args.out is not None:
@@ -422,7 +424,7 @@ def _add_estimation(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=1, help="log2 node count")
     sub.add_argument("--backend", choices=("analytic", "statevector"),
                      default="analytic")
-    sub.add_argument("--shots-per-batch", type=int, default=1)
+    sub.add_argument("--shots-per-batch", type=_positive_int, default=1)
     sub.add_argument("--epsilon", type=float, default=None,
                      help="global target half-width")
     sub.add_argument("--alpha", type=float, default=None,
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sweep (default 0.005,0.002,0.001)")
     p.add_argument("--reps", type=_positive_int, default=100,
                    help="runs per point (default 100)")
-    p.add_argument("--shots-per-batch", type=int, default=1)
+    p.add_argument("--shots-per-batch", type=_positive_int, default=1)
 
     p = subs.add_parser("bench", help="closed-form resource report")
     _add_common(p, seeded=False)
@@ -483,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("prop-check", help="run the built-in property suites")
     _add_common(p)
-    p.add_argument("--full", action="store_true",
-                   help="use the full equivalence grid (slower)")
 
     return parser
 

@@ -1,10 +1,10 @@
 """Splits a counting problem across 2^k virtual nodes and aggregates.
 
 `node_config` checks the (n, k) split and the global budget before it
-divides anything by 2^k. The coordinator then hands node j the sub-oracle
-from the chosen partition scheme, a per-node budget (epsilon/2^k,
-alpha/2^k) and the seed base_seed + j, runs the nodes in order, and sums
-the integer estimates.
+divides anything by 2^k. `run_nodes` then hands node j its sub-oracle, the
+per-node budget (epsilon/2^k, alpha/2^k) and the seed base_seed + j, runs
+the nodes in order, and `aggregate` sums the integer estimates. Counting
+(`run_distributed`) and both two-party estimates go through `run_nodes`.
 Node runs share no state, so a node's result depends only on its
 sub-oracle, budget and seed.
 """
@@ -14,9 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diqc import DiqcConfig, NodeResult, run_node
-from .oracle import PREFIX, STRIDE, OracleSpec, check_split, decompose_prefix, decompose_stride
+from .oracle import (
+    PREFIX,
+    STRIDE,
+    OracleSpec,
+    SubOracle,
+    check_split,
+    decompose_prefix,
+    decompose_stride,
+)
 
-__all__ = ["AggregateResult", "node_config", "run_distributed", "aggregate"]
+__all__ = ["AggregateResult", "node_config", "run_nodes", "run_distributed", "aggregate"]
 
 
 @dataclass
@@ -103,6 +111,20 @@ def node_config(
     )
 
 
+def run_nodes(
+    subs: list[SubOracle],
+    config: DiqcConfig,
+    base_seed: int = 0,
+    backend: str = "analytic",
+) -> AggregateResult:
+    """Run one node per sub-oracle, node j seeded with base_seed + j, and
+    aggregate their results."""
+    return aggregate([
+        run_node(sub, config, seed=base_seed + sub.node_id, backend=backend)
+        for sub in subs
+    ])
+
+
 def run_distributed(
     oracle: OracleSpec,
     k: int,
@@ -113,10 +135,10 @@ def run_distributed(
     base_seed: int = 0,
     backend: str = "analytic",
 ) -> AggregateResult:
-    """Decompose, run every node, and aggregate.
+    """Decompose, then run and aggregate the nodes with `run_nodes`.
 
     `epsilon`/`alpha` are the global budget; each node gets a 2^k-th of
-    both. Node j is seeded with base_seed + j.
+    both.
     """
     config = node_config(epsilon, alpha, oracle.n, k, shots_per_batch)
     if scheme == PREFIX:
@@ -125,8 +147,4 @@ def run_distributed(
         subs = decompose_stride(oracle, k)
     else:
         raise ValueError(f"unknown partition scheme {scheme!r}")
-    results = [
-        run_node(sub, config, seed=base_seed + sub.node_id, backend=backend)
-        for sub in subs
-    ]
-    return aggregate(results)
+    return run_nodes(subs, config, base_seed, backend)

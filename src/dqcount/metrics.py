@@ -34,6 +34,10 @@ SHOT_CAP_CONSTANT = 1.0 / (math.sin(math.pi / 21) ** 2 * math.sin(8 * math.pi / 
 # pi < 355/113; used to upper-bound depth-dependent costs exactly.
 _PI_UPPER = Fraction(355, 113)
 
+# counting_comparison runs the nodes at half-width 1/(3*2^n); their query
+# bound, about 2^(n+11), is finite in float64 up to this n.
+_COMPARISON_MAX_N = 1012
+
 
 def k_max_cap(epsilon_node: float) -> int:
     """Largest admissible odd amplification factor, 2*floor(pi/(8e) - 1/2) + 1."""
@@ -115,6 +119,9 @@ def counting_comparison(n: int, k: int) -> tuple[ResourceReport, ResourceReport]
     preparation costs the same as one iterate).
     """
     check_split(n, k)
+    if n > _COMPARISON_MAX_N:
+        raise ValueError(f"n must be at most {_COMPARISON_MAX_N} for the counting comparison, "
+                         f"whose node query bound overflows float64 above it, got {n}")
     m = n + 1
     central = ResourceReport(
         context="counting via controlled iterates + phase readout",

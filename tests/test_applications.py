@@ -128,8 +128,12 @@ def test_random_pairs_within_bounds():
 def test_scaled_estimate_consistency():
     rng = random.Random(9)
     x, y = bits(rng, 64), bits(rng, 64)
-    result = estimate_inner_product(x, y, 2, 0.01, 0.05, shots_per_batch=100)
+    result = estimate_inner_product(x, y, 2, 0.01, 0.05, shots_per_batch=100, base_seed=5)
     assert result.estimate * 64 == sum(res.c for res in result.per_node)
+    assert [res.seed for res in result.per_node] == [5 + res.node_id for res in result.per_node]
+    assert [res.node_id for res in result.per_node] == [0, 1, 2, 3]
+    assert result.ledger.preparations == sum(res.oracle_calls_physical for res in result.per_node)
+    assert result.confidence == 1 - 4 * 0.05 / 3
 
 
 def test_padding_to_power_of_two():

@@ -142,6 +142,10 @@ def test_compare_command_rejects_empty_sweep(tmp_path):
     assert exc.value.code == 2
 
 
+def reject_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "bench.json"
     assert main(["bench", "--n", "6", "--k", "1", "--out", str(out)]) == 0
@@ -149,6 +153,12 @@ def test_bench_command(tmp_path):
     assert payload["cost_dominance_holds"] is True
     assert payload["per_node"]["qubits"] == 7
     assert payload["communication_bound_hamming"] < payload["communication_bound_inner"]
+
+    # the largest n whose report is finite; n = 1013 exits 2
+    out = tmp_path / "top.json"
+    assert main(["bench", "--n", "1012", "--k", "1", "--out", str(out)]) == 0
+    payload = json.loads(read(out), parse_constant=reject_constant)
+    assert payload["per_node"]["query_bound"] < float("inf")
 
 
 def test_prop_check_command_and_injection(tmp_path, capsys, monkeypatch):
@@ -160,7 +170,7 @@ def test_prop_check_command_and_injection(tmp_path, capsys, monkeypatch):
     assert all(suite["passed"] for suite in payload["suites"])
 
     failing = [{"name": "injected_failure", "passed": False, "cases": 0}]
-    monkeypatch.setattr(checks, "run_all", lambda seed, quick: failing)
+    monkeypatch.setattr(checks, "run_all", lambda seed: failing)
     assert main(["prop-check"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -174,11 +184,13 @@ def exit_code(argv):
 
 # the whole stderr of the rows whose message must name a flag or a rule
 _SPLIT_ERR = "error: n=1 cannot be split over nodes: n must be at least 2\n"
+_TOP_N_ERR = ("error: n must be at most 1012 for the counting comparison, "
+              "whose node query bound overflows float64 above it, got {}\n")
 _STDERR = {
     "bench --n 6 --k 1 --epsilon-node 1e-12":
-        "error: epsilon_node must lie in [1e-07, 0.01]\n",
-    "bench --epsilon-node 0.5": "error: epsilon_node must lie in [1e-07, 0.01]\n",
-    "bench --alpha-node 0.9": "error: alpha_node must lie in (0, 3/4)\n",
+        "error: --epsilon-node must lie in [1e-07, 0.01], got 1e-12\n",
+    "bench --epsilon-node 0.5": "error: --epsilon-node must lie in [1e-07, 0.01], got 0.5\n",
+    "bench --alpha-node 0.9": "error: --alpha-node must lie in (0, 3/4), got 0.9\n",
     "compare-miqae --epsilons 5e-8":
         "error: --epsilons must lie in [1e-07, 0.01], got 5e-08\n",
     "compare-miqae --epsilons 0.05":
@@ -186,6 +198,10 @@ _STDERR = {
     "compare-miqae --alpha 0.8": "error: --alpha must lie in (0, 3/4), got 0.8\n",
     "count --n 1 --marked 0 --k 1": _SPLIT_ERR,
     "inner-product --x 01 --y 01": _SPLIT_ERR,
+    "bench --n 1013 --k 1": _TOP_N_ERR.format(1013),
+    "bench --n 1023 --k 1": _TOP_N_ERR.format(1023),
+    "bench --n 1012 --k 1011":
+        "error: the communication bound of 2^1011 nodes overflows float64\n",
 }
 
 
@@ -206,6 +222,8 @@ _STDERR = {
     (["count", "--n", "40", "--marked", "1", "--k", "30", "--reps", "1"], None),
     (["count", "--n", "1000", "--marked", "1", "--k", "999", "--reps", "1"], None),
     *[(line.split(), None) for line in _STDERR],
+    (["count", "--n", "6", "--marked", "1", "--shots-per-batch", "0"], None),
+    (["compare-miqae", "--reps", "1", "--shots-per-batch", "0"], None),
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
     expected_err = _STDERR.get(" ".join(argv))

@@ -1,6 +1,6 @@
 import pytest
 
-from dqcount.coordinator import aggregate, node_config, run_distributed
+from dqcount.coordinator import aggregate, node_config, run_distributed, run_nodes
 from dqcount.diqc import DiqcConfig, NodeResult, run_node
 from dqcount.oracle import decompose_prefix, make_oracle
 
@@ -101,3 +101,7 @@ def test_aggregate_matches_node_runs():
     assert agg.t_prime == sum(res.t_prime for res in results)
     assert agg.total_shots == sum(res.total_shots for res in results)
     assert agg.max_big_k == max(res.max_big_k for res in results)
+    shared = run_nodes(subs, config, base_seed=11)
+    assert (shared.t_prime, shared.total_shots, shared.max_big_k) == (
+        agg.t_prime, agg.total_shots, agg.max_big_k)
+    assert [res.seed for res in shared.per_node] == [res.seed for res in results]
