@@ -13,8 +13,10 @@ Subcommands:
 
 Every command but bench (which is closed-form) takes --seed, and every
 command produces byte-identical output for identical (config, seed). The
-(n, k) split is checked before any per-node budget is derived, and the
-count summary is read from the per-repetition AggregateResults. Exit
+(n, k) split is checked before any per-node budget is derived; count and
+bench check the budget with `coordinator.node_config` and name the flag
+that set a rejected value. The count summary is read from the
+per-repetition AggregateResults. Exit
 codes: 0 success, 1 estimation failure, 2 usage or domain error.
 """
 
@@ -36,7 +38,7 @@ from .applications import (
     estimate_hamming,
     estimate_inner_product,
 )
-from .coordinator import AggregateResult, run_distributed
+from .coordinator import AggregateResult, node_config, run_distributed
 from .diqc import DiqcConfig, run_amplitude
 from .miqae import MiqaeConfig, run_for_amplitude
 from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
@@ -141,22 +143,51 @@ def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
     return int(n), marked
 
 
-def _node_budget(args, parser, n: int) -> tuple[float, float]:
-    """Global (epsilon, alpha) from either global or per-node flags."""
-    check_split(n, args.k)
-    nodes = 1 << args.k
-    if args.epsilon_node is not None:
-        if args.epsilon is not None:
-            parser.error("--epsilon and --epsilon-node are mutually exclusive")
-        epsilon = args.epsilon_node * nodes
+def _checked(check, flags: dict[str, tuple[str, float]], **fields):
+    """check(**fields), with a rejection of a field in `flags` reworded to
+    name the flag that set it and the value it got: flags[field] = (flag,
+    value)."""
+    try:
+        return check(**fields)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")  # each message opens with its field
+        if field not in flags:
+            raise
+        flag, value = flags[field]
+        raise ValueError(f"{flag} {rest}, got {value:g}") from None
+
+
+def _global_budget(
+    n: int,
+    k: int,
+    epsilon: Union[float, None],
+    alpha: Union[float, None],
+    epsilon_node: Union[float, None] = None,
+    alpha_node: Union[float, None] = None,
+) -> tuple[float, float]:
+    """Global (epsilon, alpha), checked by `node_config`, the budget rule
+    the runs apply. A per-node value stands for 2^k times itself; a
+    rejection names the flag that set the value."""
+    check_split(n, k)
+    nodes = 1 << k
+    flags = {}
+    if epsilon_node is not None:
+        epsilon = epsilon_node * nodes
+        flags["epsilon"] = (f"--epsilon-node times 2^{k} nodes", epsilon)
+        flags["epsilon_node"] = ("--epsilon-node", epsilon_node)
+    elif epsilon is not None:
+        flags["epsilon"] = ("--epsilon", epsilon)
     else:
-        epsilon = args.epsilon if args.epsilon is not None else 0.002
-    if args.alpha_node is not None:
-        if args.alpha is not None:
-            parser.error("--alpha and --alpha-node are mutually exclusive")
-        alpha = args.alpha_node * nodes
+        epsilon = 0.002
+    if alpha_node is not None:
+        alpha = alpha_node * nodes
+        flags["alpha"] = (f"--alpha-node times 2^{k} nodes", alpha)
+        flags["alpha_node"] = ("--alpha-node", alpha_node)
+    elif alpha is not None:
+        flags["alpha"] = ("--alpha", alpha)
     else:
-        alpha = args.alpha if args.alpha is not None else 0.1
+        alpha = 0.1
+    _checked(node_config, flags, epsilon=epsilon, alpha=alpha, n=n, k=k)
     return epsilon, alpha
 
 
@@ -185,7 +216,12 @@ def _node_means(aggs: list[AggregateResult], j: int) -> dict:
 def _cmd_count(args, parser) -> int:
     n, marked = _resolve_marked(args, parser)
     oracle = make_oracle(n, marked)
-    epsilon, alpha = _node_budget(args, parser, n)
+    if args.epsilon is not None and args.epsilon_node is not None:
+        parser.error("--epsilon and --epsilon-node are mutually exclusive")
+    if args.alpha is not None and args.alpha_node is not None:
+        parser.error("--alpha and --alpha-node are mutually exclusive")
+    epsilon, alpha = _global_budget(n, args.k, args.epsilon, args.alpha,
+                                    args.epsilon_node, args.alpha_node)
     nodes = 1 << args.k
     out = Path(args.out)
 
@@ -307,22 +343,12 @@ def _cmd_pair(args, parser, which: str) -> int:
     return 0 if result.succeeded else 1
 
 
-def _diqc_config(flags: dict[str, str], **fields) -> DiqcConfig:
-    """DiqcConfig(**fields), with a rejection reworded to name the flag
-    (`flags[field]`) that set the rejected value."""
-    try:
-        return DiqcConfig(**fields)
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")  # each message opens with its field
-        raise ValueError(f"{flags[field]} {rest}, got {fields[field]:g}") from None
-
-
 def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
     """Both estimators' configs for one sweep point. DiqcConfig's ranges
     are the narrower ones, so it is checked first."""
-    node_cfg = _diqc_config({"epsilon_node": "--epsilons", "alpha_node": "--alpha"},
-                            epsilon_node=eps, alpha_node=args.alpha,
-                            shots_per_batch=args.shots_per_batch)
+    flags = {"epsilon_node": ("--epsilons", eps), "alpha_node": ("--alpha", args.alpha)}
+    node_cfg = _checked(DiqcConfig, flags, epsilon_node=eps, alpha_node=args.alpha,
+                        shots_per_batch=args.shots_per_batch)
     return node_cfg, MiqaeConfig(epsilon=eps, alpha=args.alpha,
                                  shots_per_batch=args.shots_per_batch)
 
@@ -365,9 +391,13 @@ def _cmd_compare(args, parser) -> int:
 def _cmd_bench(args, parser) -> int:
     n = args.n
     k = args.k
-    budget = _diqc_config({"epsilon_node": "--epsilon-node", "alpha_node": "--alpha-node"},
-                          epsilon_node=args.epsilon_node, alpha_node=args.alpha_node)
-    epsilon_node, alpha_node = budget.epsilon_node, budget.alpha_node
+    epsilon_node, alpha_node = args.epsilon_node, args.alpha_node
+    # the per-node ranges first, then the 2^k-fold budget `count` would run
+    _checked(DiqcConfig,
+             {"epsilon_node": ("--epsilon-node", epsilon_node),
+              "alpha_node": ("--alpha-node", alpha_node)},
+             epsilon_node=epsilon_node, alpha_node=alpha_node)
+    _global_budget(n, k, None, None, epsilon_node=epsilon_node, alpha_node=alpha_node)
     central, node = metrics.counting_comparison(n, k)
     payload = {
         "n": n,

@@ -12,21 +12,28 @@ iterates yields outcome 11 with probability
 
 `prob11` evaluates this closed form; both analytic samplers draw from it,
 and it is the default backend for the estimation loops. The dense
-statevector backend exists to prove the two agree. It simulates the
-preparation A gate by gate (Hadamards, oracle, rotation). Because A is
+statevector backend exists to prove the two agree. `apply_A` and
+`apply_A_dagger` run the preparation A gate by gate (Hadamards, oracle,
+rotation). The backend builds A|0> from the same gates, but the Hadamard
+layer H^(x)m|0> is built once per width m and kept read-only in one
+module slot, which a request for another width refills; each build copies
+it, then applies the oracle and the rotation in place. The result equals
+`apply_A` on |0> bit for bit, and the tests compare the two. Because A is
 unitary, A U_0 A^dagger = I - 2|psi><psi| with psi = A|0>, so each iterate
 is the reflection about |11> followed by the reflection about that
 prepared state: O(2^(m+2)) per iterate instead of re-running A^dagger
 and A gate by gate (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055).
 
 `StatevectorSampler` keeps one running state: the rotation weight r it
-was built for, A|0> for that r, and the state after the last requested
-power. A request at the same r and a power at or above the kept one
-advances the kept state in place by the difference; a new r rebuilds
-A|0>, and a lower power restarts from A|0>. So a live sampler holds two
-2^(m+2) complex vectors, as many as one `prob11_statevector` call holds
-while it runs; that call builds and steps a fresh state each time and is
-the reference the tests compare the sampler against.
+was built for, A|0> for that r, the state after the last requested power,
+and a scratch vector each iterate writes its multiple of A|0> into. A
+request at the same r and a power at or above the kept one advances the
+kept state in place by the difference; a new r rebuilds A|0>, and a lower
+power restarts from A|0>. So a live sampler holds three 2^(m+2) complex
+vectors, plus the one shared Hadamard-layer vector per width, and an
+iterate allocates nothing. `prob11_statevector` builds and steps a fresh
+kept state each call and is the reference the tests compare the sampler
+against.
 
 Register convention: m index qubits, then the oracle flag qubit, then the
 rotation qubit; a basis index reads (x << 2) | (flag << 1) | rot. The
@@ -141,15 +148,22 @@ def _oracle_flag(amp: np.ndarray, marked_rows: np.ndarray) -> None:
 
 
 def _rotate_q0(amp: np.ndarray, r: float, dagger: bool = False) -> None:
+    """(lo, hi) -> (c lo - s hi, s lo + c hi) on the rotation qubit, in
+    place; one scratch array holds s lo and s hi."""
     c = math.sqrt(1.0 - r)
     s = math.sqrt(r)
     if dagger:
         s = -s
     v = amp.reshape(-1, 2)
-    lo = v[:, 0].copy()
-    hi = v[:, 1].copy()
-    v[:, 0] = c * lo - s * hi
-    v[:, 1] = s * lo + c * hi
+    lo = v[:, 0]
+    hi = v[:, 1]
+    s_lo, s_hi = np.empty_like(amp).reshape(2, -1)
+    np.multiply(s, lo, out=s_lo)
+    np.multiply(s, hi, out=s_hi)
+    np.multiply(c, lo, out=lo)
+    np.subtract(lo, s_hi, out=lo)
+    np.multiply(c, hi, out=hi)
+    np.add(s_lo, hi, out=hi)
 
 
 def _reflect_zero(amp: np.ndarray) -> None:
@@ -157,7 +171,8 @@ def _reflect_zero(amp: np.ndarray) -> None:
 
 
 def _reflect_good(amp: np.ndarray) -> None:
-    amp[3::4] = -amp[3::4]
+    block = amp[3::4]
+    np.negative(block, out=block)
 
 
 def _marked_rows(sub: SubOracle) -> np.ndarray:
@@ -197,10 +212,14 @@ def apply_A_dagger(state: StateVector, sub: SubOracle, r: float) -> StateVector:
     return state
 
 
-def apply_Q(state: StateVector, prepared: StateVector) -> StateVector:
+def apply_Q(
+    state: StateVector, prepared: StateVector, scratch: Union[np.ndarray, None] = None
+) -> StateVector:
     """One amplification iterate -A U_0 A^dagger U_11, with `prepared` = A|0>.
 
     A U_0 A^dagger is applied as the reflection I - 2|prepared><prepared|.
+    `scratch`, an array of the state's size, receives c psi; without one a
+    scratch array is allocated.
     """
     if state.num_qubits != prepared.num_qubits:
         raise ValueError(
@@ -213,7 +232,8 @@ def apply_Q(state: StateVector, prepared: StateVector) -> StateVector:
     # -(amp - c psi) written as c psi - amp into amp: the same nonzero
     # amplitudes bit for bit (an exact zero may change sign), with no
     # separate negation pass.
-    np.subtract(2 * np.vdot(psi, amp) * psi, amp, out=amp)
+    c_psi = np.multiply(2 * np.vdot(psi, amp), psi, out=scratch)
+    np.subtract(c_psi, amp, out=amp)
     return state
 
 
@@ -222,15 +242,47 @@ def _check_power(grover_power: int) -> None:
         raise ValueError("grover_power must be non-negative")
 
 
-class _KeptState:
-    """A|0> for one (sub-oracle, r) and the state after `power` iterates."""
+# H^(x)m|0> over m+2 qubits for the last width asked for. One slot, so a
+# run over one width builds it once; it is read-only and depends on m
+# alone, so every caller in the process can share it.
+_uniform: Union[np.ndarray, None] = None
 
-    __slots__ = ("r", "prepared", "state", "power", "p11")
+
+def _uniform_state(m: int) -> np.ndarray:
+    """H^(x)m|0> on the index register, built gate by gate on the first
+    request for width m and kept read-only until another width is asked for."""
+    global _uniform
+    amp = _uniform
+    if amp is None or amp.size != 1 << (m + 2):
+        amp = StateVector.zero(m + 2).amplitudes
+        _hadamard_index_register(amp, m)
+        amp.flags.writeable = False
+        _uniform = amp
+    return amp
+
+
+def _prepare(sub: SubOracle, r: float) -> StateVector:
+    """A|0>: a copy of the cached H^(x)m|0>, then the oracle and the
+    rotation; the same bits as `apply_A(StateVector.zero(m + 2), sub, r)`."""
+    _check_r(r)
+    amp = _uniform_state(sub.m).copy()
+    _oracle_flag(amp, _marked_rows(sub))
+    _rotate_q0(amp, r)
+    return StateVector(sub.m + 2, amp)
+
+
+class _KeptState:
+    """A|0> for one (sub-oracle, r), the state after `power` iterates, and
+    the scratch vector each iterate writes c A|0> into."""
+
+    __slots__ = ("r", "prepared", "state", "scratch", "power", "p11")
 
     def __init__(self, sub: SubOracle, r: float):
         self.r = r
-        self.prepared = apply_A(StateVector.zero(sub.m + 2), sub, r)
+        # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
+        self.prepared = _prepare(sub, r)
         self.state = self.prepared.copy()
+        self.scratch = np.empty_like(self.state.amplitudes)
         self.power = 0
         self.p11 = self.state.prob11()
 
@@ -245,7 +297,7 @@ class _KeptState:
             # Looked up per iterate, so a tracer that wraps `qsim.apply_Q`
             # counts them.
             for _ in range(grover_power - self.power):
-                apply_Q(self.state, self.prepared)
+                apply_Q(self.state, self.prepared, self.scratch)
             self.power = grover_power
             self.p11 = self.state.prob11()
         return self.p11
@@ -254,7 +306,8 @@ class _KeptState:
 def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
     """P[11] of the circuit backend after `grover_power` iterates.
 
-    A|0> is built gate by gate once; each iterate reflects about it.
+    A|0> is built once, from the cached Hadamard layer; each iterate
+    reflects about it.
     """
     _check_power(grover_power)
     return _KeptState(sub, r).prob11(grover_power)

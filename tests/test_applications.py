@@ -168,6 +168,8 @@ def test_communication_bound_shapes():
         communication_bound("xor", 6, 1, 0.001, 0.05)
     with pytest.raises(ValueError):
         communication_bound(HAMMING, 6, 6, 0.001, 0.05)
+    with pytest.raises(ValueError, match="overflows float64"):
+        communication_bound(INNER_PRODUCT, 1012, 1011, 0.001, 0.05)
 
 
 def test_input_validation():

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,17 @@ def test_count_command_outputs_and_determinism(tmp_path):
     assert header.startswith("rep,node_id,seed,t_prime,count_estimate")
     rows = read(out_a / "runs.csv").decode().splitlines()[1:]
     assert len(rows) == 6  # 3 reps x 2 nodes
+
+
+def test_hash_suite_matches_expected_bytes():
+    """The seeded runs of tools/hash_suite.py still write the bytes pinned
+    in tools/hash_suite.expected (the determinism contract)."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location("hash_suite", tools / "hash_suite.py")
+    hash_suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hash_suite)
+    expected = (tools / "hash_suite.expected").read_text(encoding="ascii").splitlines()
+    assert hash_suite.hashes() == expected
 
 
 def test_count_command_statevector_backend(tmp_path):
@@ -200,8 +213,19 @@ _STDERR = {
     "inner-product --x 01 --y 01": _SPLIT_ERR,
     "bench --n 1013 --k 1": _TOP_N_ERR.format(1013),
     "bench --n 1023 --k 1": _TOP_N_ERR.format(1023),
-    "bench --n 1012 --k 1011":
-        "error: the communication bound of 2^1011 nodes overflows float64\n",
+    # bench applies count's budget rule: 2^k times each per-node value
+    "bench --n 1012 --k 1011": "error: --epsilon-node times 2^1011 nodes "
+                               "must lie in (0, 0.01], got 2.19445e+301\n",
+    "bench --n 6 --k 4":
+        "error: --epsilon-node times 2^4 nodes must lie in (0, 0.01], got 0.016\n",
+    "bench --n 6 --k 4 --epsilon-node 0.0001":
+        "error: --alpha-node times 2^4 nodes must lie in (0, 3/4), got 0.8\n",
+    "count --n 6 --marked 1 --k 4 --epsilon-node 0.001":
+        "error: --epsilon-node times 2^4 nodes must lie in (0, 0.01], got 0.016\n",
+    "count --n 6 --marked 1 --k 4 --alpha-node 0.05":
+        "error: --alpha-node times 2^4 nodes must lie in (0, 3/4), got 0.8\n",
+    "count --n 6 --marked 1 --epsilon 0.05":
+        "error: --epsilon must lie in (0, 0.01], got 0.05\n",
 }
 
 

@@ -208,8 +208,8 @@ def test_sample_shots_binomial_band():
 
 
 def count_work(monkeypatch) -> dict:
-    """Count the builds (`apply_A`) and iterates (`apply_Q`) qsim runs."""
-    counts = {"apply_A": 0, "apply_Q": 0}
+    """Count the A|0> builds (`_prepare`) and iterates (`apply_Q`) qsim runs."""
+    counts = {"_prepare": 0, "apply_Q": 0}
     for name in counts:
         original = getattr(qsim, name)
 
@@ -234,7 +234,7 @@ def test_samplers_agree_and_cache(monkeypatch):
     # a repeated (power, r) does no new work
     counts = count_work(monkeypatch)
     assert sv.probability(3, 1.0) == pytest.approx(analytic.probability(3, 1.0), abs=1e-10)
-    assert counts == {"apply_A": 0, "apply_Q": 0}
+    assert counts == {"_prepare": 0, "apply_Q": 0}
     assert exact.sample(0, 1.0, 1600) == round(1600 * 3 / 16)
     # same seed, same stream
     a = AnalyticSampler.from_amplitude(0.3, 42)
@@ -257,17 +257,45 @@ def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
             counts = count_work(monkeypatch)
             for power in (1, 3, 7):
                 sampler.probability(power, 0.8)
-            assert counts == {"apply_A": 1, "apply_Q": 7}
+            assert counts == {"_prepare": 1, "apply_Q": 7}
 
             # a failed request raises and leaves the kept state as it was
             for power, r in ((-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (8, float("nan"))):
                 with pytest.raises(ValueError):
                     sampler.probability(power, r)
             expected = [prob11_statevector(sub, 0.8, power) for power in (7, 8)]
-            counts.update(apply_A=0, apply_Q=0)
+            counts.update(_prepare=0, apply_Q=0)
             assert [sampler.probability(power, 0.8) for power in (7, 8)] == expected
-            assert counts == {"apply_A": 0, "apply_Q": 1}
+            assert counts == {"_prepare": 0, "apply_Q": 1}
             monkeypatch.undo()
+
+
+def test_cached_hadamard_layer_builds_the_gate_level_prepared_state():
+    """Widths interleave, so the one cached slot is replaced and refilled;
+    every build equals the gate-level A|0> bit for bit."""
+    for m in (3, 4, 3, 1, 2, 1, 5, 2, 4, 5):
+        for t in (0, 1, 1 << m):
+            sub = sub_for(m, t)
+            for r in (1.0, 0.8, 0.3):
+                sampler = StatevectorSampler(sub)
+                sampler.probability(0, r)
+                gates = apply_A(StateVector.zero(m + 2), sub, r)
+                assert sampler._kept.prepared.amplitudes.tobytes() == gates.amplitudes.tobytes()
+        uniform = qsim._uniform_state(m)
+        assert uniform.size == 1 << (m + 2)
+        assert qsim._uniform_state(m) is uniform
+        with pytest.raises(ValueError):
+            uniform[0] = 0.0
+
+
+def test_statevector_sampler_survives_a_width_switch():
+    sub = sub_for(3, 2)
+    sampler = StatevectorSampler(sub)
+    assert sampler.probability(2, 0.8) == prob11_statevector(sub, 0.8, 2)
+    prob11_statevector(sub_for(4, 5), 0.6, 3)
+    assert qsim._uniform.size == 1 << 6  # the slot now holds width 4
+    for power, r in ((5, 0.8), (1, 0.3), (4, 0.3)):
+        assert sampler.probability(power, r) == prob11_statevector(sub, r, power)
 
 
 def test_analytic_and_exact_samplers_share_one_closed_form():

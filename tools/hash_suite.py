@@ -8,6 +8,12 @@ into a temporary directory, and prints one `name sha256[:16]` line per
 output file. Two commits keep the determinism contract on these runs when
 their lines are identical. To hash a commit that predates this file, copy
 the file into that commit's checkout and run it there.
+
+`hash_suite.expected` beside this file holds the lines of the current
+outputs, and a test compares `hashes()` against it. A change that alters
+output bytes on purpose re-baselines it in the same commit:
+
+    python3 tools/hash_suite.py > tools/hash_suite.expected
 """
 
 from __future__ import annotations
@@ -61,18 +67,30 @@ def suite() -> list[tuple[str, list[str], str]]:
     return runs
 
 
-def main() -> int:
+def hashes() -> list[str]:
+    """One `name sha256[:16]` line per output file of the `suite` runs;
+    raises RuntimeError naming the first run that does not exit 0."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, output in suite():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(argv + ["--out", str(out / output)])
             if code != 0:
-                print(f"{name}: exit {code}", file=sys.stderr)
-                return 1
+                raise RuntimeError(f"{name}: exit {code}")
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-                print(f"{name}/{path.name} {digest}")
+                lines.append(f"{name}/{path.name} {digest}")
+    return lines
+
+
+def main() -> int:
+    try:
+        lines = hashes()
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 
