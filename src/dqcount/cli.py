@@ -13,10 +13,10 @@ Subcommands:
 
 Every command but bench (which is closed-form) takes --seed, and every
 command produces byte-identical output for identical (config, seed). The
-(n, k) split is checked before any per-node budget is derived; count and
-bench check the budget with `coordinator.node_config` and name the flag
-that set a rejected value. The count summary is read from the
-per-repetition AggregateResults. Exit
+(n, k) split is checked before any per-node budget is derived; count,
+bench and the pair commands check the budget with
+`coordinator.node_config` and name the flag that set a rejected value. The
+count summary is read from the per-repetition AggregateResults. Exit
 codes: 0 success, 1 estimation failure, 2 usage or domain error.
 """
 
@@ -166,8 +166,9 @@ def _global_budget(
     alpha_node: Union[float, None] = None,
 ) -> tuple[float, float]:
     """Global (epsilon, alpha), checked by `node_config`, the budget rule
-    the runs apply. A per-node value stands for 2^k times itself; a
-    rejection names the flag that set the value."""
+    the runs apply. A per-node value stands for 2^k times itself, and a
+    global one for a 2^k-th of itself on each node; a rejection names the
+    flag that set the value."""
     check_split(n, k)
     nodes = 1 << k
     flags = {}
@@ -175,18 +176,17 @@ def _global_budget(
         epsilon = epsilon_node * nodes
         flags["epsilon"] = (f"--epsilon-node times 2^{k} nodes", epsilon)
         flags["epsilon_node"] = ("--epsilon-node", epsilon_node)
-    elif epsilon is not None:
-        flags["epsilon"] = ("--epsilon", epsilon)
     else:
-        epsilon = 0.002
+        epsilon = 0.002 if epsilon is None else epsilon
+        flags["epsilon"] = ("--epsilon", epsilon)
+        flags["epsilon_node"] = (f"--epsilon over 2^{k} nodes", epsilon / nodes)
     if alpha_node is not None:
         alpha = alpha_node * nodes
         flags["alpha"] = (f"--alpha-node times 2^{k} nodes", alpha)
         flags["alpha_node"] = ("--alpha-node", alpha_node)
-    elif alpha is not None:
-        flags["alpha"] = ("--alpha", alpha)
     else:
-        alpha = 0.1
+        alpha = 0.1 if alpha is None else alpha
+        flags["alpha"] = ("--alpha", alpha)
     _checked(node_config, flags, epsilon=epsilon, alpha=alpha, n=n, k=k)
     return epsilon, alpha
 
@@ -295,9 +295,12 @@ def _cmd_count(args, parser) -> int:
 
 
 def _load_vector(arg: str):
-    path = Path(arg)
-    if path.exists():
-        return load_bit_vector(path)
+    try:
+        is_file = Path(arg).exists()
+    except OSError:  # e.g. an inline vector longer than a file name may be
+        is_file = False
+    if is_file:
+        return load_bit_vector(arg)
     if set(arg) <= {"0", "1"} and len(arg) >= 2:
         return [int(c) for c in arg]
     raise ValueError(f"{arg!r} is neither a file nor a 0/1 string")
@@ -308,6 +311,8 @@ def _cmd_pair(args, parser, which: str) -> int:
         parser.error("need --x and --y")
     x = _load_vector(args.x)
     y = _load_vector(args.y)
+    # the width the vectors are zero-padded to, so the budget is checked as count's is
+    _global_budget(max(1, (len(x) - 1).bit_length()), args.k, args.epsilon, args.alpha)
     runner = estimate_inner_product if which == INNER_PRODUCT else estimate_hamming
     result = runner(
         x, y, args.k, args.epsilon, args.alpha,

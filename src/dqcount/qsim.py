@@ -14,26 +14,25 @@ iterates yields outcome 11 with probability
 and it is the default backend for the estimation loops. The dense
 statevector backend exists to prove the two agree. `apply_A` and
 `apply_A_dagger` run the preparation A gate by gate (Hadamards, oracle,
-rotation). The backend builds A|0> from the same gates, but the Hadamard
-layer H^(x)m|0> is built once per width m and kept read-only in one
-module slot, which a request for another width refills; each build copies
-it, then applies the oracle and the rotation in place. The result equals
-`apply_A` on |0> bit for bit, and the tests compare the two. Because A is
-unitary, A U_0 A^dagger = I - 2|psi><psi| with psi = A|0>, so each iterate
-is the reflection about |11> followed by the reflection about that
-prepared state: O(2^(m+2)) per iterate instead of re-running A^dagger
-and A gate by gate (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055).
+rotation). The backend writes A|0> directly: every index row holds
+2^(-m/2) sqrt(1-r) at rotation bit 0 and 2^(-m/2) sqrt(r) at rotation bit 1,
+under flag 1 for a marked index and flag 0 otherwise, with 2^(-m/2)
+multiplied up from 1/sqrt(2) in the order the Hadamards apply it. So A|0>
+equals `apply_A` on |0> bit for bit, and the tests compare the two. Because
+A is unitary, A U_0 A^dagger = I - 2|psi><psi| with psi = A|0>, so each
+iterate is the reflection about |11> followed by the reflection about that
+prepared state: O(2^(m+2)) per iterate instead of re-running A^dagger and
+A gate by gate (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055).
 
 `StatevectorSampler` keeps one running state: the rotation weight r it
 was built for, A|0> for that r, the state after the last requested power,
-and a scratch vector each iterate writes its multiple of A|0> into. A
-request at the same r and a power at or above the kept one advances the
-kept state in place by the difference; a new r rebuilds A|0>, and a lower
-power restarts from A|0>. So a live sampler holds three 2^(m+2) complex
-vectors, plus the one shared Hadamard-layer vector per width, and an
-iterate allocates nothing. `prob11_statevector` builds and steps a fresh
-kept state each call and is the reference the tests compare the sampler
-against.
+its P[11], and a scratch vector each iterate writes its multiple of A|0>
+into. A request at the same r and a power at or above the kept one
+advances the state in place by the difference; a new r rebuilds A|0>, and
+a lower power restarts from A|0>. So a live sampler holds three 2^(m+2)
+complex vectors and shares nothing, and an iterate allocates nothing.
+`prob11_statevector` reads a fresh sampler and is the reference the tests
+compare a long-lived one against.
 
 Register convention: m index qubits, then the oracle flag qubit, then the
 rotation qubit; a basis index reads (x << 2) | (flag << 1) | rot. The
@@ -65,6 +64,23 @@ __all__ = [
 STATEVECTOR_QUBIT_LIMIT = 22
 
 _HALF_PI = math.pi / 2
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# OpenBLAS splits a dot product of more than 10,000 entries over its
+# threads, so its rounding, and every bit downstream of it, would depend on
+# the thread count. Blocks below that size, summed in order, do not. At 14
+# qubits (two blocks) the sum equals what two OpenBLAS threads return.
+_VDOT_BLOCK = 8192
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b), summed over blocks of `_VDOT_BLOCK` entries."""
+    total = np.vdot(a[:_VDOT_BLOCK], b[:_VDOT_BLOCK])
+    for start in range(_VDOT_BLOCK, a.size, _VDOT_BLOCK):
+        stop = start + _VDOT_BLOCK
+        total += np.vdot(a[start:stop], b[start:stop])
+    return total
 
 
 def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
@@ -114,27 +130,26 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
     def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return float(_vdot(self.amplitudes, self.amplitudes).real)
 
     def prob_last_two(self, pattern: int) -> float:
         """Probability of measuring (flag, rot) = the given 2-bit pattern."""
         if not 0 <= pattern < 4:
             raise ValueError("pattern must be a 2-bit value")
         block = self.amplitudes[pattern::4]
-        return float(np.vdot(block, block).real)
+        return float(_vdot(block, block).real)
 
     def prob11(self) -> float:
         return self.prob_last_two(0b11)
 
 
 def _hadamard_index_register(amp: np.ndarray, m: int) -> None:
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for bit in range(m):
         v = amp.reshape(1 << (m - 1 - bit), 2, 1 << (bit + 2))
         lo = v[:, 0, :].copy()
         hi = v[:, 1, :]
-        v[:, 0, :] = (lo + hi) * inv_sqrt2
-        v[:, 1, :] = (lo - hi) * inv_sqrt2
+        v[:, 0, :] = (lo + hi) * _INV_SQRT2
+        v[:, 1, :] = (lo - hi) * _INV_SQRT2
 
 
 def _oracle_flag(amp: np.ndarray, marked_rows: np.ndarray) -> None:
@@ -232,85 +247,32 @@ def apply_Q(
     # -(amp - c psi) written as c psi - amp into amp: the same nonzero
     # amplitudes bit for bit (an exact zero may change sign), with no
     # separate negation pass.
-    c_psi = np.multiply(2 * np.vdot(psi, amp), psi, out=scratch)
+    c_psi = np.multiply(2 * _vdot(psi, amp), psi, out=scratch)
     np.subtract(c_psi, amp, out=amp)
     return state
 
 
-def _check_power(grover_power: int) -> None:
-    if grover_power < 0:
-        raise ValueError("grover_power must be non-negative")
-
-
-# H^(x)m|0> over m+2 qubits for the last width asked for. One slot, so a
-# run over one width builds it once; it is read-only and depends on m
-# alone, so every caller in the process can share it.
-_uniform: Union[np.ndarray, None] = None
-
-
-def _uniform_state(m: int) -> np.ndarray:
-    """H^(x)m|0> on the index register, built gate by gate on the first
-    request for width m and kept read-only until another width is asked for."""
-    global _uniform
-    amp = _uniform
-    if amp is None or amp.size != 1 << (m + 2):
-        amp = StateVector.zero(m + 2).amplitudes
-        _hadamard_index_register(amp, m)
-        amp.flags.writeable = False
-        _uniform = amp
-    return amp
-
-
 def _prepare(sub: SubOracle, r: float) -> StateVector:
-    """A|0>: a copy of the cached H^(x)m|0>, then the oracle and the
-    rotation; the same bits as `apply_A(StateVector.zero(m + 2), sub, r)`."""
+    """A|0> written in closed form; the same bits as
+    `apply_A(StateVector.zero(m + 2), sub, r)`."""
     _check_r(r)
-    amp = _uniform_state(sub.m).copy()
-    _oracle_flag(amp, _marked_rows(sub))
-    _rotate_q0(amp, r)
-    return StateVector(sub.m + 2, amp)
-
-
-class _KeptState:
-    """A|0> for one (sub-oracle, r), the state after `power` iterates, and
-    the scratch vector each iterate writes c A|0> into."""
-
-    __slots__ = ("r", "prepared", "state", "scratch", "power", "p11")
-
-    def __init__(self, sub: SubOracle, r: float):
-        self.r = r
-        # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
-        self.prepared = _prepare(sub, r)
-        self.state = self.prepared.copy()
-        self.scratch = np.empty_like(self.state.amplitudes)
-        self.power = 0
-        self.p11 = self.state.prob11()
-
-    def prob11(self, grover_power: int) -> float:
-        """P[11] after `grover_power` iterates; steps forward from the kept
-        state, or from A|0> when `grover_power` is below it."""
-        if grover_power != self.power:
-            _check_power(grover_power)
-            if grover_power < self.power:
-                np.copyto(self.state.amplitudes, self.prepared.amplitudes)
-                self.power = 0
-            # Looked up per iterate, so a tracer that wraps `qsim.apply_Q`
-            # counts them.
-            for _ in range(grover_power - self.power):
-                apply_Q(self.state, self.prepared, self.scratch)
-            self.power = grover_power
-            self.p11 = self.state.prob11()
-        return self.p11
+    state = StateVector.zero(sub.m + 2)
+    h = 1.0
+    for _ in range(sub.m):  # 2^(-m/2), one factor per Hadamard, rounded as the gates round it
+        h *= _INV_SQRT2
+    weights = (math.sqrt(1.0 - r) * h, math.sqrt(r) * h)
+    rows = state.amplitudes.reshape(-1, 4)  # columns (flag, rot) = 00, 01, 10, 11
+    rows[:, :2] = weights
+    marked = _marked_rows(sub)
+    rows[marked, 2:] = weights
+    rows[marked, :2] = 0.0
+    return state
 
 
 def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
-    """P[11] of the circuit backend after `grover_power` iterates.
-
-    A|0> is built once, from the cached Hadamard layer; each iterate
-    reflects about it.
-    """
-    _check_power(grover_power)
-    return _KeptState(sub, r).prob11(grover_power)
+    """P[11] of the circuit backend after `grover_power` iterates, read
+    from a fresh `StatevectorSampler`."""
+    return StatevectorSampler(sub).probability(grover_power, r)
 
 
 class Sampler(Protocol):
@@ -364,14 +326,36 @@ class StatevectorSampler:
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
         self.sub = sub
         self.rng = _as_generator(rng)
-        self._kept: Union[_KeptState, None] = None
+        self._state = StateVector.zero(sub.m + 2)
+        self._scratch = np.empty_like(self._state.amplitudes)
+        self._r: Union[float, None] = None  # no A|0> built yet
+        self._prepared: Union[StateVector, None] = None
+        self._power = 0
+        self._p11 = 0.0
 
     def probability(self, grover_power: int, r: float) -> float:
-        kept = self._kept
-        if kept is None or r != kept.r:
-            _check_power(grover_power)
-            kept = self._kept = _KeptState(self.sub, r)
-        return kept.prob11(grover_power)
+        if r != self._r or grover_power != self._power:
+            self._advance(grover_power, r)
+        return self._p11
+
+    def _advance(self, grover_power: int, r: float) -> None:
+        """Step the kept state to `grover_power` iterates at `r`: forward
+        from where it is, or from A|0> after a new r or a lower power."""
+        if grover_power < 0:
+            raise ValueError("grover_power must be non-negative")
+        new_r = r != self._r
+        if new_r:
+            # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
+            self._prepared = _prepare(self.sub, r)
+            self._r = r
+        if new_r or grover_power < self._power:
+            np.copyto(self._state.amplitudes, self._prepared.amplitudes)
+            self._power = 0
+        # Looked up per iterate, so a tracer that wraps `qsim.apply_Q` counts them.
+        for _ in range(grover_power - self._power):
+            apply_Q(self._state, self._prepared, self._scratch)
+        self._power = grover_power
+        self._p11 = self._state.prob11()
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
         return int(self.rng.binomial(shots, self.probability(grover_power, r)))

@@ -135,6 +135,17 @@ def test_inner_product_and_hamming_commands(tmp_path):
     payload = json.loads(read(out2))
     assert payload["exact"] == 1.0
 
+    # inline vectors longer than a file name may be: 150 of 300 bits differ
+    out3 = tmp_path / "long.json"
+    code = main([
+        "hamming", "--x", "0110" * 75, "--y", "0011" * 75, "--k", "1",
+        "--shots-per-batch", "100", "--seed", "3", "--out", str(out3),
+    ])
+    assert code == 0
+    payload = json.loads(read(out3))
+    assert payload["n"] == 9
+    assert payload["exact"] == 150 / 512
+
 
 def test_compare_command(tmp_path):
     out = tmp_path / "cmp"
@@ -226,6 +237,20 @@ _STDERR = {
         "error: --alpha-node times 2^4 nodes must lie in (0, 3/4), got 0.8\n",
     "count --n 6 --marked 1 --epsilon 0.05":
         "error: --epsilon must lie in (0, 0.01], got 0.05\n",
+    # argparse rejects these, and its usage text is not pinned
+    "count --n 6 --marked 1 --shots-per-batch 0": None,
+    "compare-miqae --reps 1 --shots-per-batch 0": None,
+    # a global epsilon counts a 2^k-th on each node, below the node floor here
+    "count --n 6 --marked 1 --k 1 --epsilon 1e-7":
+        "error: --epsilon over 2^1 nodes must lie in [1e-07, 0.01], got 5e-08\n",
+    "count --n 20 --marked 1 --k 15":
+        "error: --epsilon over 2^15 nodes must lie in [1e-07, 0.01], got 6.10352e-08\n",
+    "hamming --x 0101 --y 0110 --epsilon 1e-7":
+        "error: --epsilon over 2^1 nodes must lie in [1e-07, 0.01], got 5e-08\n",
+    "inner-product --x 0101 --y 0110 --epsilon 0.02":
+        "error: --epsilon must lie in (0, 0.01], got 0.02\n",
+    "count --n 24 --marked 1 --k 1 --backend statevector":
+        "error: 25 qubits exceeds the statevector limit (22)\n",
 }
 
 
@@ -246,8 +271,6 @@ _STDERR = {
     (["count", "--n", "40", "--marked", "1", "--k", "30", "--reps", "1"], None),
     (["count", "--n", "1000", "--marked", "1", "--k", "999", "--reps", "1"], None),
     *[(line.split(), None) for line in _STDERR],
-    (["count", "--n", "6", "--marked", "1", "--shots-per-batch", "0"], None),
-    (["compare-miqae", "--reps", "1", "--shots-per-batch", "0"], None),
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
     expected_err = _STDERR.get(" ".join(argv))
@@ -263,7 +286,12 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config)
     if argv[-2:] == ["--k", "-1"]:
         assert "k must lie in [1, 5]" in err
     if argv[-2:] == ["--reps", "1"]:  # 2^k nodes at a budget below the epsilon floor
-        assert err == "error: epsilon_node must lie in [1e-07, 0.01]\n"
+        assert err == {
+            "30": "error: --epsilon over 2^30 nodes must lie in [1e-07, 0.01], "
+                  "got 1.86265e-12\n",
+            "999": "error: --epsilon over 2^999 nodes must lie in [1e-07, 0.01], "
+                   "got 3.73305e-304\n",
+        }[argv[argv.index("--k") + 1]]
     if expected_err is not None:
         assert err == expected_err
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,22 +274,15 @@ def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
             monkeypatch.undo()
 
 
-def test_cached_hadamard_layer_builds_the_gate_level_prepared_state():
-    """Widths interleave, so the one cached slot is replaced and refilled;
-    every build equals the gate-level A|0> bit for bit."""
-    for m in (3, 4, 3, 1, 2, 1, 5, 2, 4, 5):
+def test_prepare_writes_the_gate_level_prepared_state():
+    """Every closed-form A|0> equals the gate-level one bit for bit, up to
+    the 12-index-qubit width of the benchmark's pair estimates."""
+    for m in (3, 4, 3, 1, 2, 1, 5, 2, 4, 5, 8, 12):
         for t in (0, 1, 1 << m):
             sub = sub_for(m, t)
             for r in (1.0, 0.8, 0.3):
-                sampler = StatevectorSampler(sub)
-                sampler.probability(0, r)
                 gates = apply_A(StateVector.zero(m + 2), sub, r)
-                assert sampler._kept.prepared.amplitudes.tobytes() == gates.amplitudes.tobytes()
-        uniform = qsim._uniform_state(m)
-        assert uniform.size == 1 << (m + 2)
-        assert qsim._uniform_state(m) is uniform
-        with pytest.raises(ValueError):
-            uniform[0] = 0.0
+                assert qsim._prepare(sub, r).amplitudes.tobytes() == gates.amplitudes.tobytes()
 
 
 def test_statevector_sampler_survives_a_width_switch():
@@ -293,9 +290,24 @@ def test_statevector_sampler_survives_a_width_switch():
     sampler = StatevectorSampler(sub)
     assert sampler.probability(2, 0.8) == prob11_statevector(sub, 0.8, 2)
     prob11_statevector(sub_for(4, 5), 0.6, 3)
-    assert qsim._uniform.size == 1 << 6  # the slot now holds width 4
     for power, r in ((5, 0.8), (1, 0.3), (4, 0.3)):
         assert sampler.probability(power, r) == prob11_statevector(sub, r, power)
+
+
+def test_statevector_bits_do_not_depend_on_the_blas_thread_count():
+    """A 14-qubit inner product has more entries than OpenBLAS computes on
+    one thread; the value must match a run pinned to one thread."""
+    value = prob11_statevector(sub_for(12, 37), 0.8, 25)
+    code = ("from dqcount.oracle import SubOracle\n"
+            "from dqcount.qsim import prob11_statevector\n"
+            "sub = SubOracle(m=12, node_id=0, k=1, scheme='prefix', "
+            "marked_local=frozenset(range(37)))\n"
+            "print(repr(prob11_statevector(sub, 0.8, 25)))\n")
+    src = Path(qsim.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == repr(value)
 
 
 def test_analytic_and_exact_samplers_share_one_closed_form():
