@@ -438,18 +438,30 @@ def _cmd_prop_check(args, parser) -> int:
     return 0 if all(rep["passed"] for rep in reports) else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_at_least(text: str, low: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _add_common(
     sub: argparse.ArgumentParser, out: Union[str, None] = None, seeded: bool = True
 ) -> None:
     if seeded:
-        sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+        sub.add_argument("--seed", type=_non_negative_int, default=0,
+                         help="base RNG seed (default 0)")
     sub.add_argument("--out", type=str, default=out, help="output path")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file supplying defaults; flags win")

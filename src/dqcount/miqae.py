@@ -10,7 +10,10 @@ narrower than 2*epsilon.
 
 The odd-K scan, `next_odd_k`, is shared with the node estimator in `diqc`,
 which also uses its rotation-rescue branch; it lives here, beside the
-quadrant tests it is built from, because `diqc` imports this module.
+quadrant tests it is built from, because `diqc` imports this module. It
+tests odd K in fixed-size numpy chunks and re-checks rescue candidates with
+the scalar code, so it returns the (K, r) of a scan over one K at a time,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ QUADRANT_SLACK = 1e-9
 # budget's epsilon <= 0.01 it also caps the node count 2^k at 1e5.
 EPSILON_FLOOR = 1e-7
 
+# `next_odd_k` tests odd K in chunks of this many, largest first; a chunk's
+# K are its largest K plus these steps. Read-only: the module keeps no
+# mutable state.
+_SCAN_CHUNK = 256
+_SCAN_STEPS = np.arange(0.0, -2.0 * _SCAN_CHUNK, -2.0)
+_SCAN_STEPS.flags.writeable = False
+
+# Relative slack of the numpy prefilter on the rescue bound; np.sin and
+# math.sin differ by at most a few ulps, far inside it.
+_RESCUE_MARGIN = 1e-12
+
 
 def quadrant_count(big_k: int, theta: float) -> int:
     """Number of quadrants the amplified angle has passed, floor(2K theta/pi)."""
@@ -62,6 +76,26 @@ def same_quadrant(big_k: int, theta_low: float, theta_high: float) -> bool:
     return quadrant_count(big_k, theta_low) == math.ceil(
         big_k * theta_high * 2 / math.pi - QUADRANT_SLACK
     ) - 1
+
+
+def _rescue_weight(
+    big_k: int, theta_min: float, sin_lo: float, sin_hi: float
+) -> Union[float, None]:
+    """The rotation weight r that rescues odd K, or None.
+
+    r = sin^2((R+1)pi/(2K)) / sin^2(theta_max), with R the quadrant count
+    of K theta_min, is admitted when it exceeds both sin^2(pi/2 (1-1/K))
+    and 3/4 and the angles rescaled by sqrt(r) share a quadrant.
+    """
+    quadrant = quadrant_count(big_k, theta_min)
+    r = math.sin((quadrant + 1) * math.pi / (2 * big_k)) ** 2 / (sin_hi * sin_hi)
+    if r > max(math.sin(_HALF_PI * (1 - 1 / big_k)) ** 2, 0.75):
+        root_r = math.sqrt(r)
+        scaled_lo = math.asin(min(1.0, root_r * sin_lo))
+        scaled_hi = math.asin(min(1.0, root_r * sin_hi))
+        if same_quadrant(big_k, scaled_lo, scaled_hi):
+            return r
+    return None
 
 
 def next_odd_k(
@@ -77,14 +111,21 @@ def next_odd_k(
     Scans odd K downward from the largest odd integer <= pi/(2*width)
     while K >= q*K_current. At each K the plain same-quadrant condition is
     tried first and returns (K, 1.0). If it fails and no backtracking has
-    occurred this round, the rescue weight r = sin^2((R+1)pi/(2K)) /
-    sin^2(theta_max) is admitted when it exceeds both sin^2(pi/2 (1-1/K))
-    and 3/4 and the rescaled angles share a quadrant, returning (K, r).
-    Returns (K_current, None) when no factor qualifies; the caller keeps
-    its current r.
+    occurred this round, the rescue weight of `_rescue_weight` is tried and
+    returns (K, r). Returns (K_current, None) when no factor qualifies; the
+    caller keeps its current r.
 
     `big_k_cap` optionally caps the scan two below it so the returned K
     stays strictly under the run's depth cap.
+
+    The scan runs over chunks of `_SCAN_CHUNK` odd K as numpy arrays. The
+    plain test evaluates the float expressions of `same_quadrant` in the
+    same order, which for K < 2^53 are the same IEEE operations, so it is
+    exact. The rescue test is only prefiltered in numpy, whose sin may
+    differ from math.sin by an ulp: a K whose estimated weight clears the
+    bound within a relative `_RESCUE_MARGIN` is re-checked, in scan order,
+    by the scalar `_rescue_weight`. So the result is bit for bit that of a
+    scalar scan over one K at a time.
 
     This is the only odd-K scan: DIQC calls it as `diqc.find_next_k`, and
     MIQAE's `find_next_k` is its plain branch (`backtracked` set).
@@ -96,22 +137,30 @@ def next_odd_k(
     big_k = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
     if big_k_cap is not None and big_k > big_k_cap - 2:
         big_k = big_k_cap - 2
+    k_floor = q * big_k_current
     sin_lo = math.sin(theta_min)
     sin_hi = math.sin(theta_max)
-    sin2_hi = sin_hi * sin_hi
-    while big_k >= q * big_k_current:
-        if same_quadrant(big_k, theta_min, theta_max):
-            return big_k, 1.0
-        if not backtracked:
-            quadrant = quadrant_count(big_k, theta_min)
-            r = math.sin((quadrant + 1) * math.pi / (2 * big_k)) ** 2 / sin2_hi
-            if r > max(math.sin(_HALF_PI * (1 - 1 / big_k)) ** 2, 0.75):
-                root_r = math.sqrt(r)
-                scaled_lo = math.asin(min(1.0, root_r * sin_lo))
-                scaled_hi = math.asin(min(1.0, root_r * sin_hi))
-                if same_quadrant(big_k, scaled_lo, scaled_hi):
-                    return big_k, r
-        big_k -= 2
+    while big_k >= k_floor:
+        # A chunk is always _SCAN_CHUNK long; its K below k_floor are skipped.
+        count = min(_SCAN_CHUNK, (big_k - k_floor) // 2 + 1)
+        ks = big_k + _SCAN_STEPS
+        quadrants = np.floor(ks * theta_min * 2 / math.pi + QUADRANT_SLACK)
+        plain = quadrants == np.ceil(ks * theta_max * 2 / math.pi - QUADRANT_SLACK) - 1
+        first = int(plain[:count].argmax())
+        if not plain[first]:
+            first = count
+        if first and not backtracked:
+            # the skipped tail may reach K = 0 when big_k_cap is even
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r_est = np.sin((quadrants + 1) * math.pi / (2 * ks)) ** 2 / (sin_hi * sin_hi)
+                bound = np.maximum(np.sin(_HALF_PI * (1 - 1 / ks)) ** 2, 0.75)
+            for i in np.flatnonzero(r_est[:first] > bound[:first] * (1 - _RESCUE_MARGIN)):
+                r = _rescue_weight(big_k - 2 * int(i), theta_min, sin_lo, sin_hi)
+                if r is not None:
+                    return big_k - 2 * int(i), r
+        if first < count:
+            return big_k - 2 * first, 1.0
+        big_k -= 2 * _SCAN_CHUNK
     return big_k_current, None
 
 

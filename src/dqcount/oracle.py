@@ -177,8 +177,11 @@ def decompose_stride(oracle: OracleSpec, k: int) -> list[SubOracle]:
 
 
 def _check_bits(bits: BitVector, what: str) -> None:
-    bad = [b for b in bits if b not in (0, 1)]
-    if bad:
+    try:
+        ok = set(bits) <= {0, 1}  # the entries == 0 or == 1, as `b in (0, 1)` reads them
+    except TypeError:  # an unhashable entry is neither
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must contain only 0/1 entries")
 
 
@@ -190,14 +193,17 @@ def _paired_suboracle(
     size = len(x)
     if size < 2 or size & (size - 1):
         raise ValueError(f"vector length {size} is not a power of two >= 2")
-    _check_bits(x, "x")
-    _check_bits(y, "y")
     m = check_split(size.bit_length() - 1, k)
     if not 0 <= node_id < (1 << k):
         raise ValueError(f"node_id {node_id} outside [0, {1 << k})")
-    # Local index i is global index (i << k) | node_id, so the slice is one stride.
+    # Local index i is global index (i << k) | node_id, so the slice is one
+    # stride. Only the slice is checked: the 2^k nodes' builds check each
+    # entry once between them.
     stride = 1 << k
-    bits = map(pair_bit, x[node_id::stride], y[node_id::stride])
+    xs, ys = x[node_id::stride], y[node_id::stride]
+    _check_bits(xs, "x")
+    _check_bits(ys, "y")
+    bits = map(pair_bit, xs, ys)
     marked = frozenset(compress(range(1 << m), bits))
     return SubOracle(m=m, node_id=node_id, k=k, scheme=STRIDE, marked_local=marked)
 

@@ -11,7 +11,9 @@ iterates yields outcome 11 with probability
     sin(theta_tilde) = sqrt(r * t_local / 2^m).
 
 `prob11` evaluates this closed form; both analytic samplers draw from it,
-and it is the default backend for the estimation loops. The dense
+and it is the default backend for the estimation loops. `AnalyticSampler`
+keeps the P[11] of its last (power, r) and evaluates `prob11` again only
+when either changes, so the shots of one round pay for it once. The dense
 statevector backend exists to prove the two agree. `apply_A` and
 `apply_A_dagger` run the preparation A gate by gate (Hadamards, oracle,
 rotation). The backend writes A|0> directly: every index row holds
@@ -289,7 +291,11 @@ class Sampler(Protocol):
 
 
 class AnalyticSampler:
-    """Draws from the closed-form distribution of a fixed unrescaled angle."""
+    """Draws from the closed-form distribution of a fixed unrescaled angle.
+
+    Keeps the P[11] of its last (power, r), so the shots of one round
+    evaluate `prob11` once.
+    """
 
     def __init__(self, theta: float, rng: Union[int, np.random.Generator] = 0):
         if not 0 <= theta <= _HALF_PI:
@@ -297,6 +303,9 @@ class AnalyticSampler:
         self.theta = theta
         self._sin_theta = math.sin(theta)
         self.rng = _as_generator(rng)
+        self._r: Union[float, None] = None  # no P[11] computed yet
+        self._power = 0
+        self._p11 = 0.0
 
     @classmethod
     def from_amplitude(cls, amplitude: float, rng: Union[int, np.random.Generator] = 0):
@@ -312,7 +321,10 @@ class AnalyticSampler:
         return prob11(self._sin_theta, r, grover_power)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
-        return int(self.rng.binomial(shots, prob11(self._sin_theta, r, grover_power)))
+        if r != self._r or grover_power != self._power:
+            self._p11 = prob11(self._sin_theta, r, grover_power)
+            self._r, self._power = r, grover_power  # kept only once prob11 accepts them
+        return int(self.rng.binomial(shots, self._p11))
 
 
 class StatevectorSampler:

@@ -251,6 +251,11 @@ _STDERR = {
         "error: --epsilon must lie in (0, 0.01], got 0.02\n",
     "count --n 24 --marked 1 --k 1 --backend statevector":
         "error: 25 qubits exceeds the statevector limit (22)\n",
+    # argparse rejects a negative seed; `test_negative_seed_names_the_flag`
+    # pins the line that names --seed
+    "count --n 6 --marked 1 --seed -1": None,
+    "hamming --x 0101 --y 0110 --seed -3": None,
+    "compare-miqae --seed -3": None,
 }
 
 
@@ -294,6 +299,27 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config)
         }[argv[argv.index("--k") + 1]]
     if expected_err is not None:
         assert err == expected_err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["count", "--n", "6", "--marked", "1", "--seed", "-1"], None, "must be at least 0, got -1"),
+    (["hamming", "--x", "0101", "--y", "0110", "--seed", "-3"], None,
+     "must be at least 0, got -3"),
+    (["compare-miqae", "--seed", "-3"], None, "must be at least 0, got -3"),
+    (["prop-check", "--seed", "-1"], None, "must be at least 0, got -1"),
+    (["count", "--n", "6", "--marked", "1"], {"seed": -1}, "must be at least 0, got -1"),
+    (["compare-miqae"], {"seed": -3}, "must be at least 0, got -3"),
+    (["count", "--n", "6", "--marked", "1", "--seed", "abc"], None,
+     "must be an integer, got 'abc'"),
+])
+def test_negative_seed_names_the_flag(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --seed: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -16,6 +16,7 @@ from dqcount.diqc import (
 from dqcount.miqae import QUADRANT_SLACK
 from dqcount.oracle import decompose_prefix, make_oracle
 
+import scalar_scan
 from exact_sampler import ExactSampler
 
 
@@ -115,6 +116,95 @@ def test_find_next_k_matches_scan_oracle(lo, width, q, big_k_current, backtracke
     assert find_next_k(lo, hi, q, big_k_current, backtracked) == scan_oracle(
         lo, hi, q, big_k_current, backtracked
     )
+
+
+def same_scan_result(got, want) -> bool:
+    """(K, r) pairs equal, r bit for bit."""
+    return got[0] == want[0] and (
+        got[1] is want[1] is None
+        or None not in (got[1], want[1]) and got[1].hex() == want[1].hex()
+    )
+
+
+def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch):
+    """Every K search of seeded runs at the epsilon floor, replayed against
+    the one-K-at-a-time scan: the same K and the same bits of r."""
+    import dqcount.diqc as diqc_mod
+
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return find_next_k(*args, **kwargs)
+
+    monkeypatch.setattr(diqc_mod, "find_next_k", recorded)
+    config = DiqcConfig(epsilon_node=1e-7, alpha_node=0.05)
+    # 41 searches, 12 of them over more than one chunk; at amplitude 0.5,
+    # seed 0, a rescue weight clears its bound by 5e-14 relative, inside
+    # the numpy prefilter's margin
+    for amplitude, seed in ((0.015625, 0), (0.3, 0), (0.5, 0), (0.9, 0), (0.9, 1), (0.9, 2)):
+        run_amplitude(amplitude, config, seed=seed)
+    rescued = 0
+    for args, kwargs in calls:
+        got = find_next_k(*args, **kwargs)
+        assert same_scan_result(got, scalar_scan.next_odd_k(*args, **kwargs)), (args, kwargs)
+        rescued += got[1] is not None and got[1] < 1
+    assert len(calls) == 41
+    assert rescued == 9  # the rescue branch is among the replayed calls
+
+
+@given(
+    lo=st.floats(min_value=0.0, max_value=1.55),
+    width=st.floats(min_value=2e-5, max_value=0.8),
+    q=st.sampled_from((2, 3)),
+    big_k_current=st.integers(min_value=1, max_value=3000),
+    backtracked=st.booleans(),
+    big_k_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=10 ** 5)),
+)
+def test_find_next_k_matches_scalar_scan_grid(lo, width, q, big_k_current, backtracked,
+                                              big_k_cap):
+    hi = min(lo + width, math.pi / 2)
+    if hi <= lo:
+        return
+    got = find_next_k(lo, hi, q, big_k_current, backtracked, big_k_cap=big_k_cap)
+    want = scalar_scan.next_odd_k(lo, hi, q, big_k_current, backtracked, big_k_cap=big_k_cap)
+    assert same_scan_result(got, want)
+
+
+@given(
+    big_k=st.integers(min_value=1, max_value=5000).map(lambda j: 2 * j + 1),
+    data=st.data(),
+    q=st.sampled_from((2, 3)),
+    backtracked=st.booleans(),
+)
+def test_find_next_k_matches_scalar_scan_at_quadrant_edges(big_k, data, q, backtracked):
+    """theta_max just past a quadrant edge of some K, where the rescue
+    branch is most often taken."""
+    edge = data.draw(st.integers(min_value=1, max_value=big_k)) * math.pi / (2 * big_k)
+    quarter = math.pi / (2 * big_k)
+    hi = min(edge + data.draw(st.floats(min_value=0.0, max_value=0.05)) * quarter, math.pi / 2)
+    lo = max(0.0, hi - data.draw(st.floats(min_value=0.05, max_value=1.0)) * quarter)
+    got = find_next_k(lo, hi, q, 1, backtracked)
+    assert same_scan_result(got, scalar_scan.next_odd_k(lo, hi, q, 1, backtracked))
+
+
+@pytest.mark.parametrize("ulps", [0, 1, 2])
+def test_find_next_k_at_theta_max_half_pi(ulps):
+    """theta_max = pi/2 is the top of the range; an ulp above it is
+    rejected by both scans."""
+    hi = math.pi / 2
+    for _ in range(ulps):
+        hi = math.nextafter(hi, 4.0)
+    for lo in (0.0, 1.0, 1.5, 1.5707):
+        for backtracked in (False, True):
+            args = (lo, hi, 2, 1, backtracked)
+            if ulps:
+                with pytest.raises(ValueError):
+                    find_next_k(*args)
+                with pytest.raises(ValueError):
+                    scalar_scan.next_odd_k(*args)
+            else:
+                assert same_scan_result(find_next_k(*args), scalar_scan.next_odd_k(*args))
 
 
 def test_post_process_weighted_average():

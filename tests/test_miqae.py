@@ -13,6 +13,7 @@ from dqcount.miqae import (
     run_miqae,
 )
 
+import scalar_scan
 from exact_sampler import ExactSampler
 
 
@@ -92,6 +93,62 @@ def test_find_next_k_matches_scan_oracle(k_i, lo, width):
     if hi <= lo:
         return
     assert find_next_k(k_i, lo, hi) == scan_oracle(k_i, lo, hi)
+
+
+def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch):
+    """Every K search of seeded runs at the epsilon floor, replayed against
+    the one-K-at-a-time scan, both as `next_odd_k` (the same K, r is 1.0
+    or None) and as `find_next_k`."""
+    import dqcount.miqae as miqae_mod
+
+    scans, searches = [], []
+    next_odd_k, search = miqae_mod.next_odd_k, miqae_mod.find_next_k
+
+    def recorded_scan(*args):
+        scans.append(args)
+        return next_odd_k(*args)
+
+    def recorded_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(miqae_mod, "next_odd_k", recorded_scan)
+    monkeypatch.setattr(miqae_mod, "find_next_k", recorded_search)
+    config = MiqaeConfig(epsilon=1e-7, alpha=0.05)
+    # 107 searches: 16 over more than one chunk, 59 that find no K
+    for amplitude, seed in ((0.015625, 0), (0.3, 0), (0.5, 2), (0.9, 0)):
+        run_for_amplitude(amplitude, config, seed=seed)
+    assert len(scans) == len(searches) == 107
+    for args in scans:
+        assert next_odd_k(*args) == scalar_scan.next_odd_k(*args), args
+    for args in searches:
+        assert search(*args) == scalar_scan.miqae_find_next_k(*args), args
+
+
+@given(
+    k_i=st.integers(min_value=0, max_value=3000),
+    lo=st.floats(min_value=0.0, max_value=1.57),
+    width=st.floats(min_value=2e-5, max_value=0.8),
+    ulps=st.integers(min_value=0, max_value=2),
+)
+def test_find_next_k_matches_scalar_scan_grid(k_i, lo, width, ulps):
+    """Includes theta_high up to 2 ulps above pi/2, which `find_next_k`
+    clamps."""
+    hi = lo + width
+    if hi >= math.pi / 2:
+        hi = math.pi / 2
+        for _ in range(ulps):
+            hi = math.nextafter(hi, 4.0)
+    if hi <= lo:
+        return
+    assert find_next_k(k_i, lo, hi) == scalar_scan.miqae_find_next_k(k_i, lo, hi)
+
+
+def test_scan_chunk_steps_are_read_only():
+    import dqcount.miqae as miqae_mod
+
+    with pytest.raises(ValueError):
+        miqae_mod._SCAN_STEPS[0] = 1.0
 
 
 def test_run_with_exact_zero_amplitude():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -150,6 +151,35 @@ def test_paired_suboracle_errors():
         inner_product_suboracle([1, 0, 1], [1, 0, 1], 1, 0)
     with pytest.raises(ValueError):
         hamming_suboracle([2, 0], [1, 0], 1, 0)
+
+
+@pytest.mark.parametrize("entry", [0, 1, True, False, np.int64(1), np.int64(0)])
+def test_paired_suboracle_accepts_what_equals_a_bit(entry):
+    x = [1, 0, 1, 1, 0, 0, 1, 0]
+    for position in range(8):
+        node = position % 4
+        odd = x[:position] + [entry] + x[position + 1:]
+        plain = x[:position] + [int(entry)] + x[position + 1:]
+        for build in (inner_product_suboracle, hamming_suboracle):
+            assert build(odd, x, 2, node) == build(plain, x, 2, node)
+            assert build(x, odd, 2, node) == build(x, plain, 2, node)
+
+
+@pytest.mark.parametrize("entry", [2, -1, 0.5, "1", None, [1], float("nan")])
+def test_paired_suboracle_entries_are_checked_once_over_the_nodes(entry):
+    """A non-bit entry is rejected by the one node whose stride holds it,
+    in either vector; the other nodes never read it."""
+    x = [1, 0, 1, 1, 0, 0, 1, 0]
+    for position in range(8):
+        bad = x[:position] + [entry] + x[position + 1:]
+        for build in (inner_product_suboracle, hamming_suboracle):
+            for node in range(4):
+                for pair in ((bad, x), (x, bad)):
+                    if node == position % 4:
+                        with pytest.raises(ValueError, match="must contain only 0/1"):
+                            build(*pair, 2, node)
+                    else:
+                        build(*pair, 2, node)
 
 
 @given(

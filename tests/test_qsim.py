@@ -211,6 +211,32 @@ def test_sample_shots_binomial_band():
     assert 0.4985 <= count / 10 ** 6 <= 0.5015
 
 
+def test_analytic_sampler_rejected_request_leaves_no_trace():
+    """A request prob11 rejects is rejected again when repeated, draws
+    nothing, and leaves the next draw equal to a fresh sampler's."""
+    kept = AnalyticSampler.from_amplitude(0.3, 11)
+    fresh = AnalyticSampler.from_amplitude(0.3, 11)
+    assert kept.sample(2, 0.8, 40) == fresh.sample(2, 0.8, 40)
+    for power, r in ((2, 0.0), (2, 0.0), (-1, 0.8), (-1, 0.8)):
+        with pytest.raises(ValueError):
+            kept.sample(power, r, 10)
+    assert kept.sample(2, 0.8, 1000) == fresh.sample(2, 0.8, 1000)
+    assert kept.sample(0, 0.5, 1000) == fresh.sample(0, 0.5, 1000)
+
+
+def test_analytic_sampler_interleaved_keys_reproduce_fresh_counts():
+    """Switching (power, r) back and forth draws what one prob11 per call
+    on the same seeded generator draws."""
+    sampler = AnalyticSampler.from_amplitude(0.2, 19)
+    rng = np.random.default_rng(19)
+    requests = [(0, 1.0), (0, 1.0), (3, 1.0), (3, 0.9), (0, 1.0), (3, 0.9),
+                (3, 0.9), (7, 0.5), (3, 1.0), (7, 0.5), (0, 0.9), (0, 1.0)]
+    for power, r in requests * 3:
+        want = int(rng.binomial(25, prob11(sampler._sin_theta, r, power)))
+        assert sampler.sample(power, r, 25) == want
+        assert sampler.probability(power, r) == prob11(sampler._sin_theta, r, power)
+
+
 def count_work(monkeypatch) -> dict:
     """Count the A|0> builds (`_prepare`) and iterates (`apply_Q`) qsim runs."""
     counts = {"_prepare": 0, "apply_Q": 0}

@@ -64,6 +64,12 @@ def suite() -> list[tuple[str, list[str], str]]:
         ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json"),
         ("prop-check", ["prop-check", "--seed", "0"], "prop.json"),
     ]
+    # epsilon at its floor: K reaches millions, and at these amplitudes most
+    # DIQC runs take the rotation-rescue branch of the odd-K scan
+    for amplitude, reps, batch in (("0.5", "5", "100"), ("0.9", "10", "1")):
+        runs.append((f"compare-miqae-deep-a{amplitude}",
+                     ["compare-miqae", "--epsilons", "1e-7", "--amplitude", amplitude,
+                      "--reps", reps, "--shots-per-batch", batch], ""))
     return runs
 
 
