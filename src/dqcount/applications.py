@@ -33,6 +33,7 @@ __all__ = [
     "estimate_inner_product",
     "estimate_hamming",
     "communication_bound",
+    "padded_width",
     "INNER_PRODUCT",
     "HAMMING",
 ]
@@ -97,13 +98,17 @@ class ApplicationResult:
         return out
 
 
-def _pad_to_power_of_two(bits: BitVector) -> tuple[list[int], int]:
-    """Append zeros up to the next power of two; zeros never mark anything."""
-    size = len(bits)
+def padded_width(size: int) -> int:
+    """n such that 2^n entries, the next power of two, hold `size` entries."""
     if size < 2:
         raise ValueError("vectors need at least two entries")
-    n = max(1, (size - 1).bit_length())
-    return list(bits) + [0] * ((1 << n) - size), n
+    return (size - 1).bit_length()
+
+
+def _pad_to_power_of_two(bits: BitVector) -> tuple[list[int], int]:
+    """Append zeros up to the next power of two; zeros never mark anything."""
+    n = padded_width(len(bits))
+    return list(bits) + [0] * ((1 << n) - len(bits)), n
 
 
 def _run_pair(
@@ -113,7 +118,6 @@ def _run_pair(
     k: int,
     epsilon: float,
     alpha: float,
-    shots_per_batch: int,
     base_seed: int,
     backend: str,
 ) -> ApplicationResult:
@@ -121,7 +125,7 @@ def _run_pair(
         raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
     x_bits, n = _pad_to_power_of_two(x)
     y_bits, _ = _pad_to_power_of_two(y)
-    config = node_config(epsilon, alpha, n, k, shots_per_batch)
+    config = node_config(epsilon, alpha, n, k)
     # Looked up at call time, so a tracer that wraps these module names sees the calls.
     build = inner_product_suboracle if problem == INNER_PRODUCT else hamming_suboracle
     nodes = 1 << k
@@ -150,13 +154,11 @@ def estimate_inner_product(
     k: int,
     epsilon: float,
     alpha: float,
-    shots_per_batch: int = 1,
     base_seed: int = 0,
     backend: str = "analytic",
 ) -> ApplicationResult:
     """Estimate (1/2^n) sum x_i y_i from the un-rounded node estimates."""
-    return _run_pair(INNER_PRODUCT, x, y, k, epsilon, alpha,
-                     shots_per_batch, base_seed, backend)
+    return _run_pair(INNER_PRODUCT, x, y, k, epsilon, alpha, base_seed, backend)
 
 
 def estimate_hamming(
@@ -165,13 +167,11 @@ def estimate_hamming(
     k: int,
     epsilon: float,
     alpha: float,
-    shots_per_batch: int = 1,
     base_seed: int = 0,
     backend: str = "analytic",
 ) -> ApplicationResult:
     """Estimate the Hamming distance divided by 2^n."""
-    return _run_pair(HAMMING, x, y, k, epsilon, alpha,
-                     shots_per_batch, base_seed, backend)
+    return _run_pair(HAMMING, x, y, k, epsilon, alpha, base_seed, backend)
 
 
 def communication_bound(

@@ -7,7 +7,9 @@ Subcommands:
   inner-product  two-party inner-product estimation with transfer ledger
   hamming        two-party Hamming-distance estimation
   compare-miqae  epsilon sweep comparing the node estimator against the
-                 single-machine baseline at a fixed amplitude
+                 single-machine baseline at a fixed amplitude; its
+                 --shots-per-batch sets MIQAE's shots between interval
+                 updates (default MiqaeConfig's, 100)
   bench          closed-form resource report for a problem size
   prop-check     run the built-in property suites
 
@@ -16,8 +18,10 @@ command produces byte-identical output for identical (config, seed). The
 (n, k) split is checked before any per-node budget is derived; count,
 bench and the pair commands check the budget with
 `coordinator.node_config` and name the flag that set a rejected value. The
-count summary is read from the per-repetition AggregateResults. Exit
-codes: 0 success, 1 estimation failure, 2 usage or domain error.
+node estimator runs at DiqcConfig's default everywhere, one shot per
+sampler call: no command has a flag for its batch. The count summary is
+read from the per-repetition AggregateResults. Exit codes: 0 success, 1
+estimation failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .applications import (
     communication_bound,
     estimate_hamming,
     estimate_inner_product,
+    padded_width,
 )
 from .coordinator import AggregateResult, node_config, run_distributed
 from .diqc import DiqcConfig, run_amplitude
@@ -232,7 +237,6 @@ def _cmd_count(args, parser) -> int:
             epsilon,
             alpha,
             scheme=args.scheme,
-            shots_per_batch=args.shots_per_batch,
             base_seed=args.seed + rep * nodes,
             backend=args.backend,
         )
@@ -273,7 +277,6 @@ def _cmd_count(args, parser) -> int:
             "alpha": alpha,
             "epsilon_node": first.epsilon_node,
             "alpha_node": first.alpha_node,
-            "shots_per_batch": args.shots_per_batch,
             "scheme": args.scheme,
             "backend": args.backend,
             "reps": args.reps,
@@ -312,14 +315,10 @@ def _cmd_pair(args, parser, which: str) -> int:
     x = _load_vector(args.x)
     y = _load_vector(args.y)
     # the width the vectors are zero-padded to, so the budget is checked as count's is
-    _global_budget(max(1, (len(x) - 1).bit_length()), args.k, args.epsilon, args.alpha)
+    _global_budget(padded_width(len(x)), args.k, args.epsilon, args.alpha)
     runner = estimate_inner_product if which == INNER_PRODUCT else estimate_hamming
-    result = runner(
-        x, y, args.k, args.epsilon, args.alpha,
-        shots_per_batch=args.shots_per_batch,
-        base_seed=args.seed,
-        backend=args.backend,
-    )
+    result = runner(x, y, args.k, args.epsilon, args.alpha,
+                    base_seed=args.seed, backend=args.backend)
     if which == INNER_PRODUCT:
         exact = sum(a & b for a, b in zip(x, y)) / (1 << result.n)
     else:
@@ -337,7 +336,6 @@ def _cmd_pair(args, parser, which: str) -> int:
         "k": args.k,
         "seed": args.seed,
         "backend": args.backend,
-        "shots_per_batch": args.shots_per_batch,
     }
     if args.out is not None:
         _write_json(Path(args.out), payload)
@@ -350,10 +348,10 @@ def _cmd_pair(args, parser, which: str) -> int:
 
 def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
     """Both estimators' configs for one sweep point. DiqcConfig's ranges
-    are the narrower ones, so it is checked first."""
+    are the narrower ones, so it is checked first. --shots-per-batch sets
+    MIQAE's batch only; DIQC runs at DiqcConfig's default."""
     flags = {"epsilon_node": ("--epsilons", eps), "alpha_node": ("--alpha", args.alpha)}
-    node_cfg = _checked(DiqcConfig, flags, epsilon_node=eps, alpha_node=args.alpha,
-                        shots_per_batch=args.shots_per_batch)
+    node_cfg = _checked(DiqcConfig, flags, epsilon_node=eps, alpha_node=args.alpha)
     return node_cfg, MiqaeConfig(epsilon=eps, alpha=args.alpha,
                                  shots_per_batch=args.shots_per_batch)
 
@@ -471,7 +469,6 @@ def _add_estimation(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=1, help="log2 node count")
     sub.add_argument("--backend", choices=("analytic", "statevector"),
                      default="analytic")
-    sub.add_argument("--shots-per-batch", type=_positive_int, default=1)
     sub.add_argument("--epsilon", type=float, default=None,
                      help="global target half-width")
     sub.add_argument("--alpha", type=float, default=None,
@@ -521,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sweep (default 0.005,0.002,0.001)")
     p.add_argument("--reps", type=_positive_int, default=100,
                    help="runs per point (default 100)")
-    p.add_argument("--shots-per-batch", type=_positive_int, default=1)
+    p.add_argument("--shots-per-batch", type=_positive_int,
+                   default=MiqaeConfig.shots_per_batch,
+                   help="MIQAE shots between interval updates (default %(default)s)")
 
     p = subs.add_parser("bench", help="closed-form resource report")
     _add_common(p, seeded=False)

@@ -93,9 +93,7 @@ def aggregate(node_results: list[NodeResult]) -> AggregateResult:
     )
 
 
-def node_config(
-    epsilon: float, alpha: float, n: int, k: int, shots_per_batch: int = 1
-) -> DiqcConfig:
+def node_config(epsilon: float, alpha: float, n: int, k: int) -> DiqcConfig:
     """Check the split of n index bits and the global budget, then give
     each of the 2^k nodes a 2^k-th of the budget."""
     check_split(n, k)
@@ -104,11 +102,7 @@ def node_config(
     if not 0 < alpha < 0.75:
         raise ValueError("alpha must lie in (0, 3/4)")
     nodes = 1 << k
-    return DiqcConfig(
-        epsilon_node=epsilon / nodes,
-        alpha_node=alpha / nodes,
-        shots_per_batch=shots_per_batch,
-    )
+    return DiqcConfig(epsilon_node=epsilon / nodes, alpha_node=alpha / nodes)
 
 
 def run_nodes(
@@ -131,7 +125,6 @@ def run_distributed(
     epsilon: float,
     alpha: float,
     scheme: str = PREFIX,
-    shots_per_batch: int = 1,
     base_seed: int = 0,
     backend: str = "analytic",
 ) -> AggregateResult:
@@ -140,7 +133,7 @@ def run_distributed(
     `epsilon`/`alpha` are the global budget; each node gets a 2^k-th of
     both.
     """
-    config = node_config(epsilon, alpha, oracle.n, k, shots_per_batch)
+    config = node_config(epsilon, alpha, oracle.n, k)
     if scheme == PREFIX:
         subs = decompose_prefix(oracle, k)
     elif scheme == STRIDE:

@@ -77,8 +77,11 @@ class DiqcConfig:
     `epsilon_node`/`alpha_node` are the per-node target half-width and
     significance (`coordinator.node_config` builds them from a global
     budget); `epsilon_node` lies in [EPSILON_FLOOR, 0.01].
-    `shots_per_batch` is the number of shots drawn per sampler call; a
-    round always takes its full shot budget.
+    `shots_per_batch` is the number of shots drawn per sampler call. A
+    round always takes its full shot budget before anything reads its
+    counts, so the batch changes only how the RNG stream is consumed.
+    Only tests set it, for speed. The ROADMAP item on one binomial draw
+    per DIQC round removes it.
     """
 
     epsilon_node: float

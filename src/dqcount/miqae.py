@@ -166,6 +166,14 @@ def next_odd_k(
 
 @dataclass(frozen=True)
 class MiqaeConfig:
+    """Baseline estimation parameters.
+
+    `shots_per_batch` is the number of shots MIQAE draws between interval
+    updates, so it sets the granularity of MIQAE's early stop and changes
+    what the algorithm reads. `compare-miqae --shots-per-batch` sets it
+    and takes its default from here.
+    """
+
     epsilon: float
     alpha: float
     shots_per_batch: int = 100

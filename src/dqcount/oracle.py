@@ -204,7 +204,10 @@ def _paired_suboracle(
     _check_bits(xs, "x")
     _check_bits(ys, "y")
     bits = map(pair_bit, xs, ys)
-    marked = frozenset(compress(range(1 << m), bits))
+    try:
+        marked = frozenset(compress(range(1 << m), bits))
+    except TypeError:  # a float such as 1.0 passes the 0/1 check but has no & or ^
+        raise ValueError("x and y must contain only integer 0/1 entries") from None
     return SubOracle(m=m, node_id=node_id, k=k, scheme=STRIDE, marked_local=marked)
 
 

@@ -95,8 +95,7 @@ def prob11(sin_theta: float, r: float, grover_power: int) -> float:
     """Closed-form P[11] of a slice with sin(theta) = `sin_theta`."""
     if grover_power < 0:
         raise ValueError("grover_power must be non-negative")
-    if not 0 < r <= 1:  # _check_r inlined: this runs once per analytic shot
-        raise ValueError("rotation parameter must lie in (0, 1]")
+    _check_r(r)
     theta_tilde = math.asin(math.sqrt(r) * sin_theta)
     return math.sin((2 * grover_power + 1) * theta_tilde) ** 2
 

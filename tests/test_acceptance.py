@@ -20,10 +20,10 @@ from dqcount.applications import (
     estimate_hamming,
     estimate_inner_product,
 )
-from dqcount.coordinator import run_distributed
+from dqcount.coordinator import run_distributed, run_nodes
 from dqcount.diqc import DiqcConfig, run_amplitude
 from dqcount.miqae import MiqaeConfig, run_for_amplitude
-from dqcount.oracle import make_oracle
+from dqcount.oracle import decompose_prefix, make_oracle
 
 COVERAGE_AMPLITUDES = (0.0, 1 / 64, 1 / 8, 0.5, 1.0)
 COVERAGE_RUNS = 500
@@ -42,8 +42,7 @@ def depth(result) -> int:
 def table3_runs():
     oracle = make_oracle(6, {38, 8, 16})
     return [
-        run_distributed(oracle, 1, epsilon=0.002, alpha=0.1,
-                        shots_per_batch=1, base_seed=100 + 2 * rep)
+        run_distributed(oracle, 1, epsilon=0.002, alpha=0.1, base_seed=100 + 2 * rep)
         for rep in range(100)
     ]
 
@@ -60,18 +59,18 @@ def coverage_runs():
 
 @pytest.fixture(scope="module")
 def aggregate_trials():
+    """1,000 runs of the global budget (0.01, 0.05) over 4 prefix nodes,
+    as `run_distributed` splits it, drawing 100 shots per sampler call."""
     rng = np.random.default_rng(2024)
+    config = DiqcConfig(epsilon_node=0.01 / 4, alpha_node=0.05 / 4, shots_per_batch=100)
     trials = []
     for _ in range(20):
         t = int(rng.integers(0, 257))
         marked = frozenset(map(int, rng.choice(256, size=t, replace=False)))
-        oracle = make_oracle(8, marked)
+        subs = decompose_prefix(make_oracle(8, marked), 2)
         for rep in range(50):
             seed = int(rng.integers(0, 2 ** 31))
-            trials.append(
-                (t, run_distributed(oracle, 2, epsilon=0.01, alpha=0.05,
-                                    shots_per_batch=100, base_seed=seed))
-            )
+            trials.append((t, run_nodes(subs, config, base_seed=seed)))
     return trials
 
 
@@ -198,8 +197,7 @@ def test_criterion_7_applications():
         for trial in range(trials):
             x = [int(b) for b in rng.integers(0, 2, size=64)]
             y = [int(b) for b in rng.integers(0, 2, size=64)]
-            res = runner(x, y, 1, 0.01, 0.05, shots_per_batch=100,
-                         base_seed=5000 + 10 * trial)
+            res = runner(x, y, 1, 0.01, 0.05, base_seed=5000 + 10 * trial)
             hits += abs(res.estimate - brute(x, y)) <= res.error_bound
             bound = communication_bound(problem, res.n, 1,
                                         res.per_node[0].epsilon_node,

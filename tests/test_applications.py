@@ -80,7 +80,7 @@ def test_hamming_chain_matches_suboracle_exhaustively():
 
 def test_inner_product_all_ones():
     ones = [1] * 64
-    result = estimate_inner_product(ones, ones, 1, 0.01, 0.05, shots_per_batch=100)
+    result = estimate_inner_product(ones, ones, 1, 0.01, 0.05)
     assert result.succeeded
     assert abs(result.estimate - 1.0) <= result.error_bound
     assert result.error_bound == pytest.approx(3 * 0.01 / 4)
@@ -89,17 +89,17 @@ def test_inner_product_all_ones():
 def test_inner_product_disjoint_supports():
     x = [1, 0] * 32
     y = [0, 1] * 32
-    result = estimate_inner_product(x, y, 1, 0.01, 0.05, shots_per_batch=100)
+    result = estimate_inner_product(x, y, 1, 0.01, 0.05)
     assert abs(result.estimate) <= result.error_bound
 
 
 def test_hamming_trivial_pairs():
     rng = random.Random(7)
     x = bits(rng, 64)
-    same = estimate_hamming(x, x, 1, 0.01, 0.05, shots_per_batch=100)
+    same = estimate_hamming(x, x, 1, 0.01, 0.05)
     assert abs(same.estimate) <= same.error_bound
     flipped = [1 - b for b in x]
-    full = estimate_hamming(x, flipped, 1, 0.01, 0.05, shots_per_batch=100)
+    full = estimate_hamming(x, flipped, 1, 0.01, 0.05)
     assert abs(full.estimate - 1.0) <= full.error_bound
 
 
@@ -109,12 +109,10 @@ def test_random_pairs_within_bounds():
     trials = 12
     for trial in range(trials):
         x, y = bits(rng, 64), bits(rng, 64)
-        ip = estimate_inner_product(x, y, 1, 0.01, 0.05,
-                                    shots_per_batch=100, base_seed=trial * 2)
+        ip = estimate_inner_product(x, y, 1, 0.01, 0.05, base_seed=trial * 2)
         exact_ip = sum(a & b for a, b in zip(x, y)) / 64
         hits_ip += abs(ip.estimate - exact_ip) <= ip.error_bound
-        hd = estimate_hamming(x, y, 1, 0.01, 0.05,
-                              shots_per_batch=100, base_seed=trial * 2 + 1)
+        hd = estimate_hamming(x, y, 1, 0.01, 0.05, base_seed=trial * 2 + 1)
         exact_hd = sum(a ^ b for a, b in zip(x, y)) / 64
         hits_hd += abs(hd.estimate - exact_hd) <= hd.error_bound
         # ledger never exceeds the closed-form transfer bound
@@ -128,7 +126,7 @@ def test_random_pairs_within_bounds():
 def test_scaled_estimate_consistency():
     rng = random.Random(9)
     x, y = bits(rng, 64), bits(rng, 64)
-    result = estimate_inner_product(x, y, 2, 0.01, 0.05, shots_per_batch=100, base_seed=5)
+    result = estimate_inner_product(x, y, 2, 0.01, 0.05, base_seed=5)
     assert result.estimate * 64 == sum(res.c for res in result.per_node)
     assert [res.seed for res in result.per_node] == [5 + res.node_id for res in result.per_node]
     assert [res.node_id for res in result.per_node] == [0, 1, 2, 3]
@@ -139,7 +137,7 @@ def test_scaled_estimate_consistency():
 def test_padding_to_power_of_two():
     rng = random.Random(10)
     x, y = bits(rng, 48), bits(rng, 48)
-    result = estimate_inner_product(x, y, 1, 0.01, 0.05, shots_per_batch=100)
+    result = estimate_inner_product(x, y, 1, 0.01, 0.05)
     assert result.n == 6
     exact = sum(a & b for a, b in zip(x, y)) / 64
     assert abs(result.estimate - exact) <= result.error_bound
@@ -148,14 +146,14 @@ def test_padding_to_power_of_two():
 def test_ledger_accounting():
     rng = random.Random(13)
     x, y = bits(rng, 64), bits(rng, 64)
-    ip = estimate_inner_product(x, y, 1, 0.01, 0.05, shots_per_batch=100)
+    ip = estimate_inner_product(x, y, 1, 0.01, 0.05)
     assert ip.ledger.qubits_per_preparation == 2 * 6 - 2 * 1 + 3
     assert ip.ledger.preparations == sum(
         res.oracle_calls_physical for res in ip.per_node
     )
     assert ip.ledger.total_qubits == ip.ledger.qubits_per_preparation * ip.ledger.preparations
     assert ip.ledger.classical_bits == 64 * 2
-    hd = estimate_hamming(x, y, 1, 0.01, 0.05, shots_per_batch=100)
+    hd = estimate_hamming(x, y, 1, 0.01, 0.05)
     assert hd.ledger.qubits_per_preparation == 6 - 1 + 1
 
 
@@ -179,3 +177,9 @@ def test_input_validation():
         estimate_inner_product([1] * 64, [1] * 64, 1, 0.05, 0.05)
     with pytest.raises(ValueError):
         estimate_hamming("0011", "0a11", 1, 0.01, 0.05)
+
+
+def test_float_bits_raise_value_error():
+    for runner in (estimate_inner_product, estimate_hamming):
+        with pytest.raises(ValueError, match="x and y must contain only integer 0/1"):
+            runner([1.0, 0, 1, 0], [1, 0, 1, 0], 1, 0.01, 0.05)

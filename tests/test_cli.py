@@ -6,6 +6,8 @@ import pytest
 
 from dqcount import checks
 from dqcount.cli import main
+from dqcount.diqc import DiqcConfig, run_amplitude
+from dqcount.miqae import MiqaeConfig, run_for_amplitude
 
 
 def read(path):
@@ -54,7 +56,7 @@ def test_count_command_statevector_backend(tmp_path):
     code = main([
         "count", "--n", "6", "--marked", "38,8,16", "--k", "1",
         "--epsilon-node", "0.005", "--alpha-node", "0.05",
-        "--backend", "statevector", "--shots-per-batch", "100",
+        "--backend", "statevector",
         "--reps", "1", "--seed", "11", "--out", str(out),
     ])
     assert code == 0
@@ -94,11 +96,11 @@ def test_config_file_merges_with_flag_priority(tmp_path):
     # the config file can set flags that have a non-None default
     config.write_text(json.dumps({
         "n": 6, "marked": "38,8,16", "k": 2, "backend": "statevector",
-        "scheme": "stride", "trace": True, "shots-per-batch": 50,
+        "scheme": "stride", "trace": True, "reps": 2,
     }))
     out = tmp_path / "out2"
     code = main([
-        "count", "--config", str(config), "--shots-per-batch", "100",
+        "count", "--config", str(config), "--reps", "1",
         "--epsilon-node", "0.0025", "--alpha-node", "0.025", "--out", str(out),
     ])
     assert code == 0
@@ -106,7 +108,8 @@ def test_config_file_merges_with_flag_priority(tmp_path):
     assert summary["config"]["k"] == 2
     assert summary["config"]["backend"] == "statevector"
     assert summary["config"]["scheme"] == "stride"
-    assert summary["config"]["shots_per_batch"] == 100  # flag wins
+    assert summary["config"]["reps"] == 1  # flag wins over a non-None default too
+    assert "shots_per_batch" not in summary["config"]
     assert (out / "trace.csv").exists()
 
 
@@ -116,7 +119,7 @@ def test_inner_product_and_hamming_commands(tmp_path):
     code = main([
         "inner-product", "--x", x, "--y", x, "--k", "1",
         "--epsilon", "0.01", "--alpha", "0.05",
-        "--shots-per-batch", "100", "--seed", "1", "--out", str(out),
+        "--seed", "1", "--out", str(out),
     ])
     assert code == 0
     payload = json.loads(read(out))
@@ -129,7 +132,7 @@ def test_inner_product_and_hamming_commands(tmp_path):
     out2 = tmp_path / "hd.json"
     code = main([
         "hamming", "--x", str(vec), "--y", "10" * 32, "--k", "1",
-        "--shots-per-batch", "100", "--seed", "2", "--out", str(out2),
+        "--seed", "2", "--out", str(out2),
     ])
     assert code == 0
     payload = json.loads(read(out2))
@@ -139,7 +142,7 @@ def test_inner_product_and_hamming_commands(tmp_path):
     out3 = tmp_path / "long.json"
     code = main([
         "hamming", "--x", "0110" * 75, "--y", "0011" * 75, "--k", "1",
-        "--shots-per-batch", "100", "--seed", "3", "--out", str(out3),
+        "--seed", "3", "--out", str(out3),
     ])
     assert code == 0
     payload = json.loads(read(out3))
@@ -158,6 +161,27 @@ def test_compare_command(tmp_path):
     assert lines[0] == "epsilon,algorithm,successes,mean_max_big_k,mean_oracle_calls,mean_total_shots"
     assert len(lines) == 3
     assert {ln.split(",")[1] for ln in lines[1:]} == {"diqc", "miqae"}
+
+
+def test_compare_command_runs_each_estimator_at_its_config_default(tmp_path):
+    """Without --shots-per-batch, compare-miqae's rows are those of
+    DiqcConfig(eps, alpha) and MiqaeConfig(eps, alpha) at their defaults."""
+    out = tmp_path / "cmp"
+    assert main(["compare-miqae", "--epsilons", "0.005", "--reps", "3",
+                 "--seed", "4", "--out", str(out)]) == 0
+    expected = []
+    for name, runs in (
+        ("diqc", [run_amplitude(1 / 64, DiqcConfig(0.005, 0.05), seed=4 + rep)
+                  for rep in range(3)]),
+        ("miqae", [run_for_amplitude(1 / 64, MiqaeConfig(0.005, 0.05), seed=4 + rep)
+                   for rep in range(3)]),
+    ):
+        good = [res for res in runs if res.succeeded]
+        pool = good or runs
+        means = [sum(getattr(res, field) for res in pool) / len(pool)
+                 for field in ("max_big_k", "oracle_calls", "total_shots")]
+        expected.append(",".join([repr(0.005), name, str(len(good)), *map(repr, means)]))
+    assert read(out / "sweep.csv").decode().splitlines()[1:] == expected
 
 
 def test_compare_command_rejects_empty_sweep(tmp_path):
@@ -256,6 +280,9 @@ _STDERR = {
     "count --n 6 --marked 1 --seed -1": None,
     "hamming --x 0101 --y 0110 --seed -3": None,
     "compare-miqae --seed -3": None,
+    # the node estimator's batch is a DiqcConfig field, not a flag
+    "inner-product --x 0101 --y 0110 --shots-per-batch 5": None,
+    "hamming --x 0101 --y 0110 --shots-per-batch 5": None,
 }
 
 
@@ -276,6 +303,7 @@ _STDERR = {
     (["count", "--n", "40", "--marked", "1", "--k", "30", "--reps", "1"], None),
     (["count", "--n", "1000", "--marked", "1", "--k", "999", "--reps", "1"], None),
     *[(line.split(), None) for line in _STDERR],
+    (["count", "--n", "6", "--marked", "1"], {"shots-per-batch": 5}),
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
     expected_err = _STDERR.get(" ".join(argv))

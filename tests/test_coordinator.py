@@ -55,16 +55,14 @@ def test_run_distributed_counts_three():
 
 
 def test_run_distributed_empty_set():
-    agg = run_distributed(make_oracle(5, set()), 2, epsilon=0.008, alpha=0.2,
-                          shots_per_batch=100)
+    agg = run_distributed(make_oracle(5, set()), 2, epsilon=0.008, alpha=0.2)
     assert agg.t_prime == 0
     assert agg.succeeded
 
 
 def test_run_distributed_stride_scheme():
     oracle = make_oracle(6, {38, 8, 16})
-    agg = run_distributed(oracle, 1, epsilon=0.002, alpha=0.1, scheme="stride",
-                          shots_per_batch=50)
+    agg = run_distributed(oracle, 1, epsilon=0.002, alpha=0.1, scheme="stride")
     assert agg.t_prime == 3
     assert [res.t_prime for res in agg.per_node] == [3, 0]
     with pytest.raises(ValueError):
@@ -82,8 +80,8 @@ def test_run_distributed_validation():
 
 
 def test_node_config_splits_global_budget():
-    config = node_config(0.004, 0.1, 6, 2, shots_per_batch=25)
-    assert config == DiqcConfig(epsilon_node=0.001, alpha_node=0.025, shots_per_batch=25)
+    config = node_config(0.004, 0.1, 6, 2)
+    assert config == DiqcConfig(epsilon_node=0.001, alpha_node=0.025)
     with pytest.raises(ValueError):
         node_config(0.02, 0.1, 6, 1)
     with pytest.raises(ValueError):

@@ -182,6 +182,17 @@ def test_paired_suboracle_entries_are_checked_once_over_the_nodes(entry):
                         build(*pair, 2, node)
 
 
+@pytest.mark.parametrize("entry", [1.0, 0.0, np.float64(1.0)])
+def test_paired_suboracle_rejects_float_bits(entry):
+    """A float equals a bit but has no & or ^: a ValueError, not a TypeError."""
+    x = [1, 0, 1, 0]
+    bad = [entry, 0, 1, 0]
+    for build in (inner_product_suboracle, hamming_suboracle):
+        for pair in ((bad, x), (x, bad)):
+            with pytest.raises(ValueError, match="x and y must contain only integer 0/1"):
+                build(*pair, 1, 0)
+
+
 @given(
     n=st.integers(min_value=2, max_value=10),
     data=st.data(),

@@ -57,7 +57,7 @@ def suite() -> list[tuple[str, list[str], str]]:
         for backend in ("analytic", "statevector"):
             runs.append((f"{command}-{backend}",
                          [command, "--x", x, "--y", y, "--k", k, "--seed", seed,
-                          "--backend", backend, "--shots-per-batch", "50"],
+                          "--backend", backend],
                          "result.json"))
     runs += [
         ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], ""),
