@@ -47,6 +47,7 @@ from .coordinator import AggregateResult, node_config, run_distributed
 from .diqc import DiqcConfig, run_amplitude
 from .miqae import MiqaeConfig, run_for_amplitude
 from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
+from .qsim import AnalyticSampler
 
 # column meanings: count_estimate is the real-valued 2^m * amplitude;
 # amplitude_low/high bound the slice's marked fraction; oracle_calls counts
@@ -138,7 +139,11 @@ def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
     if args.marked is None and args.oracle_file is None:
         parser.error("need --marked or --oracle-file")
     if args.marked is not None:
-        marked = frozenset(int(tok) for tok in str(args.marked).split(",") if tok != "")
+        text = str(args.marked)
+        try:
+            marked = frozenset(int(tok) for tok in text.split(",") if tok != "")
+        except ValueError:
+            raise ValueError(f"--marked must be comma-separated integers, got {text!r}") from None
         width = None
     else:
         marked, width = load_marked_set(args.oracle_file)
@@ -361,6 +366,8 @@ def _cmd_compare(args, parser) -> int:
     if not sweep:
         parser.error("empty epsilon sweep")
     configs = [(eps, *_compare_configs(args, eps)) for eps in sweep]
+    _checked(AnalyticSampler.from_amplitude, {"amplitude": ("--amplitude", args.amplitude)},
+             amplitude=args.amplitude)
     out = Path(args.out)
     rows = []
     for eps, node_cfg, base_cfg in configs:

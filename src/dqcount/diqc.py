@@ -34,7 +34,7 @@ inverse-width weighted average over every round whose interval reached
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 from . import metrics
@@ -44,6 +44,7 @@ from .miqae import (
     gamma_from_interval,
     next_odd_k as find_next_k,  # `_estimate` calls this binding, not MIQAE's
     quadrant_count,
+    run_totals,
 )
 from .oracle import SubOracle
 from .qsim import AnalyticSampler, Sampler, StatevectorSampler
@@ -104,7 +105,8 @@ class RoundRecord:
     `shots` counts this round's measurements; `pooled_shots` the total the
     interval was computed from, which exceeds `shots` only when a stalled
     round was granted a second budget at the same K and the counts carried
-    over.
+    over. So a round that stalls with `pooled_shots > shots` is the second
+    stall at its K, and ends the run as failed.
     """
 
     index: int
@@ -141,7 +143,9 @@ class NodeResult:
     count estimate 2^m * (weighted amplitude) and `t_prime` its nearest
     integer. `oracle_calls` counts one query per amplification iterate per
     shot (the convention used by the query bound); `oracle_calls_physical`
-    counts every state preparation, i.e. (2*power+1) per shot.
+    counts every state preparation, i.e. (2*power+1) per shot. The four
+    counters are read off `rounds` (`miqae.run_totals`), and the last
+    round's `pooled_shots` decides whether a stall fails the run.
     """
 
     node_id: int
@@ -167,23 +171,9 @@ class NodeResult:
         return self.status == "success"
 
     def to_dict(self) -> dict:
+        """Every field but the round trace, in field order."""
         return {
-            "node_id": self.node_id,
-            "m": self.m,
-            "epsilon_node": self.epsilon_node,
-            "alpha_node": self.alpha_node,
-            "seed": self.seed,
-            "a_low": self.a_low,
-            "a_high": self.a_high,
-            "c": self.c,
-            "t_prime": self.t_prime,
-            "scaled_low": self.scaled_low,
-            "scaled_high": self.scaled_high,
-            "status": self.status,
-            "oracle_calls": self.oracle_calls,
-            "oracle_calls_physical": self.oracle_calls_physical,
-            "total_shots": self.total_shots,
-            "max_big_k": self.max_big_k,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "rounds"
         }
 
 
@@ -238,17 +228,12 @@ def _estimate(
     rounds: list[RoundRecord] = []
     pooled_ones = 0
     pooled_shots = 0
-    retried_at = 0  # K that already received a second full budget
     failed = False
-    calls = calls_physical = shots_total = 0
-    max_big_k = 1
 
     def a_width() -> float:
         return math.sin(theta_max) ** 2 - math.sin(theta_min) ** 2
 
-    i = 0
     while a_width() > 2 * eps and not failed:
-        i += 1
         q = 2 if a_width() >= _WIDE_ROUND_FACTOR * eps else 3
         alpha_i = (q - 1) * alpha * big_k / (q * big_k_cap)
         n_cap = metrics.shots_cap(alpha_i)
@@ -261,9 +246,6 @@ def _estimate(
         for drawn in range(0, n_cap, batch_size):
             pooled_ones += sampler.sample(power, r, min(batch_size, n_cap - drawn))
         pooled_shots += n_cap
-        shots_total += n_cap
-        calls += power * n_cap
-        calls_physical += big_k * n_cap
         a_hat = pooled_ones / pooled_shots
         a_min, a_max = chernoff_interval(a_hat, pooled_shots, alpha_i)
         gamma_low, gamma_high = gamma_from_interval(a_min, a_max, quadrant)
@@ -279,7 +261,7 @@ def _estimate(
             theta_max = math.asin(math.sqrt(sin2_max / r))
         rounds.append(
             RoundRecord(
-                index=i,
+                index=len(rounds) + 1,
                 big_k=big_k,
                 quadrant=quadrant,
                 r=r,
@@ -303,16 +285,12 @@ def _estimate(
         if new_r is not None:
             big_k = new_k
             r = new_r
-            max_big_k = max(max_big_k, big_k)
             pooled_ones = pooled_shots = 0
-            retried_at = 0
         else:
             # Stalled: grant one more full budget at this K with the counts
-            # carried over; a second stall at the same K ends the run.
-            if retried_at == big_k:
-                failed = True
-            else:
-                retried_at = big_k
+            # carried over. If this round already pooled such a retry, it
+            # is the second stall at this K and ends the run.
+            failed = rounds[-1].pooled_shots > rounds[-1].shots
 
     status = "failed" if failed else "success"
     try:
@@ -336,10 +314,7 @@ def _estimate(
         scaled_low=scaled_low,
         scaled_high=scaled_high,
         status=status,
-        oracle_calls=calls,
-        oracle_calls_physical=calls_physical,
-        total_shots=shots_total,
-        max_big_k=max_big_k,
+        **run_totals(rounds),
         rounds=rounds,
     )
 

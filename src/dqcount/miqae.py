@@ -223,6 +223,21 @@ class MiqaeResult:
         return self.status == "success"
 
 
+def run_totals(rounds: list) -> dict:
+    """A run's resource counters, read off its round trace.
+
+    Each round of `MiqaeRound` or `diqc.RoundRecord` spent `shots`
+    measurements at factor K, i.e. (K-1)/2 oracle queries and K state
+    preparations per shot. A run with no rounds reports K = 1.
+    """
+    return {
+        "oracle_calls": sum((rd.big_k - 1) // 2 * rd.shots for rd in rounds),
+        "oracle_calls_physical": sum(rd.big_k * rd.shots for rd in rounds),
+        "total_shots": sum(rd.shots for rd in rounds),
+        "max_big_k": max((rd.big_k for rd in rounds), default=1),
+    }
+
+
 def chernoff_interval(a_hat: float, n_samples: int, alpha_i: float) -> tuple[float, float]:
     """Two-sided Chernoff-Hoeffding interval, half-width sqrt(ln(2/a)/(2N))."""
     if n_samples < 1:
@@ -285,13 +300,9 @@ def run_miqae(
     theta_low, theta_high = 0.0, _HALF_PI
     k_i = 0
     rounds: list[MiqaeRound] = []
-    calls = calls_physical = shots_total = 0
-    max_big_k = 1
     status = "success"
 
-    i = 0
     while theta_high - theta_low > 2 * eps:
-        i += 1
         big_k = 2 * k_i + 1
         alpha_i = (2 * alpha / 3) * (big_k / k_max)
         n_cap = metrics.shots_cap(alpha_i)
@@ -304,10 +315,6 @@ def run_miqae(
             batch = min(batch_size, n_cap - n_round)
             ones += sampler.sample(k_i, 1.0, batch)
             n_round += batch
-            shots_total += batch
-            calls += k_i * batch
-            calls_physical += big_k * batch
-            max_big_k = max(max_big_k, big_k)
             a_hat = ones / n_round
             a_min, a_max = chernoff_interval(a_hat, n_round, alpha_i)
             gamma_low, gamma_high = gamma_from_interval(a_min, a_max, quadrant)
@@ -324,7 +331,7 @@ def run_miqae(
                 break
         rounds.append(
             MiqaeRound(
-                index=i,
+                index=len(rounds) + 1,
                 big_k=big_k,
                 quadrant=quadrant,
                 shots=n_round,
@@ -344,10 +351,7 @@ def run_miqae(
         a_low=math.sin(theta_low) ** 2,
         a_high=math.sin(theta_high) ** 2,
         status=status,
-        oracle_calls=calls,
-        oracle_calls_physical=calls_physical,
-        total_shots=shots_total,
-        max_big_k=max_big_k,
+        **run_totals(rounds),
         rounds=rounds,
     )
 

@@ -230,8 +230,11 @@ def load_marked_set(path: Union[str, os.PathLike]) -> tuple[frozenset[int], Unio
     common width is returned; otherwise lines are read as integers and the
     width is None. Blank lines and '#' comments are ignored.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError:
+        raise ValueError(f"marked-set file {path} is not ASCII text") from None
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         return frozenset(), None
@@ -247,8 +250,11 @@ def load_marked_set(path: Union[str, os.PathLike]) -> tuple[frozenset[int], Unio
 
 def load_bit_vector(path: Union[str, os.PathLike]) -> list[int]:
     """Read a bit vector stored as a single 0/1 string (whitespace ignored)."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = "".join(fh.read().split())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = "".join(fh.read().split())
+    except UnicodeDecodeError:
+        raise ValueError(f"bit-vector file {path} is not ASCII text") from None
     if not text or set(text) - {"0", "1"}:
         raise ValueError(f"bit-vector file {path} must be a non-empty 0/1 string")
     return [int(c) for c in text]

@@ -133,15 +133,10 @@ class StateVector:
     def norm_squared(self) -> float:
         return float(_vdot(self.amplitudes, self.amplitudes).real)
 
-    def prob_last_two(self, pattern: int) -> float:
-        """Probability of measuring (flag, rot) = the given 2-bit pattern."""
-        if not 0 <= pattern < 4:
-            raise ValueError("pattern must be a 2-bit value")
-        block = self.amplitudes[pattern::4]
-        return float(_vdot(block, block).real)
-
     def prob11(self) -> float:
-        return self.prob_last_two(0b11)
+        """Probability of measuring (flag, rot) = (1, 1)."""
+        block = self.amplitudes[3::4]
+        return float(_vdot(block, block).real)
 
 
 def _hadamard_index_register(amp: np.ndarray, m: int) -> None:
@@ -164,22 +159,14 @@ def _oracle_flag(amp: np.ndarray, marked_rows: np.ndarray) -> None:
 
 
 def _rotate_q0(amp: np.ndarray, r: float, dagger: bool = False) -> None:
-    """(lo, hi) -> (c lo - s hi, s lo + c hi) on the rotation qubit, in
-    place; one scratch array holds s lo and s hi."""
+    """(lo, hi) -> (c lo - s hi, s lo + c hi) on the rotation qubit."""
     c = math.sqrt(1.0 - r)
-    s = math.sqrt(r)
-    if dagger:
-        s = -s
+    s = -math.sqrt(r) if dagger else math.sqrt(r)
     v = amp.reshape(-1, 2)
-    lo = v[:, 0]
-    hi = v[:, 1]
-    s_lo, s_hi = np.empty_like(amp).reshape(2, -1)
-    np.multiply(s, lo, out=s_lo)
-    np.multiply(s, hi, out=s_hi)
-    np.multiply(c, lo, out=lo)
-    np.subtract(lo, s_hi, out=lo)
-    np.multiply(c, hi, out=hi)
-    np.add(s_lo, hi, out=hi)
+    lo = v[:, 0].copy()
+    hi = v[:, 1].copy()
+    v[:, 0] = c * lo - s * hi
+    v[:, 1] = s * lo + c * hi
 
 
 def _reflect_zero(amp: np.ndarray) -> None:

@@ -284,6 +284,15 @@ _STDERR = {
     "inner-product --x 0101 --y 0110 --shots-per-batch 5": None,
     "hamming --x 0101 --y 0110 --shots-per-batch 5": None,
 }
+# malformed flag values; listed after the config-file row below so that
+# every earlier parameter id keeps its input
+_VALUE_STDERR = {
+    "count --n 6 --marked 1,x": "error: --marked must be comma-separated integers, got '1,x'\n",
+    "count --n 6 --marked 1.5": "error: --marked must be comma-separated integers, got '1.5'\n",
+    "compare-miqae --amplitude 2": "error: --amplitude must lie in [0, 1], got 2\n",
+    "compare-miqae --amplitude -0.1": "error: --amplitude must lie in [0, 1], got -0.1\n",
+    "compare-miqae --amplitude nan": "error: --amplitude must lie in [0, 1], got nan\n",
+}
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -304,9 +313,10 @@ _STDERR = {
     (["count", "--n", "1000", "--marked", "1", "--k", "999", "--reps", "1"], None),
     *[(line.split(), None) for line in _STDERR],
     (["count", "--n", "6", "--marked", "1"], {"shots-per-batch": 5}),
+    *[(line.split(), None) for line in _VALUE_STDERR],
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
-    expected_err = _STDERR.get(" ".join(argv))
+    expected_err = {**_STDERR, **_VALUE_STDERR}.get(" ".join(argv))
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -269,6 +269,11 @@ def test_run_node_single_marked_element():
     assert result.t_prime == 1
     assert abs(result.c - 1.0) < 0.1
     assert result.scaled_low <= 1.0 <= result.scaled_high
+    assert list(result.to_dict()) == [
+        "node_id", "m", "epsilon_node", "alpha_node", "seed", "a_low", "a_high",
+        "c", "t_prime", "scaled_low", "scaled_high", "status", "oracle_calls",
+        "oracle_calls_physical", "total_shots", "max_big_k",
+    ]
 
 
 def test_run_node_statevector_backend_consistent():
@@ -298,6 +303,8 @@ def test_trace_invariants_and_query_bound():
             assert result.oracle_calls_physical == sum(rd.big_k * rd.shots for rd in rounds)
             assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in rounds)
             assert result.total_shots == sum(rd.shots for rd in rounds)
+            assert result.max_big_k == max(rd.big_k for rd in rounds)
+            assert [rd.index for rd in rounds] == list(range(1, len(rounds) + 1))
             caps = [rd.shots_cap for rd in rounds]
             ks = [rd.big_k for rd in rounds]
             assert all(k % 2 == 1 and k < k_cap for k in ks)
@@ -330,6 +337,19 @@ def test_stall_grants_one_retry_then_fails(monkeypatch):
     assert second.shots == second.shots_cap
     assert second.pooled_shots == first.shots + second.shots
     assert 0.0 <= result.a_low <= result.a_high <= 1.0
+
+
+def test_retry_budget_belongs_to_one_k(monkeypatch):
+    # stall at K=1, move to K=3, then stall twice there: the retry granted
+    # at K=1 does not count against K=3, whose second stall ends the run
+    import dqcount.diqc as diqc_mod
+
+    answers = iter([(1, None), (3, 1.0), (3, None), (3, None)])
+    monkeypatch.setattr(diqc_mod, "find_next_k", lambda *args, **kw: next(answers))
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=100)
+    result = run_amplitude(0.3, config, sampler=ExactSampler.from_amplitude(0.3))
+    assert [rd.big_k for rd in result.rounds] == [1, 1, 3, 3]
+    assert result.status == "failed"
 
 
 def test_config_validation():

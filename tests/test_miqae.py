@@ -178,6 +178,18 @@ def test_interval_and_growth_properties():
         assert all(k < k_cap for k in ks)
         assert all(rd.shots <= rd.shots_cap for rd in result.rounds)
         assert result.max_big_k == max(ks)
+        assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in result.rounds)
+        assert result.oracle_calls_physical == sum(rd.big_k * rd.shots for rd in result.rounds)
+        assert result.total_shots == sum(rd.shots for rd in result.rounds)
+        assert [rd.index for rd in result.rounds] == list(range(1, len(ks) + 1))
+
+
+def test_epsilon_above_pi_over_4_runs_no_rounds():
+    # the starting interval [0, pi/2] is already narrower than 2 epsilon
+    result = run_for_amplitude(0.3, MiqaeConfig(epsilon=1.0, alpha=0.05))
+    assert result.rounds == []
+    assert result.max_big_k == 1
+    assert (result.oracle_calls, result.oracle_calls_physical, result.total_shots) == (0, 0, 0)
 
 
 def test_amplitude_containment_rate():

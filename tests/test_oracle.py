@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -251,6 +253,11 @@ def test_load_marked_set(tmp_path):
     with pytest.raises(ValueError):
         load_marked_set(bad)
 
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff1\n")
+    with pytest.raises(ValueError, match=re.escape(f"marked-set file {binary} is not ASCII text")):
+        load_marked_set(binary)
+
 
 def test_load_bit_vector(tmp_path):
     vec = tmp_path / "vec.txt"
@@ -260,3 +267,7 @@ def test_load_bit_vector(tmp_path):
     bad.write_text("012")
     with pytest.raises(ValueError):
         load_bit_vector(bad)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes("01é".encode())
+    with pytest.raises(ValueError, match=re.escape(f"bit-vector file {binary} is not ASCII text")):
+        load_bit_vector(binary)
