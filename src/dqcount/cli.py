@@ -362,7 +362,11 @@ def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
 
 
 def _cmd_compare(args, parser) -> int:
-    sweep = [float(tok) for tok in args.epsilons.split(",") if tok]
+    try:
+        sweep = [float(tok) for tok in args.epsilons.split(",") if tok]
+    except ValueError:
+        raise ValueError(
+            f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
     if not sweep:
         parser.error("empty epsilon sweep")
     configs = [(eps, *_compare_configs(args, eps)) for eps in sweep]

@@ -26,13 +26,21 @@ iterate is the reflection about |11> followed by the reflection about that
 prepared state: O(2^(m+2)) per iterate instead of re-running A^dagger and
 A gate by gate (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055).
 
+Every gate of this circuit is a real matrix: the Hadamards, the oracle's X,
+the Ry rotation on the rotation qubit, and both reflections. So from |0>
+every amplitude stays real, and the backend stores float64 amplitudes: that
+is exact, not an approximation, and an iterate moves half the bytes of a
+complex128 one. A `StateVector` built from complex amplitudes stays
+complex128, and the gates apply to it unchanged.
+
 `StatevectorSampler` keeps one running state: the rotation weight r it
 was built for, A|0> for that r, the state after the last requested power,
-its P[11], and a scratch vector each iterate writes its multiple of A|0>
-into. A request at the same r and a power at or above the kept one
-advances the state in place by the difference; a new r rebuilds A|0>, and
-a lower power restarts from A|0>. So a live sampler holds three 2^(m+2)
-complex vectors and shares nothing, and an iterate allocates nothing.
+its P[11], a scratch vector each iterate writes its multiple of A|0>
+into, and the sub-oracle's marked index rows, computed once. A request at
+the same r and a power at or above the kept one advances the state in
+place by the difference; a new r rebuilds A|0>, and a lower power restarts
+from A|0>. So a live sampler holds three 2^(m+2) float64 vectors and shares
+nothing, and an iterate allocates nothing.
 `prob11_statevector` reads a fresh sampler and is the reference the tests
 compare a long-lived one against.
 
@@ -76,7 +84,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _VDOT_BLOCK = 8192
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+def _vdot(a: np.ndarray, b: np.ndarray) -> Union[float, complex]:
     """np.vdot(a, b), summed over blocks of `_VDOT_BLOCK` entries."""
     total = np.vdot(a[:_VDOT_BLOCK], b[:_VDOT_BLOCK])
     for start in range(_VDOT_BLOCK, a.size, _VDOT_BLOCK):
@@ -101,7 +109,8 @@ def prob11(sin_theta: float, r: float, grover_power: int) -> float:
 
 
 class StateVector:
-    """Dense complex amplitudes over an (m+2)-qubit register."""
+    """Dense amplitudes over an (m+2)-qubit register: float64 from |0> or
+    from real input, complex128 from complex input."""
 
     __slots__ = ("num_qubits", "amplitudes")
 
@@ -115,10 +124,11 @@ class StateVector:
             )
         self.num_qubits = num_qubits
         if amplitudes is None:
-            amp = np.zeros(1 << num_qubits, dtype=np.complex128)
+            amp = np.zeros(1 << num_qubits)
             amp[0] = 1.0
         else:
-            amp = np.asarray(amplitudes, dtype=np.complex128)
+            amp = np.asarray(amplitudes)
+            amp = amp.astype(np.result_type(amp, np.float64), copy=False)
             if amp.shape != (1 << num_qubits,):
                 raise ValueError("amplitude vector has the wrong length")
         self.amplitudes = amp
@@ -221,8 +231,8 @@ def apply_Q(
     """One amplification iterate -A U_0 A^dagger U_11, with `prepared` = A|0>.
 
     A U_0 A^dagger is applied as the reflection I - 2|prepared><prepared|.
-    `scratch`, an array of the state's size, receives c psi; without one a
-    scratch array is allocated.
+    `scratch`, an array of the state's size and dtype, receives c psi;
+    without one a scratch array is allocated.
     """
     if state.num_qubits != prepared.num_qubits:
         raise ValueError(
@@ -240,9 +250,9 @@ def apply_Q(
     return state
 
 
-def _prepare(sub: SubOracle, r: float) -> StateVector:
-    """A|0> written in closed form; the same bits as
-    `apply_A(StateVector.zero(m + 2), sub, r)`."""
+def _prepare(sub: SubOracle, r: float, marked_rows: np.ndarray) -> StateVector:
+    """A|0> written in closed form from `_marked_rows(sub)`; the same bits
+    as `apply_A(StateVector.zero(m + 2), sub, r)`."""
     _check_r(r)
     state = StateVector.zero(sub.m + 2)
     h = 1.0
@@ -251,9 +261,8 @@ def _prepare(sub: SubOracle, r: float) -> StateVector:
     weights = (math.sqrt(1.0 - r) * h, math.sqrt(r) * h)
     rows = state.amplitudes.reshape(-1, 4)  # columns (flag, rot) = 00, 01, 10, 11
     rows[:, :2] = weights
-    marked = _marked_rows(sub)
-    rows[marked, 2:] = weights
-    rows[marked, :2] = 0.0
+    rows[marked_rows, 2:] = weights
+    rows[marked_rows, :2] = 0.0
     return state
 
 
@@ -326,6 +335,7 @@ class StatevectorSampler:
         self.rng = _as_generator(rng)
         self._state = StateVector.zero(sub.m + 2)
         self._scratch = np.empty_like(self._state.amplitudes)
+        self._marked_rows = _marked_rows(sub)
         self._r: Union[float, None] = None  # no A|0> built yet
         self._prepared: Union[StateVector, None] = None
         self._power = 0
@@ -344,7 +354,7 @@ class StatevectorSampler:
         new_r = r != self._r
         if new_r:
             # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
-            self._prepared = _prepare(self.sub, r)
+            self._prepared = _prepare(self.sub, r, self._marked_rows)
             self._r = r
         if new_r or grover_power < self._power:
             np.copyto(self._state.amplitudes, self._prepared.amplitudes)

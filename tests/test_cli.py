@@ -292,6 +292,8 @@ _VALUE_STDERR = {
     "compare-miqae --amplitude 2": "error: --amplitude must lie in [0, 1], got 2\n",
     "compare-miqae --amplitude -0.1": "error: --amplitude must lie in [0, 1], got -0.1\n",
     "compare-miqae --amplitude nan": "error: --amplitude must lie in [0, 1], got nan\n",
+    "compare-miqae --epsilons 0.001,x":
+        "error: --epsilons must be comma-separated numbers, got '0.001,x'\n",
 }
 
 

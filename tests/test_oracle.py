@@ -231,6 +231,26 @@ def test_suboracle_validation():
         SubOracle(m=3, node_id=0, k=1, scheme="prefix", marked_local=frozenset({8}))
 
 
+def test_out_of_range_members_name_the_first_five_sorted():
+    """A member below 0 or at or above 2^n raises one message listing the
+    first five bad members in sorted order; the bounds themselves and an
+    empty set pass."""
+    cases = (
+        ({-1, 0, 7}, "[-1]"),
+        ({0, 7, 8}, "[8]"),
+        ({3, 9, -1, 20, 8, -3, 100, 5, -7}, "[-7, -3, -1, 8, 9]"),
+    )
+    for marked, listed in cases:
+        with pytest.raises(ValueError, match=re.escape(f"marked elements outside [0, 8): {listed}")):
+            make_oracle(3, marked)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"marked_local elements outside [0, 8): {listed}")):
+            SubOracle(m=3, node_id=0, k=1, scheme="prefix", marked_local=frozenset(marked))
+    assert make_oracle(3, {0, 7}).t == 2
+    assert make_oracle(3, set()).t == 0
+    assert SubOracle(m=3, node_id=1, k=1, scheme="stride", marked_local=frozenset()).t_local == 0
+
+
 def test_load_marked_set(tmp_path):
     ints = tmp_path / "ints.txt"
     ints.write_text("38\n8\n16\n")

@@ -238,8 +238,9 @@ def test_analytic_sampler_interleaved_keys_reproduce_fresh_counts():
 
 
 def count_work(monkeypatch) -> dict:
-    """Count the A|0> builds (`_prepare`) and iterates (`apply_Q`) qsim runs."""
-    counts = {"_prepare": 0, "apply_Q": 0}
+    """Count the marked-row builds (`_marked_rows`), A|0> builds
+    (`_prepare`) and iterates (`apply_Q`) qsim runs."""
+    counts = {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
     for name in counts:
         original = getattr(qsim, name)
 
@@ -264,7 +265,7 @@ def test_samplers_agree_and_cache(monkeypatch):
     # a repeated (power, r) does no new work
     counts = count_work(monkeypatch)
     assert sv.probability(3, 1.0) == pytest.approx(analytic.probability(3, 1.0), abs=1e-10)
-    assert counts == {"_prepare": 0, "apply_Q": 0}
+    assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
     assert exact.sample(0, 1.0, 1600) == round(1600 * 3 / 16)
     # same seed, same stream
     a = AnalyticSampler.from_amplitude(0.3, 42)
@@ -287,16 +288,16 @@ def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
             counts = count_work(monkeypatch)
             for power in (1, 3, 7):
                 sampler.probability(power, 0.8)
-            assert counts == {"_prepare": 1, "apply_Q": 7}
+            assert counts == {"_marked_rows": 0, "_prepare": 1, "apply_Q": 7}
 
             # a failed request raises and leaves the kept state as it was
             for power, r in ((-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (8, float("nan"))):
                 with pytest.raises(ValueError):
                     sampler.probability(power, r)
             expected = [prob11_statevector(sub, 0.8, power) for power in (7, 8)]
-            counts.update(_prepare=0, apply_Q=0)
+            counts.update(_marked_rows=0, _prepare=0, apply_Q=0)
             assert [sampler.probability(power, 0.8) for power in (7, 8)] == expected
-            assert counts == {"_prepare": 0, "apply_Q": 1}
+            assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 1}
             monkeypatch.undo()
 
 
@@ -308,7 +309,71 @@ def test_prepare_writes_the_gate_level_prepared_state():
             sub = sub_for(m, t)
             for r in (1.0, 0.8, 0.3):
                 gates = apply_A(StateVector.zero(m + 2), sub, r)
-                assert qsim._prepare(sub, r).amplitudes.tobytes() == gates.amplitudes.tobytes()
+                prepared = qsim._prepare(sub, r, qsim._marked_rows(sub))
+                assert prepared.amplitudes.tobytes() == gates.amplitudes.tobytes()
+
+
+def test_statevector_sampler_builds_its_marked_rows_once(monkeypatch):
+    """However many r values a sampler reads, its sub-oracle's marked rows
+    are built once, when it is made."""
+    counts = count_work(monkeypatch)
+    sampler = StatevectorSampler(sub_for(5, 9))
+    assert counts == {"_marked_rows": 1, "_prepare": 0, "apply_Q": 0}
+    for r in (0.3, 0.8, 1.0, 0.3, 0.55):
+        for power in (0, 2, 1):  # 2 iterates, then a restart and 1
+            sampler.probability(power, r)
+    assert counts == {"_marked_rows": 1, "_prepare": 5, "apply_Q": 15}
+
+
+def test_statevector_backend_runs_on_real_amplitudes():
+    """The circuit is real, so |0>, A|0> and every buffer a sampler steps
+    are float64; real input of any precision is stored as float64."""
+    sub = sub_for(4, 5)
+    assert StateVector.zero(6).amplitudes.dtype == np.float64
+    assert StateVector(6, np.ones(64, dtype=np.float32)).amplitudes.dtype == np.float64
+    assert qsim._prepare(sub, 0.7, qsim._marked_rows(sub)).amplitudes.dtype == np.float64
+    sampler = StatevectorSampler(sub)
+    sampler.probability(3, 0.7)
+    for vec in (sampler._state.amplitudes, sampler._prepared.amplitudes, sampler._scratch):
+        assert vec.dtype == np.float64
+
+
+def test_complex_state_stays_complex_under_the_real_gates():
+    """A complex128 state stays complex128 through apply_A, apply_Q and
+    apply_A_dagger, and because every gate is real, the result is the real
+    and imaginary parts stepped apart."""
+    m, sub, r = 3, sub_for(3, 2), 0.6
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=32) + 1j * rng.normal(size=32)
+    raw /= np.linalg.norm(raw)
+    prepared = apply_A(StateVector.zero(m + 2), sub, r)
+    state = StateVector(m + 2, raw.copy())
+    parts = [StateVector(m + 2, raw.real.copy()), StateVector(m + 2, raw.imag.copy())]
+    for s in (state, *parts):
+        apply_A(s, sub, r)
+        apply_Q(s, prepared)
+        apply_A_dagger(s, sub, r)
+    assert state.amplitudes.dtype == np.complex128
+    assert [p.amplitudes.dtype for p in parts] == [np.float64, np.float64]
+    stepped_apart = parts[0].amplitudes + 1j * parts[1].amplitudes
+    assert np.abs(state.amplitudes - stepped_apart).max() <= 1e-12
+
+
+def test_real_sampler_matches_a_complex_gate_level_reference():
+    """A complex128 copy of A|0>, stepped by the gate-level iterate, reads
+    the float64 sampler's P[11] at every power up to 10."""
+    for m in range(1, 6):
+        for t in sorted({0, 1, (1 << m) // 3, (1 << m) - 1, 1 << m}):
+            sub = sub_for(m, t)
+            sampler = StatevectorSampler(sub)
+            for r in (0.3, 0.75, 1.0):
+                prepared = apply_A(StateVector.zero(m + 2), sub, r).amplitudes
+                reference = StateVector(m + 2, prepared.astype(np.complex128))
+                for power in range(11):
+                    if power:
+                        _gate_level_Q(reference, sub, r)
+                    assert abs(sampler.probability(power, r) - reference.prob11()) <= 1e-12
+                assert reference.amplitudes.dtype == np.complex128
 
 
 def test_statevector_sampler_survives_a_width_switch():
