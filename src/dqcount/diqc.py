@@ -78,9 +78,11 @@ class DiqcConfig:
     `epsilon_node`/`alpha_node` are the per-node target half-width and
     significance (`coordinator.node_config` builds them from a global
     budget); `epsilon_node` lies in [EPSILON_FLOOR, 0.01].
-    `shots_per_batch` is the number of shots drawn per sampler call. A
-    round always takes its full shot budget before anything reads its
-    counts, so the batch changes only how the RNG stream is consumed.
+    `shots_per_batch` is the number of shots drawn per sampler call: a
+    round of n_cap shots makes ceil(n_cap / batch) calls, the last one
+    partial when the batch does not divide n_cap. A round always takes its
+    full shot budget before anything reads its counts, so the batch changes
+    only how the RNG stream is consumed.
     Only tests set it, for speed. The ROADMAP item on one binomial draw
     per DIQC round removes it.
     """
@@ -221,6 +223,7 @@ def _estimate(
     alpha = config.alpha_node
     batch_size = config.shots_per_batch
     big_k_cap = metrics.k_max_cap(eps)
+    sample = sampler.sample  # one lookup per run, not one per shot
 
     theta_min, theta_max = 0.0, _HALF_PI
     big_k = 1
@@ -243,8 +246,11 @@ def _estimate(
         prev_min, prev_max = theta_min, theta_max
         backtracked = False
         power = (big_k - 1) // 2
-        for drawn in range(0, n_cap, batch_size):
-            pooled_ones += sampler.sample(power, r, min(batch_size, n_cap - drawn))
+        full, rest = divmod(n_cap, batch_size)
+        for _ in range(full):
+            pooled_ones += sample(power, r, batch_size)
+        if rest:
+            pooled_ones += sample(power, r, rest)
         pooled_shots += n_cap
         a_hat = pooled_ones / pooled_shots
         a_min, a_max = chernoff_interval(a_hat, pooled_shots, alpha_i)

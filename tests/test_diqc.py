@@ -15,6 +15,7 @@ from dqcount.diqc import (
 )
 from dqcount.miqae import QUADRANT_SLACK
 from dqcount.oracle import decompose_prefix, make_oracle
+from dqcount.qsim import AnalyticSampler
 
 import scalar_scan
 from exact_sampler import ExactSampler
@@ -317,6 +318,43 @@ def test_trace_invariants_and_query_bound():
                     assert cur_cap <= prev_cap
             widths = [rd.a_width for rd in rounds]
             assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+
+
+class RecordingSampler:
+    """An `AnalyticSampler` that logs each `sample` call's arguments."""
+
+    def __init__(self, amplitude, seed):
+        self.inner = AnalyticSampler.from_amplitude(amplitude, seed)
+        self.calls = []
+
+    def probability(self, grover_power, r):
+        return self.inner.probability(grover_power, r)
+
+    def sample(self, grover_power, r, shots):
+        self.calls.append((grover_power, r, shots))
+        return self.inner.sample(grover_power, r, shots)
+
+
+def test_round_draws_full_batches_then_one_partial():
+    amplitude, seed = 0.3, 4
+    first_cap = run_amplitude(amplitude, DiqcConfig(0.001, 0.05), seed=seed).rounds[0].shots_cap
+    partial_rounds = 0
+    for batch in (1, 7, 100, first_cap + 1):
+        config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=batch)
+        recorder = RecordingSampler(amplitude, seed)
+        result = run_amplitude(amplitude, config, seed=seed, sampler=recorder)
+        assert result == run_amplitude(amplitude, config, seed=seed)
+        calls = iter(recorder.calls)
+        for rd in result.rounds:
+            full, rest = divmod(rd.shots, batch)
+            expected = [batch] * full + ([rest] if rest else [])
+            drawn = [next(calls) for _ in expected]
+            assert [shots for _, _, shots in drawn] == expected
+            assert sum(shots for _, _, shots in drawn) == rd.shots
+            assert {(power, r) for power, r, _ in drawn} == {((rd.big_k - 1) // 2, rd.r)}
+            partial_rounds += rest > 0
+        assert next(calls, None) is None
+    assert partial_rounds > 0
 
 
 def test_stall_grants_one_retry_then_fails(monkeypatch):
