@@ -19,12 +19,12 @@ modelled as 64 bits per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import metrics
 from .coordinator import node_config, run_nodes
 # run_node stays imported because perfbench's tracer wraps applications.run_node.
-from .diqc import NodeResult, run_node  # noqa: F401
+from .diqc import NodeResult, half_width, run_node  # noqa: F401
 from .oracle import BitVector, check_split, hamming_suboracle, inner_product_suboracle
 
 __all__ = [
@@ -63,7 +63,8 @@ class CommunicationLedger:
 
 @dataclass
 class ApplicationResult:
-    """Scaled estimate in [0, 1] with its guarantee and transfer costs."""
+    """Scaled estimate in [0, 1] with its guarantee and transfer costs. The
+    estimate averages the node amplitudes, so its bound is one `half_width`."""
 
     estimate: float
     error_bound: float
@@ -79,20 +80,11 @@ class ApplicationResult:
         return self.status == "success"
 
     def to_dict(self, include_nodes: bool = False) -> dict:
+        """Every field, the ledger with its total; `per_node` only if asked."""
         out = {
-            "estimate": self.estimate,
-            "error_bound": self.error_bound,
-            "confidence": self.confidence,
-            "status": self.status,
-            "n": self.n,
-            "k": self.k,
-            "ledger": {
-                "qubits_per_preparation": self.ledger.qubits_per_preparation,
-                "preparations": self.ledger.preparations,
-                "total_qubits": self.ledger.total_qubits,
-                "classical_bits": self.ledger.classical_bits,
-            },
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_node"
         }
+        out["ledger"] = {**asdict(self.ledger), "total_qubits": self.ledger.total_qubits}
         if include_nodes:
             out["per_node"] = [res.to_dict() for res in self.per_node]
         return out
@@ -138,7 +130,7 @@ def _run_pair(
     )
     return ApplicationResult(
         estimate=sum(res.c for res in agg.per_node) / (1 << n),
-        error_bound=3 * epsilon / (1 << (k + 1)),
+        error_bound=half_width(config.epsilon_node),
         confidence=agg.confidence,
         status=agg.status,
         n=n,

@@ -70,7 +70,7 @@ _RUN_COLUMNS = [
 
 # one row per adaptive round: big_k odd amplification factor, quadrant of the
 # amplified angle, r_weight rotation parameter, q_stage growth factor,
-# shots taken this round against shots_cap, pooled_shots behind the interval,
+# shots taken this round (its whole cap), pooled_shots behind the interval,
 # a_* the measured amplified probability and its bounds, theta_* the angle
 # interval in radians after the round.
 _TRACE_COLUMNS = [
@@ -83,7 +83,6 @@ _TRACE_COLUMNS = [
     "q_stage",
     "shots",
     "pooled_shots",
-    "shots_cap",
     "a_hat",
     "a_min",
     "a_max",
@@ -93,11 +92,19 @@ _TRACE_COLUMNS = [
 ]
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Union[str, Path, None], payload) -> None:
+    """Write `payload` as sorted, indented JSON to `path` and say so, or
+    to stdout when `path` is None."""
+    if path is None:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
+        return
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -106,6 +113,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    print(f"wrote {path}")
 
 
 def _config_argv(args, parser, argv: list[str]) -> list[str]:
@@ -197,6 +205,7 @@ def _global_budget(
     else:
         alpha = 0.1 if alpha is None else alpha
         flags["alpha"] = ("--alpha", alpha)
+        flags["alpha_node"] = (f"--alpha over 2^{k} nodes", alpha / nodes)
     _checked(node_config, flags, epsilon=epsilon, alpha=alpha, n=n, k=k)
     return epsilon, alpha
 
@@ -265,9 +274,9 @@ def _cmd_count(args, parser) -> int:
                         [
                             rep, res.node_id, rd.index, rd.big_k, rd.quadrant,
                             repr(rd.r), rd.q, rd.shots, rd.pooled_shots,
-                            rd.shots_cap, repr(rd.a_hat), repr(rd.a_min),
-                            repr(rd.a_max), repr(rd.theta_min),
-                            repr(rd.theta_max), int(rd.backtracked),
+                            repr(rd.a_hat), repr(rd.a_min), repr(rd.a_max),
+                            repr(rd.theta_min), repr(rd.theta_max),
+                            int(rd.backtracked),
                         ]
                     )
     t_counts = Counter(agg.t_prime for agg in aggs)
@@ -298,7 +307,6 @@ def _cmd_count(args, parser) -> int:
     _write_json(out / "summary.json", summary)
     if args.trace:
         _write_csv(out / "trace.csv", _TRACE_COLUMNS, trace_rows)
-    print(f"wrote {out}/runs.csv and {out}/summary.json")
     return 0 if failed_reps == 0 else 1
 
 
@@ -342,12 +350,7 @@ def _cmd_pair(args, parser, which: str) -> int:
         "seed": args.seed,
         "backend": args.backend,
     }
-    if args.out is not None:
-        _write_json(Path(args.out), payload)
-        print(f"wrote {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _write_json(args.out, payload)
     return 0 if result.succeeded else 1
 
 
@@ -398,7 +401,6 @@ def _cmd_compare(args, parser) -> int:
          "mean_oracle_calls", "mean_total_shots"],
         rows,
     )
-    print(f"wrote {out}/sweep.csv")
     return 0
 
 
@@ -429,12 +431,7 @@ def _cmd_bench(args, parser) -> int:
         ),
         "budget": {"epsilon_node": epsilon_node, "alpha_node": alpha_node},
     }
-    if args.out is not None:
-        _write_json(Path(args.out), payload)
-        print(f"wrote {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _write_json(args.out, payload)
     return 0
 
 
@@ -443,7 +440,7 @@ def _cmd_prop_check(args, parser) -> int:
     for rep in reports:
         print(f"{'PASS' if rep['passed'] else 'FAIL'}  {rep['name']} ({rep['cases']} cases)")
     if args.out is not None:
-        _write_json(Path(args.out), {"suites": reports})
+        _write_json(args.out, {"suites": reports})
     return 0 if all(rep["passed"] for rep in reports) else 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diqc import DiqcConfig, NodeResult, run_node
+from .diqc import DiqcConfig, NodeResult, half_width, run_node
 from .oracle import (
     PREFIX,
     STRIDE,
@@ -31,7 +31,8 @@ __all__ = ["AggregateResult", "node_config", "run_nodes", "run_distributed", "ag
 class AggregateResult:
     """Sum of the node estimates plus the a-priori error guarantee.
 
-    `error_bound` is 2^(n-k-1) * 3*epsilon + 2^(k+1)/3 and holds with
+    `error_bound` = 2^(n-k-1) * 3*epsilon + 2^(k+1)/3 sums the 2^k node
+    intervals, 2^m * `half_width` each, and their rounding. It holds with
     probability at least `confidence` = 1 - (4/3) alpha.
     """
 
@@ -78,7 +79,7 @@ def aggregate(node_results: list[NodeResult]) -> AggregateResult:
     ordered = sorted(node_results, key=lambda res: res.node_id)
     return AggregateResult(
         t_prime=sum(res.t_prime for res in ordered),
-        error_bound=(1 << m) / 2 * 3 * epsilon + (1 << (k + 1)) / 3,
+        error_bound=(1 << (m + k)) * half_width(eps_node) + (1 << (k + 1)) / 3,
         confidence=1 - 4 * alpha / 3,
         status="success" if all(res.succeeded for res in ordered) else "failed",
         n=m + k,

@@ -28,7 +28,7 @@ failed, still reporting the current estimate.
 Convergence is measured on amplitude scale: the loop stops when
 sin^2(theta_max) - sin^2(theta_min) <= 2 epsilon. The final estimate is an
 inverse-width weighted average over every round whose interval reached
-3 epsilon, scaled by 2^m and rounded to the nearest integer.
+3 epsilon, scaled by 2^m and rounded, and reported +/- `half_width`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import Union
 
 from . import metrics
 from .miqae import (
+    ALPHA_FLOOR,
     EPSILON_FLOOR,
     chernoff_interval,
     gamma_from_interval,
@@ -77,7 +78,8 @@ class DiqcConfig:
 
     `epsilon_node`/`alpha_node` are the per-node target half-width and
     significance (`coordinator.node_config` builds them from a global
-    budget); `epsilon_node` lies in [EPSILON_FLOOR, 0.01].
+    budget); `epsilon_node` lies in [EPSILON_FLOOR, 0.01] and `alpha_node`
+    in [ALPHA_FLOOR, 3/4).
     `shots_per_batch` is the number of shots drawn per sampler call: a
     round of n_cap shots makes ceil(n_cap / batch) calls, the last one
     partial when the batch does not divide n_cap. A round always takes its
@@ -94,8 +96,8 @@ class DiqcConfig:
     def __post_init__(self) -> None:
         if not EPSILON_FLOOR <= self.epsilon_node <= 0.01:
             raise ValueError(f"epsilon_node must lie in [{EPSILON_FLOOR:g}, 0.01]")
-        if not 0 < self.alpha_node < 0.75:
-            raise ValueError("alpha_node must lie in (0, 3/4)")
+        if not ALPHA_FLOOR <= self.alpha_node < 0.75:
+            raise ValueError(f"alpha_node must lie in [{ALPHA_FLOOR:g}, 3/4)")
         if self.shots_per_batch < 1:
             raise ValueError("shots_per_batch must be positive")
 
@@ -104,10 +106,10 @@ class DiqcConfig:
 class RoundRecord:
     """Trace of one round: one (K, r) pair and its pooled measurements.
 
-    `shots` counts this round's measurements; `pooled_shots` the total the
-    interval was computed from, which exceeds `shots` only when a stalled
-    round was granted a second budget at the same K and the counts carried
-    over. So a round that stalls with `pooled_shots > shots` is the second
+    `shots` counts this round's measurements, always its whole shot cap;
+    `pooled_shots` the total the interval was computed from, which exceeds
+    `shots` only when a stalled round was granted a second budget at the
+    same K and the counts carried over. So a round that stalls with `pooled_shots > shots` is the second
     stall at its K, and ends the run as failed.
     """
 
@@ -118,18 +120,12 @@ class RoundRecord:
     q: int
     shots: int
     pooled_shots: int
-    shots_cap: int
     a_hat: float
     a_min: float
     a_max: float
     theta_min: float
     theta_max: float
     backtracked: bool
-
-    @property
-    def a_width(self) -> float:
-        """Width of the round's interval on amplitude scale."""
-        return math.sin(self.theta_max) ** 2 - math.sin(self.theta_min) ** 2
 
     @property
     def a_bounds(self) -> tuple[float, float]:
@@ -140,8 +136,8 @@ class RoundRecord:
 class NodeResult:
     """One node's estimate plus resource counters.
 
-    `a_low`/`a_high` bound the marked fraction of the slice; `scaled_low`/
-    `scaled_high` are the same bounds times 2^m. `c` is the real-valued
+    `a_low`/`a_high` bound the marked fraction of the slice, +/-
+    `half_width(epsilon_node)` around its estimate. `c` is the real-valued
     count estimate 2^m * (weighted amplitude) and `t_prime` its nearest
     integer. `oracle_calls` counts one query per amplification iterate per
     shot (the convention used by the query bound); `oracle_calls_physical`
@@ -159,8 +155,6 @@ class NodeResult:
     a_high: float
     c: float
     t_prime: int
-    scaled_low: float
-    scaled_high: float
     status: str
     oracle_calls: int
     oracle_calls_physical: int
@@ -179,23 +173,34 @@ class NodeResult:
         }
 
 
+def half_width(epsilon_node: float) -> float:
+    """Half-width of a node's reported amplitude interval, 1.5 epsilon_node;
+    the coordinator's and both two-party error bounds add it up."""
+    return 1.5 * epsilon_node
+
+
+def a_width(theta_min: float, theta_max: float) -> float:
+    """Width of the angle interval [theta_min, theta_max] on amplitude scale."""
+    return math.sin(theta_max) ** 2 - math.sin(theta_min) ** 2
+
+
 def post_process(
     rounds: list[RoundRecord], epsilon_node: float, m: int
 ) -> tuple[float, int, tuple[float, float]]:
     """Inverse-width weighted average over the qualifying rounds.
 
-    Uses every round whose amplitude interval is at most 3*epsilon wide.
-    Returns (c, t_prime, scaled interval) where c = 2^m * abar, t_prime is
-    c rounded half away from zero, and the interval is 2^m * [abar -/+
-    1.5*epsilon] clamped to the slice.
+    Uses every round whose amplitude interval is at most
+    2 * half_width(epsilon_node) = 3*epsilon wide. Returns (c, t_prime,
+    interval) where c = 2^m * abar, t_prime is c rounded half away from
+    zero, and the interval is [abar -/+ half_width(epsilon_node)] clamped
+    to [0, 1], on amplitude scale.
     """
     if m < 0:
         raise ValueError("register width must be non-negative")
-    qualifying = [rd for rd in rounds if rd.a_width <= 3 * epsilon_node]
+    half = half_width(epsilon_node)
+    qualifying = [rd for rd in rounds if a_width(rd.theta_min, rd.theta_max) <= 2 * half]
     if not qualifying:
-        raise EstimationIncompleteError(
-            f"no round reached width 3*epsilon = {3 * epsilon_node}"
-        )
+        raise EstimationIncompleteError(f"no round reached width {2 * half}")
     weight_sum = 0.0
     acc = 0.0
     for rd in qualifying:
@@ -204,12 +209,9 @@ def post_process(
         acc += w * 0.5 * (lo + hi)
         weight_sum += w
     a_bar = acc / weight_sum
-    scale = 1 << m
-    c = scale * a_bar
+    c = (1 << m) * a_bar
     t_prime = math.floor(c + 0.5)
-    lo = scale * max(0.0, a_bar - 1.5 * epsilon_node)
-    hi = scale * min(1.0, a_bar + 1.5 * epsilon_node)
-    return c, t_prime, (lo, hi)
+    return c, t_prime, (max(0.0, a_bar - half), min(1.0, a_bar + half))
 
 
 def _estimate(
@@ -226,6 +228,7 @@ def _estimate(
     sample = sampler.sample  # one lookup per run, not one per shot
 
     theta_min, theta_max = 0.0, _HALF_PI
+    width = a_width(theta_min, theta_max)
     big_k = 1
     r = 1.0
     rounds: list[RoundRecord] = []
@@ -233,11 +236,8 @@ def _estimate(
     pooled_shots = 0
     failed = False
 
-    def a_width() -> float:
-        return math.sin(theta_max) ** 2 - math.sin(theta_min) ** 2
-
-    while a_width() > 2 * eps and not failed:
-        q = 2 if a_width() >= _WIDE_ROUND_FACTOR * eps else 3
+    while width > 2 * eps and not failed:
+        q = 2 if width >= _WIDE_ROUND_FACTOR * eps else 3
         alpha_i = (q - 1) * alpha * big_k / (q * big_k_cap)
         n_cap = metrics.shots_cap(alpha_i)
         quadrant = quadrant_count(
@@ -274,7 +274,6 @@ def _estimate(
                 q=q,
                 shots=n_cap,
                 pooled_shots=pooled_shots,
-                shots_cap=n_cap,
                 a_hat=a_hat,
                 a_min=a_min,
                 a_max=a_max,
@@ -283,7 +282,8 @@ def _estimate(
                 backtracked=backtracked,
             )
         )
-        if a_width() <= 2 * eps:
+        width = a_width(theta_min, theta_max)
+        if width <= 2 * eps:
             break
         new_k, new_r = find_next_k(
             theta_min, theta_max, q, big_k, backtracked, big_k_cap=big_k_cap
@@ -300,25 +300,24 @@ def _estimate(
 
     status = "failed" if failed else "success"
     try:
-        c, t_prime, (scaled_low, scaled_high) = post_process(rounds, eps, m)
+        c, t_prime, (a_low, a_high) = post_process(rounds, eps, m)
     except EstimationIncompleteError:
-        # Failed before any interval reached 3*epsilon: report the last one.
-        c, t_prime, (scaled_low, scaled_high) = post_process(
-            rounds[-1:], rounds[-1].a_width / 3, m
-        )
-    scale = 1 << m
+        # Failed before any round qualified: report the last round, at the
+        # least epsilon whose qualifying width 2 * half_width covers it.
+        eps_last = width / (2 * half_width(1.0))
+        while 2 * half_width(eps_last) < width:  # the division rounded down
+            eps_last = math.nextafter(eps_last, 1.0)
+        c, t_prime, (a_low, a_high) = post_process(rounds[-1:], eps_last, m)
     return NodeResult(
         node_id=node_id,
         m=m,
         epsilon_node=eps,
         alpha_node=alpha,
         seed=seed,
-        a_low=scaled_low / scale,
-        a_high=scaled_high / scale,
+        a_low=a_low,
+        a_high=a_high,
         c=c,
         t_prime=t_prime,
-        scaled_low=scaled_low,
-        scaled_high=scaled_high,
         status=status,
         **run_totals(rounds),
         rounds=rounds,

@@ -88,12 +88,13 @@ def gates_counting_circuit(n: int, m: int) -> int:
 def centralized_cost_dominates(n: int, k: int) -> bool:
     """Exact check that the phase-estimation counter outgates the per-node bound.
 
-    Compares (n^2+7n+4)/2 + 2^(n+2) (4^(n+1) - 2^(n+2) + 1) against
-    (2^(2n-2k+5) - 2^(n-k+3)) (3*2^(n-3)*pi + 1/2), the latter evaluated
-    with a rational upper bound on pi so `True` is a proof.
+    Compares the centralized gate count of `counting_comparison`, the
+    counting circuit with n+1 readout qubits plus their n+1 preparations,
+    against (2^(2n-2k+5) - 2^(n-k+3)) (3*2^(n-3)*pi + 1/2), the latter
+    evaluated with a rational upper bound on pi so `True` is a proof.
     """
     check_split(n, k)
-    lhs = Fraction(n * n + 7 * n + 4, 2) + 2 ** (n + 2) * (4 ** (n + 1) - 2 ** (n + 2) + 1)
+    lhs = gates_counting_circuit(n, n + 1) + n + 1
     rhs = gates_node_grover(n, k) * (Fraction(3 * 2 ** n, 8) * _PI_UPPER + Fraction(1, 2))
     return lhs > rhs
 

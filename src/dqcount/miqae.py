@@ -53,6 +53,14 @@ QUADRANT_SLACK = 1e-9
 # budget's epsilon <= 0.01 it also caps the node count 2^k at 1e5.
 EPSILON_FLOOR = 1e-7
 
+# Smallest alpha either estimator accepts (inclusive). A round's shot cap
+# takes ln(2/alpha_i), and 2/alpha_i overflows float64 once alpha_i drops
+# below 2/DBL_MAX, about 1.1e-308. The first round's alpha_i is the
+# smallest: alpha/(2 K_cap) in DIQC and (2 alpha/3)/k_max in MIQAE, where
+# K_cap and k_max = pi/(4 epsilon) are at most 7.9e6 at EPSILON_FLOOR. So
+# alpha_i is at least 6.4e-8 alpha, which at this floor is 6.4e-308.
+ALPHA_FLOOR = 1e-300
+
 # `next_odd_k` tests odd K in chunks of this many, largest first; a chunk's
 # K are its largest K plus these steps. Read-only: the module keeps no
 # mutable state.
@@ -181,8 +189,8 @@ class MiqaeConfig:
     def __post_init__(self) -> None:
         if not self.epsilon >= EPSILON_FLOOR:
             raise ValueError(f"epsilon must be at least {EPSILON_FLOOR:g}")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
+        if not ALPHA_FLOOR <= self.alpha < 1:
+            raise ValueError(f"alpha must lie in [{ALPHA_FLOOR:g}, 1)")
         if self.shots_per_batch < 1:
             raise ValueError("shots_per_batch must be positive")
 

@@ -158,9 +158,11 @@ def test_criterion_5_hard_resource_bounds(table3_runs, coverage_runs):
         last_cap_per_k = {}
         for rd in res.rounds:
             checked_rounds += 1
-            assert rd.shots <= rd.shots_cap
+            # a round spends exactly the cap of its significance alpha_i
+            alpha_i = (rd.q - 1) * res.alpha_node * rd.big_k / (rd.q * cap)
+            assert rd.shots == metrics.shots_cap(alpha_i)
             assert rd.big_k < cap
-            last_cap_per_k[rd.big_k] = rd.shots_cap
+            last_cap_per_k[rd.big_k] = rd.shots
         ks = sorted(last_cap_per_k)
         caps = [last_cap_per_k[k] for k in ks]
         assert all(b <= a for a, b in zip(caps, caps[1:]))

@@ -84,6 +84,7 @@ def test_inner_product_all_ones():
     assert result.succeeded
     assert abs(result.estimate - 1.0) <= result.error_bound
     assert result.error_bound == pytest.approx(3 * 0.01 / 4)
+    assert result.error_bound == 3 * 0.01 / (1 << 2)  # one node's half_width, to the bit
 
 
 def test_inner_product_disjoint_supports():

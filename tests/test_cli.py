@@ -238,12 +238,12 @@ _STDERR = {
     "bench --n 6 --k 1 --epsilon-node 1e-12":
         "error: --epsilon-node must lie in [1e-07, 0.01], got 1e-12\n",
     "bench --epsilon-node 0.5": "error: --epsilon-node must lie in [1e-07, 0.01], got 0.5\n",
-    "bench --alpha-node 0.9": "error: --alpha-node must lie in (0, 3/4), got 0.9\n",
+    "bench --alpha-node 0.9": "error: --alpha-node must lie in [1e-300, 3/4), got 0.9\n",
     "compare-miqae --epsilons 5e-8":
         "error: --epsilons must lie in [1e-07, 0.01], got 5e-08\n",
     "compare-miqae --epsilons 0.05":
         "error: --epsilons must lie in [1e-07, 0.01], got 0.05\n",
-    "compare-miqae --alpha 0.8": "error: --alpha must lie in (0, 3/4), got 0.8\n",
+    "compare-miqae --alpha 0.8": "error: --alpha must lie in [1e-300, 3/4), got 0.8\n",
     "count --n 1 --marked 0 --k 1": _SPLIT_ERR,
     "inner-product --x 01 --y 01": _SPLIT_ERR,
     "bench --n 1013 --k 1": _TOP_N_ERR.format(1013),
@@ -294,6 +294,16 @@ _VALUE_STDERR = {
     "compare-miqae --amplitude nan": "error: --amplitude must lie in [0, 1], got nan\n",
     "compare-miqae --epsilons 0.001,x":
         "error: --epsilons must be comma-separated numbers, got '0.001,x'\n",
+    # below the alpha floor a first round's 2/alpha_i would overflow float64
+    "count --n 6 --marked 1 --k 1 --alpha 1e-320":
+        "error: --alpha over 2^1 nodes must lie in [1e-300, 3/4), got 4.99994e-321\n",
+    "hamming --x 0110 --y 0101 --alpha 1e-320":
+        "error: --alpha over 2^1 nodes must lie in [1e-300, 3/4), got 4.99994e-321\n",
+    "compare-miqae --alpha 1e-303 --reps 1 --epsilons 1e-7":
+        "error: --alpha must lie in [1e-300, 3/4), got 1e-303\n",
+    "count --n 6 --marked 1 --k 1 --alpha-node 5e-324":
+        "error: --alpha-node must lie in [1e-300, 3/4), got 4.94066e-324\n",
+    "bench --alpha-node 1e-320": "error: --alpha-node must lie in [1e-300, 3/4), got 9.99989e-321\n",
 }
 
 

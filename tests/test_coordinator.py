@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dqcount.coordinator import aggregate, node_config, run_distributed, run_nodes
@@ -8,8 +10,7 @@ from dqcount.oracle import decompose_prefix, make_oracle
 def node_result(node_id=0, m=5, t_prime=0, eps=0.001, alpha=0.05, status="success"):
     return NodeResult(
         node_id=node_id, m=m, epsilon_node=eps, alpha_node=alpha, seed=0,
-        a_low=0.0, a_high=1.0, c=float(t_prime), t_prime=t_prime,
-        scaled_low=0.0, scaled_high=float(1 << m), status=status,
+        a_low=0.0, a_high=1.0, c=float(t_prime), t_prime=t_prime, status=status,
         oracle_calls=10, oracle_calls_physical=25, total_shots=5, max_big_k=3,
     )
 
@@ -23,6 +24,17 @@ def test_aggregate_sums_and_bound():
     assert agg.confidence == pytest.approx(1 - 4 * 0.1 / 3)
     assert agg.oracle_calls == 20
     assert agg.status == "success"
+
+
+def test_aggregate_bound_is_the_paper_closed_form_bit_for_bit():
+    # 2^k node intervals of 2^m * half_width(eps_node) each, plus rounding,
+    # equal 2^(n-k-1) * 3*epsilon + 2^(k+1)/3 to the last bit
+    rng = random.Random(0)
+    for _ in range(500):
+        k, m = rng.randint(1, 4), rng.randint(0, 40)
+        eps_node = rng.uniform(1e-7, 0.01) / (1 << k)
+        agg = aggregate([node_result(j, m=m, eps=eps_node) for j in range(1 << k)])
+        assert agg.error_bound == (1 << m) / 2 * 3 * agg.epsilon + (1 << (k + 1)) / 3
 
 
 def test_aggregate_rejects_bad_input():

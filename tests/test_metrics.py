@@ -63,12 +63,16 @@ def test_gate_counts():
 
 def test_centralized_gate_total_identity():
     # the counting-circuit components plus the readout-register preparation
-    # collapse to the closed form (n^2+7n+4)/2 + 2^(n+2)(4^(n+1)-2^(n+2)+1)
-    for n in range(2, 12):
+    # collapse to the closed form (n^2+7n+4)/2 + 2^(n+2)(4^(n+1)-2^(n+2)+1),
+    # the count `counting_comparison` reports and `centralized_cost_dominates` compares
+    for n in range(1, 401):
         m = n + 1
         total = metrics.gates_counting_circuit(n, m) + m
         closed = (n * n + 7 * n + 4) // 2 + 2 ** (n + 2) * (4 ** (n + 1) - 2 ** (n + 2) + 1)
         assert total == closed
+    for n in range(2, 40):
+        assert metrics.counting_comparison(n, 1)[0].gate_count == metrics.gates_counting_circuit(
+            n, n + 1) + n + 1
 
 
 def test_cost_dominance_grid():

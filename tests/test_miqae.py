@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from dqcount import metrics
 from dqcount.miqae import (
+    ALPHA_FLOOR,
+    EPSILON_FLOOR,
     MiqaeConfig,
     chernoff_interval,
     find_next_k,
@@ -232,4 +234,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MiqaeConfig(epsilon=0.01, alpha=1.5)
     with pytest.raises(ValueError):
+        MiqaeConfig(epsilon=0.01, alpha=ALPHA_FLOOR / 2)
+    MiqaeConfig(epsilon=0.01, alpha=ALPHA_FLOOR)  # the floor is inclusive
+    with pytest.raises(ValueError):
         MiqaeConfig(epsilon=0.01, alpha=0.05, shots_per_batch=0)
+
+
+def test_alpha_floor_keeps_first_round_caps_finite():
+    # the smallest first-round significance of each estimator, at both floors
+    miqae_first = (2 * ALPHA_FLOOR / 3) / (math.pi / (4 * EPSILON_FLOOR))
+    diqc_first = ALPHA_FLOOR / (2 * metrics.k_max_cap(EPSILON_FLOOR))
+    assert miqae_first > diqc_first > 6e-308
+    assert metrics.shots_cap(diqc_first) > 0
+    # a tenth of it already overflows 2/alpha_i
+    with pytest.raises(OverflowError):
+        metrics.shots_cap(diqc_first / 10)
