@@ -125,7 +125,7 @@ def _run_pair(
                     config, base_seed, backend)
     ledger = CommunicationLedger(
         qubits_per_preparation=_QUBITS_PER_PREPARATION[problem](n, k),
-        preparations=agg.oracle_calls_physical,
+        preparations=sum(res.oracle_calls_physical for res in agg.per_node),
         classical_bits=_CLASSICAL_BITS_PER_NODE * nodes,
     )
     return ApplicationResult(

@@ -21,7 +21,8 @@ bench and the pair commands check the budget with
 node estimator runs at DiqcConfig's default everywhere, one shot per
 sampler call: no command has a flag for its batch. The count summary is
 read from the per-repetition AggregateResults. Exit codes: 0 success, 1
-estimation failure, 2 usage or domain error.
+estimation failure or a reader that closed stdout early, 2 usage or domain
+error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -549,24 +551,26 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     args = parser.parse_args(argv)
     if args.config is not None:
         args = parser.parse_args(_config_argv(args, parser, argv))
+    command = {
+        "count": _cmd_count,
+        "inner-product": lambda args, parser: _cmd_pair(args, parser, INNER_PRODUCT),
+        "hamming": lambda args, parser: _cmd_pair(args, parser, HAMMING),
+        "compare-miqae": _cmd_compare,
+        "bench": _cmd_bench,
+        "prop-check": _cmd_prop_check,
+    }[args.command]
     try:
-        if args.command == "count":
-            return _cmd_count(args, parser)
-        if args.command == "inner-product":
-            return _cmd_pair(args, parser, INNER_PRODUCT)
-        if args.command == "hamming":
-            return _cmd_pair(args, parser, HAMMING)
-        if args.command == "compare-miqae":
-            return _cmd_compare(args, parser)
-        if args.command == "bench":
-            return _cmd_bench(args, parser)
-        if args.command == "prop-check":
-            return _cmd_prop_check(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        code = command(args, parser)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the flush at
+        # shutdown prints nothing, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

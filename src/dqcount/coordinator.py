@@ -33,21 +33,14 @@ class AggregateResult:
 
     `error_bound` = 2^(n-k-1) * 3*epsilon + 2^(k+1)/3 sums the 2^k node
     intervals, 2^m * `half_width` each, and their rounding. It holds with
-    probability at least `confidence` = 1 - (4/3) alpha.
+    probability at least `confidence` = 1 - (4/3) alpha. Run totals such as
+    oracle calls and shots are sums over `per_node`, in node order.
     """
 
     t_prime: int
     error_bound: float
     confidence: float
     status: str
-    n: int
-    k: int
-    epsilon: float
-    alpha: float
-    oracle_calls: int
-    oracle_calls_physical: int
-    total_shots: int
-    max_big_k: int
     per_node: list[NodeResult] = field(default_factory=list)
 
     @property
@@ -58,38 +51,29 @@ class AggregateResult:
 def aggregate(node_results: list[NodeResult]) -> AggregateResult:
     """Fold node results into the total count and its guarantee.
 
-    All nodes must share the slice width and per-node budget, and the node
-    count must be a power of two; the global budget is reconstructed as
-    epsilon = 2^k * epsilon_node.
+    The node ids must be exactly 0..2^k-1 for some k >= 1, and all nodes
+    must share the slice width and per-node budget; the global alpha is
+    2^k * alpha_node.
     """
-    if not node_results:
-        raise ValueError("need at least one node result")
     nodes = len(node_results)
     if nodes & (nodes - 1) or nodes < 2:
         raise ValueError(f"node count {nodes} is not a power of two >= 2")
-    k = nodes.bit_length() - 1
-    m = node_results[0].m
-    eps_node = node_results[0].epsilon_node
-    alpha_node = node_results[0].alpha_node
-    for res in node_results:
+    ordered = sorted(node_results, key=lambda res: res.node_id)
+    ids = [res.node_id for res in ordered]
+    if ids != list(range(nodes)):
+        raise ValueError(f"node ids {ids} are not 0..{nodes - 1}")
+    m = ordered[0].m
+    eps_node = ordered[0].epsilon_node
+    alpha_node = ordered[0].alpha_node
+    for res in ordered:
         if res.m != m or res.epsilon_node != eps_node or res.alpha_node != alpha_node:
             raise ValueError("node results come from mixed configurations")
-    epsilon = eps_node * nodes
-    alpha = alpha_node * nodes
-    ordered = sorted(node_results, key=lambda res: res.node_id)
+    k = nodes.bit_length() - 1
     return AggregateResult(
         t_prime=sum(res.t_prime for res in ordered),
         error_bound=(1 << (m + k)) * half_width(eps_node) + (1 << (k + 1)) / 3,
-        confidence=1 - 4 * alpha / 3,
+        confidence=1 - 4 * (alpha_node * nodes) / 3,
         status="success" if all(res.succeeded for res in ordered) else "failed",
-        n=m + k,
-        k=k,
-        epsilon=epsilon,
-        alpha=alpha,
-        oracle_calls=sum(res.oracle_calls for res in ordered),
-        oracle_calls_physical=sum(res.oracle_calls_physical for res in ordered),
-        total_shots=sum(res.total_shots for res in ordered),
-        max_big_k=max(res.max_big_k for res in ordered),
         per_node=ordered,
     )
 

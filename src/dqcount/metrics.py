@@ -85,16 +85,21 @@ def gates_counting_circuit(n: int, m: int) -> int:
     return (2 ** m - 1) * gates_controlled_grover(n) + n + (m * m + m) // 2
 
 
+def _centralized_gates(n: int) -> int:
+    """Gate total of the centralized counter: the counting circuit with
+    n+1 readout qubits plus their n+1 preparations."""
+    return gates_counting_circuit(n, n + 1) + n + 1
+
+
 def centralized_cost_dominates(n: int, k: int) -> bool:
     """Exact check that the phase-estimation counter outgates the per-node bound.
 
-    Compares the centralized gate count of `counting_comparison`, the
-    counting circuit with n+1 readout qubits plus their n+1 preparations,
-    against (2^(2n-2k+5) - 2^(n-k+3)) (3*2^(n-3)*pi + 1/2), the latter
+    Compares `_centralized_gates(n)`, the count `counting_comparison`
+    reports, against (2^(2n-2k+5) - 2^(n-k+3)) (3*2^(n-3)*pi + 1/2), the latter
     evaluated with a rational upper bound on pi so `True` is a proof.
     """
     check_split(n, k)
-    lhs = gates_counting_circuit(n, n + 1) + n + 1
+    lhs = _centralized_gates(n)
     rhs = gates_node_grover(n, k) * (Fraction(3 * 2 ** n, 8) * _PI_UPPER + Fraction(1, 2))
     return lhs > rhs
 
@@ -123,11 +128,10 @@ def counting_comparison(n: int, k: int) -> tuple[ResourceReport, ResourceReport]
     if n > _COMPARISON_MAX_N:
         raise ValueError(f"n must be at most {_COMPARISON_MAX_N} for the counting comparison, "
                          f"whose node query bound overflows float64 above it, got {n}")
-    m = n + 1
     central = ResourceReport(
         context="counting via controlled iterates + phase readout",
         qubits=2 * n + 1,
-        gate_count=gates_counting_circuit(n, m) + m,
+        gate_count=_centralized_gates(n),
         max_grover_depth=2 ** n,
     )
     eps_node = 1.0 / (3 * 2 ** n)

@@ -223,10 +223,6 @@ class MiqaeResult:
     rounds: list[MiqaeRound] = field(default_factory=list)
 
     @property
-    def estimate(self) -> float:
-        return 0.5 * (self.a_low + self.a_high)
-
-    @property
     def succeeded(self) -> bool:
         return self.status == "success"
 

@@ -1,9 +1,13 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dqcount
 from dqcount import checks
 from dqcount.cli import main
 from dqcount.diqc import DiqcConfig, run_amplitude
@@ -379,3 +383,25 @@ def test_usage_errors_exit_2(tmp_path):
     # domain error from validation maps to exit code 2
     assert main(["count", "--n", "6", "--marked", "99",
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["bench", "--n", "6", "--k", "1"],
+    ["hamming", "--x", "0110", "--y", "1010"],
+])
+def test_closed_stdout_pipe_exits_1_quietly(argv, unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout (or the flush at the end of main) always fails with EPIPE.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(dqcount.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dqcount.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -1,8 +1,10 @@
 import random
+from dataclasses import fields
+from operator import attrgetter
 
 import pytest
 
-from dqcount.coordinator import aggregate, node_config, run_distributed, run_nodes
+from dqcount.coordinator import AggregateResult, aggregate, node_config, run_distributed, run_nodes
 from dqcount.diqc import DiqcConfig, NodeResult, run_node
 from dqcount.oracle import decompose_prefix, make_oracle
 
@@ -18,12 +20,17 @@ def node_result(node_id=0, m=5, t_prime=0, eps=0.001, alpha=0.05, status="succes
 def test_aggregate_sums_and_bound():
     agg = aggregate([node_result(0, t_prime=2), node_result(1, t_prime=1)])
     assert agg.t_prime == 3
-    assert agg.n == 6 and agg.k == 1
-    assert agg.epsilon == pytest.approx(0.002)
+    assert [(res.node_id, res.m) for res in agg.per_node] == [(0, 5), (1, 5)]  # n=6, k=1
+    assert agg.per_node[0].epsilon_node * 2 == pytest.approx(0.002)
     assert agg.error_bound == pytest.approx(2 ** 4 * 3 * 0.002 + 4 / 3)
     assert agg.confidence == pytest.approx(1 - 4 * 0.1 / 3)
-    assert agg.oracle_calls == 20
+    assert sum(res.oracle_calls for res in agg.per_node) == 20
     assert agg.status == "success"
+
+
+def test_aggregate_result_fields():
+    assert [f.name for f in fields(AggregateResult)] == [
+        "t_prime", "error_bound", "confidence", "status", "per_node"]
 
 
 def test_aggregate_bound_is_the_paper_closed_form_bit_for_bit():
@@ -34,7 +41,8 @@ def test_aggregate_bound_is_the_paper_closed_form_bit_for_bit():
         k, m = rng.randint(1, 4), rng.randint(0, 40)
         eps_node = rng.uniform(1e-7, 0.01) / (1 << k)
         agg = aggregate([node_result(j, m=m, eps=eps_node) for j in range(1 << k)])
-        assert agg.error_bound == (1 << m) / 2 * 3 * agg.epsilon + (1 << (k + 1)) / 3
+        epsilon = eps_node * (1 << k)
+        assert agg.error_bound == (1 << m) / 2 * 3 * epsilon + (1 << (k + 1)) / 3
 
 
 def test_aggregate_rejects_bad_input():
@@ -46,11 +54,15 @@ def test_aggregate_rejects_bad_input():
         aggregate([node_result(0), node_result(1), node_result(2)])
     with pytest.raises(ValueError):
         aggregate([node_result(0, eps=0.001), node_result(1, eps=0.002)])
+    with pytest.raises(ValueError):
+        aggregate([node_result(0, t_prime=2), node_result(0, t_prime=2)])  # node 0 twice
+    with pytest.raises(ValueError):
+        aggregate([node_result(1), node_result(5)])  # ids outside 0..1
 
 
 def test_aggregate_zero_nodes_and_failure_propagation():
     agg = aggregate([node_result(j) for j in range(4)])
-    assert agg.t_prime == 0 and agg.k == 2
+    assert agg.t_prime == 0 and len(agg.per_node) == 4  # k = 2
     agg = aggregate([node_result(0, t_prime=2), node_result(1, t_prime=1, status="failed")])
     assert agg.status == "failed"
     assert agg.t_prime == 3  # best-effort sum is still reported
@@ -109,9 +121,8 @@ def test_aggregate_matches_node_runs():
     results = [run_node(sub, config, seed=11 + sub.node_id) for sub in subs]
     agg = aggregate(results)
     assert agg.t_prime == sum(res.t_prime for res in results)
-    assert agg.total_shots == sum(res.total_shots for res in results)
-    assert agg.max_big_k == max(res.max_big_k for res in results)
+    assert agg.per_node == results
     shared = run_nodes(subs, config, base_seed=11)
-    assert (shared.t_prime, shared.total_shots, shared.max_big_k) == (
-        agg.t_prime, agg.total_shots, agg.max_big_k)
-    assert [res.seed for res in shared.per_node] == [res.seed for res in results]
+    assert shared.t_prime == agg.t_prime
+    key = attrgetter("seed", "t_prime", "total_shots", "max_big_k")
+    assert [key(res) for res in shared.per_node] == [key(res) for res in results]
