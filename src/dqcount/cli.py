@@ -20,15 +20,17 @@ bench and the pair commands check the budget with
 `coordinator.node_config` and name the flag that set a rejected value. The
 node estimator runs at DiqcConfig's default everywhere, one shot per
 sampler call: no command has a flag for its batch. The count summary is
-read from the per-repetition AggregateResults. Exit codes: 0 success, 1
-estimation failure or a reader that closed stdout early, 2 usage or domain
-error.
+read from the per-repetition AggregateResults. `main` parses with one
+parser per process (`build_parser` is cached), so in-process calls do not
+rebuild it. Exit codes: 0 success, 1 estimation failure or a reader that
+closed stdout early, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -485,7 +487,10 @@ def _add_estimation(sub: argparse.ArgumentParser) -> None:
                      help="global significance level")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="dqcount",
         description="Distributed approximate-counting experiment driver",

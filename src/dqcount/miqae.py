@@ -300,6 +300,7 @@ def run_miqae(
     alpha = config.alpha
     batch_size = config.shots_per_batch
     k_max = math.pi / (4 * eps)
+    sample = sampler.sample  # one lookup per run, not one per batch
 
     theta_low, theta_high = 0.0, _HALF_PI
     k_i = 0
@@ -317,7 +318,7 @@ def run_miqae(
         failed = False
         while True:
             batch = min(batch_size, n_cap - n_round)
-            ones += sampler.sample(k_i, 1.0, batch)
+            ones += sample(k_i, 1.0, batch)
             n_round += batch
             a_hat = ones / n_round
             a_min, a_max = chernoff_interval(a_hat, n_round, alpha_i)

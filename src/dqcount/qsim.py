@@ -11,9 +11,7 @@ iterates yields outcome 11 with probability
     sin(theta_tilde) = sqrt(r * t_local / 2^m).
 
 `prob11` evaluates this closed form; both analytic samplers draw from it,
-and it is the default backend for the estimation loops. `AnalyticSampler`
-keeps the P[11] of its last (power, r) and evaluates `prob11` again only
-when either changes, so the shots of one round pay for it once. The dense
+and it is the default backend for the estimation loops. The dense
 statevector backend exists to prove the two agree. `apply_A` and
 `apply_A_dagger` run the preparation A gate by gate (Hadamards, oracle,
 rotation). The backend writes A|0> directly: every index row holds
@@ -43,6 +41,12 @@ from A|0>. So a live sampler holds three 2^(m+2) float64 vectors and shares
 nothing, and an iterate allocates nothing.
 `prob11_statevector` reads a fresh sampler and is the reference the tests
 compare a long-lived one against.
+
+Both samplers keep the P[11] of their last (power, r), so one shot is one
+`sample` call: it compares the kept (power, r), recomputes P[11] only when
+either changed, and makes one scalar draw with the generator's `binomial`,
+bound once when the sampler is built. For a scalar (shots, p) that draw
+returns a Python int. So the shots of one round pay for P[11] once.
 
 Register convention: m index qubits, then the oracle flag qubit, then the
 rotation qubit; a basis index reads (x << 2) | (flag << 1) | rot. The
@@ -289,7 +293,7 @@ class AnalyticSampler:
     """Draws from the closed-form distribution of a fixed unrescaled angle.
 
     Keeps the P[11] of its last (power, r), so the shots of one round
-    evaluate `prob11` once.
+    evaluate `prob11` once and each costs one bound scalar draw.
     """
 
     def __init__(self, theta: float, rng: Union[int, np.random.Generator] = 0):
@@ -298,6 +302,7 @@ class AnalyticSampler:
         self.theta = theta
         self._sin_theta = math.sin(theta)
         self.rng = _as_generator(rng)
+        self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
         self._r: Union[float, None] = None  # no P[11] computed yet
         self._power = 0
         self._p11 = 0.0
@@ -319,20 +324,22 @@ class AnalyticSampler:
         if r != self._r or grover_power != self._power:
             self._p11 = prob11(self._sin_theta, r, grover_power)
             self._r, self._power = r, grover_power  # kept only once prob11 accepts them
-        return int(self.rng.binomial(shots, self._p11))
+        return self._draw(shots, self._p11)
 
 
 class StatevectorSampler:
     """Draws from the exact-circuit distribution of a sub-oracle.
 
     Keeps the state of its last request (see the module docstring), so a
-    run whose powers rise at one r pays each iterate once. A request that
-    raises leaves the kept state as it was.
+    run whose powers rise at one r pays each iterate once, and a shot at the
+    kept (power, r) is one bound scalar draw. A request that raises leaves
+    the kept state as it was and draws nothing.
     """
 
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
         self.sub = sub
         self.rng = _as_generator(rng)
+        self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
         self._state = StateVector.zero(sub.m + 2)
         self._scratch = np.empty_like(self._state.amplitudes)
         self._marked_rows = _marked_rows(sub)
@@ -366,4 +373,6 @@ class StatevectorSampler:
         self._p11 = self._state.prob11()
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
-        return int(self.rng.binomial(shots, self.probability(grover_power, r)))
+        if r != self._r or grover_power != self._power:
+            self._advance(grover_power, r)
+        return self._draw(shots, self._p11)

@@ -9,7 +9,7 @@ import pytest
 
 import dqcount
 from dqcount import checks
-from dqcount.cli import main
+from dqcount.cli import build_parser, main
 from dqcount.diqc import DiqcConfig, run_amplitude
 from dqcount.miqae import MiqaeConfig, run_for_amplitude
 
@@ -115,6 +115,39 @@ def test_config_file_merges_with_flag_priority(tmp_path):
     assert summary["config"]["reps"] == 1  # flag wins over a non-None default too
     assert "shots_per_batch" not in summary["config"]
     assert (out / "trace.csv").exists()
+
+
+def written(out):
+    """The bytes of a --out file, or of each file in a --out directory."""
+    if out.is_dir():
+        return {path.name: read(path) for path in sorted(out.iterdir())}
+    return read(out)
+
+
+def test_one_parser_per_process_leaks_no_setting(tmp_path):
+    """`main` builds its parser once. A config-file count, a plain count and
+    bench, run in turn on that parser, each write the bytes they write on a
+    freshly built one."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k": 2, "scheme": "stride", "trace": True,
+                                  "backend": "statevector", "reps": 2, "seed": 5}))
+    count = ["count", "--n", "6", "--marked", "38,8,16",
+             "--epsilon-node", "0.0025", "--alpha-node", "0.025"]
+    runs = [("config-count", count + ["--config", str(config)]),
+            ("count", count),
+            ("bench.json", ["bench", "--n", "6", "--k", "2", "--epsilon-node", "0.002"])]
+    fresh = {}
+    for name, argv in runs:
+        build_parser.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / "fresh" / name)]) == 0
+        fresh[name] = written(tmp_path / "fresh" / name)
+    assert "trace.csv" in fresh["config-count"] and "trace.csv" not in fresh["count"]
+
+    build_parser.cache_clear()
+    for name, argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "shared" / name)]) == 0
+        assert written(tmp_path / "shared" / name) == fresh[name]
+    assert build_parser.cache_info().misses == 1
 
 
 def test_inner_product_and_hamming_commands(tmp_path):

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from dqcount import qsim
 from dqcount.checks import _gate_level_Q
+from dqcount.diqc import DiqcConfig, run_node
+from dqcount.miqae import MiqaeConfig, run_miqae
 from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 from dqcount.qsim import (
     AnalyticSampler,
@@ -299,6 +301,64 @@ def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
             assert [sampler.probability(power, 0.8) for power in (7, 8)] == expected
             assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 1}
             monkeypatch.undo()
+
+
+def test_rejected_statevector_sample_leaves_the_kept_state(monkeypatch):
+    """A `sample` request the sampler rejects raises ValueError each time,
+    draws nothing, and leaves the kept state, so the next draws equal a
+    fresh sampler's and a request at the kept (power, r) does no work."""
+    sub = sub_for(3, 2)
+    fresh = StatevectorSampler(sub, 11)
+    want = [fresh.sample(power, 0.8, shots) for power, shots in ((2, 40), (2, 1000), (3, 1000))]
+    kept = StatevectorSampler(sub, 11)
+    assert kept.sample(2, 0.8, 40) == want[0]
+    amplitudes = kept._state.amplitudes.tobytes()
+    for power, r in ((-1, 0.8), (-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (2, 1.5),
+                     (2, float("nan")), (2, float("nan"))):
+        with pytest.raises(ValueError):
+            kept.sample(power, r, 10)
+    assert (kept._power, kept._r) == (2, 0.8)
+    assert kept._state.amplitudes.tobytes() == amplitudes
+    counts = count_work(monkeypatch)
+    assert kept.sample(2, 0.8, 1000) == want[1]
+    assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
+    assert kept.sample(3, 0.8, 1000) == want[2]
+    assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 1}
+
+
+class CountTypes:
+    """A sampler wrapper that records the type of every count it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.types = set()
+
+    def probability(self, grover_power, r):
+        return self.inner.probability(grover_power, r)
+
+    def sample(self, grover_power, r, shots):
+        count = self.inner.sample(grover_power, r, shots)
+        self.types.add(type(count))
+        return count
+
+
+def test_sample_returns_a_python_int():
+    """Both samplers return a plain int at every (power, r, shots) DIQC and
+    MIQAE pass, and at p = 0 and p = 1. A numpy integer would make a_hat an
+    np.float64, whose repr would change the bytes of runs.csv and
+    trace.csv."""
+    sub = sub_for(4, 3)
+    for sampler in (AnalyticSampler.from_sub_oracle(sub, 3), StatevectorSampler(sub, 3)):
+        counter = CountTypes(sampler)
+        for batch in (1, 7):
+            node = run_node(sub, DiqcConfig(0.005, 0.05, shots_per_batch=batch), counter)
+            assert {type(rd.a_hat) for rd in node.rounds} == {float}
+        baseline = run_miqae(MiqaeConfig(0.005, 0.05), counter)
+        assert {type(rd.a_hat) for rd in baseline.rounds} == {float}
+        assert counter.types == {int}
+    for sampler in (AnalyticSampler(0.0, 1), AnalyticSampler(math.pi / 2, 1),
+                    StatevectorSampler(sub_for(4, 0), 1)):
+        assert type(sampler.sample(3, 1.0, 50)) is int
 
 
 def test_prepare_writes_the_gate_level_prepared_state():

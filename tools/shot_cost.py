@@ -1,0 +1,108 @@
+"""Time one shot of each sampler and one statevector iterate by width.
+
+    python3 tools/shot_cost.py
+
+Imports dqcount from the `src` directory of the checkout this file sits in
+and uses only its public API. It prints:
+
+* ns per shot on the path DIQC draws a shot by: `sample(power, r, 1)`
+  through a bound method looked up once, at the (power, r) the sampler
+  kept from the call before, for `AnalyticSampler` and for
+  `StatevectorSampler` (whose per-shot cost does not depend on the width);
+* us per `apply_Q` iterate at 6, 10, 14 and 18 qubits, on a prepared state
+  and a scratch vector made once, as `StatevectorSampler` runs it.
+
+Each figure is the best of `REPEATS` timed loops, taken in turns with
+the other figures' loops. The run takes a few seconds. Its figures are
+wall-clock times of the host it runs on, so it is no part of
+`tools/hash_suite.py`.
+"""
+
+from __future__ import annotations
+
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from dqcount.oracle import decompose_prefix, make_oracle  # noqa: E402
+from dqcount.qsim import (  # noqa: E402
+    AnalyticSampler,
+    StatevectorSampler,
+    StateVector,
+    apply_A,
+    apply_Q,
+)
+
+REPEATS = 40
+SHOTS = 20_000
+POWER, R = 5, 0.9  # a mid-run DIQC round: K = 11 at a rescued rotation weight
+SAMPLER_QUBITS = 14
+ITERATE_QUBITS = (6, 10, 14, 18)
+
+
+def _sub_oracle(qubits: int):
+    """Node 0 of a prefix split whose slice needs `qubits` qubits, with
+    every seventh index marked."""
+    n = qubits - 1  # m = n - 1 index qubits on node 0, plus flag and rotation
+    return decompose_prefix(make_oracle(n, range(0, 1 << n, 7)), 1)[0]
+
+
+def shot_loop(sampler):
+    sample = sampler.sample
+    sample(POWER, R, 1)  # the round's first shot computes P[11]
+
+    def loop(count):
+        for _ in range(count):
+            sample(POWER, R, 1)
+
+    return loop
+
+
+def iterate_loop(qubits: int):
+    sub = _sub_oracle(qubits)
+    prepared = apply_A(StateVector.zero(qubits), sub, R)
+    state = prepared.copy()
+    scratch = np.empty_like(state.amplitudes)
+
+    def loop(count):
+        for _ in range(count):
+            apply_Q(state, prepared, scratch)
+
+    return loop
+
+
+def main() -> None:
+    sub = _sub_oracle(SAMPLER_QUBITS)
+    # (label, loop, steps per timed loop, unit, seconds per unit)
+    cases = [
+        ("sample  analytic", shot_loop(AnalyticSampler.from_sub_oracle(sub, 0)),
+         SHOTS, "ns/shot", 1e-9),
+        (f"sample  statevector {SAMPLER_QUBITS:2d} qubits", shot_loop(StatevectorSampler(sub, 0)),
+         SHOTS, "ns/shot", 1e-9),
+    ]
+    for qubits in ITERATE_QUBITS:
+        cases.append((f"apply_Q {qubits:2d} qubits", iterate_loop(qubits),
+                      max(10, (1 << 18) >> qubits), "us/iterate", 1e-6))
+    # The cases take turns, so each one's best is drawn from the whole run
+    # and a slow stretch of the host does not land on one case alone.
+    best = [float("inf")] * len(cases)
+    for _ in range(REPEATS):
+        for i, (_, loop, steps, _, _) in enumerate(cases):
+            start = perf_counter()
+            loop(steps)
+            best[i] = min(best[i], (perf_counter() - start) / steps)
+    print(f"# python {platform.python_version()}, numpy {np.__version__}, "
+          f"{platform.machine()}, {os.cpu_count()} CPUs; best of {REPEATS}")
+    for (label, _, _, unit, scale), seconds in zip(cases, best):
+        print(f"{label:32s}{seconds / scale:9.2f} {unit}")
+
+
+if __name__ == "__main__":
+    main()
