@@ -11,9 +11,10 @@ narrower than 2*epsilon.
 The odd-K scan, `next_odd_k`, is shared with the node estimator in `diqc`,
 which also uses its rotation-rescue branch; it lives here, beside the
 quadrant tests it is built from, because `diqc` imports this module. It
-tests odd K in fixed-size numpy chunks and re-checks rescue candidates with
-the scalar code, so it returns the (K, r) of a scan over one K at a time,
-bit for bit.
+tests its first few odd K with the scalar code and the rest in numpy
+chunks that grow 4x, prefilters the rescue branch with a bound that needs
+no trig, and re-checks each rescue candidate with the scalar code, so it
+returns the (K, r) of a scan over one K at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,16 +62,23 @@ EPSILON_FLOOR = 1e-7
 # alpha_i is at least 6.4e-8 alpha, which at this floor is 6.4e-308.
 ALPHA_FLOOR = 1e-300
 
-# `next_odd_k` tests odd K in chunks of this many, largest first; a chunk's
-# K are its largest K plus these steps. Read-only: the module keeps no
-# mutable state.
-_SCAN_CHUNK = 256
-_SCAN_STEPS = np.arange(0.0, -2.0 * _SCAN_CHUNK, -2.0)
+# `next_odd_k` tests its first _SCAN_HEAD odd K one at a time, then the
+# rest in numpy chunks that grow 4x from _SCAN_CHUNK_MIN to _SCAN_CHUNK_MAX
+# K. A chunk holds 2K for its K, its largest 2K plus a prefix of these
+# steps. Read-only: the module keeps no mutable state.
+_SCAN_HEAD = 6
+_SCAN_CHUNK_MIN = 256
+_SCAN_CHUNK_MAX = 4096
+_SCAN_STEPS = np.arange(0.0, -4.0 * _SCAN_CHUNK_MAX, -4.0)
 _SCAN_STEPS.flags.writeable = False
 
-# Relative slack of the numpy prefilter on the rescue bound; np.sin and
-# math.sin differ by at most a few ulps, far inside it.
-_RESCUE_MARGIN = 1e-12
+# Slack of `_rescue_reach`: the relative error allowed between the float
+# rescue weight and its float bound (each is within a few ulps of its exact
+# value), and the error of the float 2K theta/pi per unit of K (a few ulps
+# of a value at most K).
+_RESCUE_REL_ERROR = 1e-14
+_QUADRANT_ERROR_PER_K = 1e-15
+_PI_SQ_8 = math.pi**2 / 8
 
 
 def quadrant_count(big_k: int, theta: float) -> int:
@@ -106,6 +114,20 @@ def _rescue_weight(
     return None
 
 
+def _rescue_reach(tan_hi: float, k_low: int, k_high: int) -> float:
+    """Bound on x_hi - (R+1), the quadrants by which 2K theta_max/pi passes
+    the edge above K theta_min, for every odd K in [k_low, k_high] whose
+    rotation weight `_rescue_weight` can accept (see `next_odd_k`).
+
+    It is tan(theta_max) pi^2/(8K) at K = k_low plus slack for rounding:
+    a relative error _RESCUE_REL_ERROR between the float weight and its
+    bound carries through the derivation as tan(theta_max)
+    _RESCUE_REL_ERROR K, and x_hi is off by at most _QUADRANT_ERROR_PER_K K.
+    """
+    return (tan_hi * (_PI_SQ_8 / k_low + _RESCUE_REL_ERROR * k_high)
+            + _QUADRANT_ERROR_PER_K * k_high)
+
+
 def next_odd_k(
     theta_min: float,
     theta_max: float,
@@ -123,17 +145,24 @@ def next_odd_k(
     returns (K, r). Returns (K_current, None) when no factor qualifies; the
     caller keeps its current r.
 
-    `big_k_cap` optionally caps the scan two below it so the returned K
-    stays strictly under the run's depth cap.
+    `big_k_cap` optionally starts the scan at the largest odd K strictly
+    below it, so the returned K stays under the run's depth cap.
 
-    The scan runs over chunks of `_SCAN_CHUNK` odd K as numpy arrays. The
-    plain test evaluates the float expressions of `same_quadrant` in the
-    same order, which for K < 2^53 are the same IEEE operations, so it is
-    exact. The rescue test is only prefiltered in numpy, whose sin may
-    differ from math.sin by an ulp: a K whose estimated weight clears the
-    bound within a relative `_RESCUE_MARGIN` is re-checked, in scan order,
-    by the scalar `_rescue_weight`. So the result is bit for bit that of a
-    scalar scan over one K at a time.
+    The first `_SCAN_HEAD` K are tested with the scalar code; most
+    searches end there. The rest are tested in numpy chunks that grow 4x
+    from `_SCAN_CHUNK_MIN` to `_SCAN_CHUNK_MAX` K. The plain test computes
+    x = (2K) theta/pi elementwise, which for K < 2^53 is the same IEEE
+    value as the scalar K theta 2/pi (doubling is exact), so it is exact.
+    The rescue test is prefiltered, in both parts, by a necessary
+    condition with no trig: with R the quadrant count of K theta_min and
+    x_hi = 2K theta_max/pi, `_rescue_weight` accepts K only if
+    x_hi - (R+1) < tan(theta_max) pi^2/(8K), plus `_rescue_reach`'s slack.
+    For d = theta_max - (R+1)pi/(2K) and theta_max < pi/2, r > cos^2(pi/2K)
+    forces sin d < tan(theta_max) (1 - cos(pi/2K)) <= tan(theta_max)
+    pi^2/(8K^2); as d <= (pi/2) sin d on [0, pi/2), x_hi - (R+1) = (2K/pi) d
+    is below tan(theta_max) pi^2/(8K). Each K that passes is re-checked,
+    in scan order, by the scalar `_rescue_weight`. So the result is bit
+    for bit that of a scalar scan over one K at a time.
 
     This is the only odd-K scan: DIQC calls it as `diqc.find_next_k`, and
     MIQAE's `find_next_k` is its plain branch (`backtracked` set).
@@ -143,32 +172,52 @@ def next_odd_k(
     if q not in (2, 3):
         raise ValueError("growth factor q must be 2 or 3")
     big_k = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
-    if big_k_cap is not None and big_k > big_k_cap - 2:
-        big_k = big_k_cap - 2
+    if big_k_cap is not None:
+        big_k = min(big_k, big_k_cap - 1 - big_k_cap % 2)
     k_floor = q * big_k_current
     sin_lo = math.sin(theta_min)
     sin_hi = math.sin(theta_max)
+    tan_hi = math.tan(theta_max)
+    for k in range(big_k, k_floor - 1, -2)[:_SCAN_HEAD]:
+        if same_quadrant(k, theta_min, theta_max):
+            return k, 1.0
+        if backtracked:
+            continue
+        over = k * theta_max * 2 / math.pi - (quadrant_count(k, theta_min) + 1)
+        if over < _rescue_reach(tan_hi, k, k):
+            r = _rescue_weight(k, theta_min, sin_lo, sin_hi)
+            if r is not None:
+                return k, r
+    big_k -= 2 * _SCAN_HEAD
+    size = _SCAN_CHUNK_MIN
     while big_k >= k_floor:
-        # A chunk is always _SCAN_CHUNK long; its K below k_floor are skipped.
-        count = min(_SCAN_CHUNK, (big_k - k_floor) // 2 + 1)
-        ks = big_k + _SCAN_STEPS
-        quadrants = np.floor(ks * theta_min * 2 / math.pi + QUADRANT_SLACK)
-        plain = quadrants == np.ceil(ks * theta_max * 2 / math.pi - QUADRANT_SLACK) - 1
-        first = int(plain[:count].argmax())
+        count = min(size, (big_k - k_floor) // 2 + 1)
+        two_ks = 2 * big_k + _SCAN_STEPS[:count]
+        edges = two_ks * theta_min  # R + 1, the quadrant edge above theta_min
+        edges /= math.pi
+        edges += QUADRANT_SLACK
+        np.floor(edges, out=edges)
+        edges += 1
+        x_hi = two_ks * theta_max
+        x_hi /= math.pi
+        top = x_hi - QUADRANT_SLACK
+        np.ceil(top, out=top)
+        plain = top == edges
+        first = int(plain.argmax())
         if not plain[first]:
             first = count
         if first and not backtracked:
-            # the skipped tail may reach K = 0 when big_k_cap is even
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_est = np.sin((quadrants + 1) * math.pi / (2 * ks)) ** 2 / (sin_hi * sin_hi)
-                bound = np.maximum(np.sin(_HALF_PI * (1 - 1 / ks)) ** 2, 0.75)
-            for i in np.flatnonzero(r_est[:first] > bound[:first] * (1 - _RESCUE_MARGIN)):
-                r = _rescue_weight(big_k - 2 * int(i), theta_min, sin_lo, sin_hi)
+            reach = _rescue_reach(tan_hi, big_k - 2 * (first - 1), big_k)
+            over = x_hi[:first]
+            over -= edges[:first]
+            for i in np.flatnonzero(over < reach).tolist():
+                r = _rescue_weight(big_k - 2 * i, theta_min, sin_lo, sin_hi)
                 if r is not None:
-                    return big_k - 2 * int(i), r
+                    return big_k - 2 * i, r
         if first < count:
             return big_k - 2 * first, 1.0
-        big_k -= 2 * _SCAN_CHUNK
+        big_k -= 2 * count
+        size = min(4 * size, _SCAN_CHUNK_MAX)
     return big_k_current, None
 
 

@@ -1,5 +1,6 @@
 """The odd-K scan one K at a time, as `miqae.next_odd_k` ran before it
-tested K in numpy chunks; the tests' differential oracle for it."""
+tested K in numpy chunks; the tests' differential oracle for it. A depth
+cap starts the scan at the largest odd K below it, as in `next_odd_k`."""
 
 import math
 
@@ -27,8 +28,8 @@ def next_odd_k(theta_min, theta_max, q, big_k_current, backtracked, big_k_cap=No
     if q not in (2, 3):
         raise ValueError("growth factor q must be 2 or 3")
     big_k = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
-    if big_k_cap is not None and big_k > big_k_cap - 2:
-        big_k = big_k_cap - 2
+    if big_k_cap is not None:
+        big_k = min(big_k, big_k_cap - 1 - big_k_cap % 2)  # the largest odd K below it
     sin_lo = math.sin(theta_min)
     sin_hi = math.sin(theta_max)
     sin2_hi = sin_hi * sin_hi

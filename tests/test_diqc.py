@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dqcount import checks, metrics
+from dqcount import checks, metrics, miqae
 from dqcount.diqc import (
     DiqcConfig,
     EstimationIncompleteError,
@@ -102,6 +103,20 @@ def test_find_next_k_respects_cap():
     big_k, _ = find_next_k(0.3, 0.3002, q=2, big_k_current=1, backtracked=False,
                            big_k_cap=101)
     assert big_k <= 99
+    # an even cap starts the scan at the largest odd K below it
+    assert find_next_k(0.3, 0.3002, 2, 1, False, big_k_cap=100) == (99, 1.0)
+    assert find_next_k(0.3, 0.3002, 2, 1, False, big_k_cap=2000) == (1997, 1.0)
+
+
+def test_find_next_k_returns_odd_k_under_every_cap():
+    edge = 4 * math.pi / 50  # the rescue case of test_find_next_k_rescue_branch
+    intervals = ((0.3, 0.3002), (edge + 1e-4 - 0.06, edge + 1e-4), (0.1, 0.6), (1.5, math.pi / 2))
+    for cap in range(1, 301):
+        for lo, hi in intervals:
+            for backtracked in (False, True):
+                big_k, r = find_next_k(lo, hi, 2, 1, backtracked, big_k_cap=cap)
+                assert big_k % 2 == 1, (cap, lo, hi, backtracked)
+                assert r is None or big_k < cap
 
 
 @given(
@@ -141,9 +156,9 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
 
     monkeypatch.setattr(diqc_mod, "find_next_k", recorded)
     config = DiqcConfig(epsilon_node=1e-7, alpha_node=0.05)
-    # 41 searches, 12 of them over more than one chunk; at amplitude 0.5,
-    # seed 0, a rescue weight clears its bound by 5e-14 relative, inside
-    # the numpy prefilter's margin
+    # 41 searches: 30 go past the scalar head and 12 past the first chunk;
+    # at amplitude 0.5, seed 0, a rescue weight clears its bound by only
+    # 5e-14 relative
     for amplitude, seed in ((0.015625, 0), (0.3, 0), (0.5, 0), (0.9, 0), (0.9, 1), (0.9, 2)):
         run_amplitude(amplitude, config, seed=seed)
     rescued = 0
@@ -188,6 +203,105 @@ def test_find_next_k_matches_scalar_scan_at_quadrant_edges(big_k, data, q, backt
     lo = max(0.0, hi - data.draw(st.floats(min_value=0.05, max_value=1.0)) * quarter)
     got = find_next_k(lo, hi, q, 1, backtracked)
     assert same_scan_result(got, scalar_scan.next_odd_k(lo, hi, q, 1, backtracked))
+
+
+def rescue_prefilter_admits(big_k, theta_min, theta_max):
+    """Whether the scan's trig-free prefilter lets `_rescue_weight` test K,
+    with the bound of a chunk holding K alone, the tightest it uses."""
+    over = big_k * theta_max * 2 / math.pi - (miqae.quadrant_count(big_k, theta_min) + 1)
+    return over < miqae._rescue_reach(math.tan(theta_max), big_k, big_k)
+
+
+def rescued(big_k, theta_min, theta_max):
+    return miqae._rescue_weight(big_k, theta_min, math.sin(theta_min),
+                                math.sin(theta_max)) is not None
+
+
+@given(
+    big_k=st.integers(min_value=1, max_value=2 * 10 ** 6).map(lambda j: 2 * j + 1),
+    data=st.data(),
+)
+def test_rescue_prefilter_admits_every_rescued_k(big_k, data):
+    """theta_max past a quadrant edge of K by up to 1.5 times the reach the
+    prefilter admits, where `_rescue_weight` accepts."""
+    quarter = math.pi / (2 * big_k)
+    edge = data.draw(st.integers(min_value=1, max_value=big_k)) * quarter
+    reach = miqae._rescue_reach(math.tan(edge), big_k, big_k)
+    past = data.draw(st.floats(min_value=-0.01, max_value=1.5)) * min(reach, 1.0)
+    hi = min(edge + past * quarter, math.pi / 2)
+    lo = max(0.0, hi - data.draw(st.floats(min_value=0.01, max_value=1.0)) * quarter)
+    if lo < hi and rescued(big_k, lo, hi):
+        assert rescue_prefilter_admits(big_k, lo, hi)
+
+
+def test_rescue_prefilter_admits_every_rescued_k_seeded_sweep():
+    """A seeded sweep of theta_max just past the quadrant edges of K nearest
+    to 0.3, 1.0 and 1.5, just below and above the theta_max at which the
+    bound reaches half a quadrant (tan theta_max = 4K/pi^2; the scan's
+    plain test fails only for x_hi - (R+1) under half a quadrant, so from
+    there on every K is admitted), and at and a few ulps below pi/2."""
+    rng = random.Random(20)
+    accepted = 0
+    for big_k in (3, 5, 7, 9, 25, 101, 1001, 10001, 100001, 1000001, 3926991):
+        quarter = math.pi / (2 * big_k)
+        switch = math.atan(4 * big_k / math.pi ** 2)
+        targets = (0.3, 1.0, 1.5, switch * (1 - 1e-3), switch * (1 + 1e-3), math.pi / 2)
+        edges = {min(round(target / quarter), big_k) * quarter for target in targets}
+        highs = {math.pi / 2, math.nextafter(math.pi / 2, 0.0)}
+        for edge in edges:
+            reach = miqae._rescue_reach(math.tan(edge), big_k, big_k)
+            for _ in range(150):
+                past = rng.uniform(-0.01, 1.5) * min(reach, 1.0)
+                highs.add(min(edge + past * quarter, math.pi / 2))
+        for hi in highs:
+            for _ in range(10):
+                lo = max(0.0, hi - rng.uniform(0.01, 1.0) * quarter)
+                if lo < hi and rescued(big_k, lo, hi):
+                    accepted += 1
+                    assert rescue_prefilter_admits(big_k, lo, hi), (big_k, lo, hi)
+    assert accepted > 30_000
+
+
+def scan_seams():
+    """Scan positions (0 for the first K tried) beside each seam of the scan:
+    the end of the scalar head and the ends of its first four chunks."""
+    seam, size, seams = miqae._SCAN_HEAD, miqae._SCAN_CHUNK_MIN, []
+    for _ in range(5):
+        seams.append(seam)
+        seam += size
+        size = min(4 * size, miqae._SCAN_CHUNK_MAX)
+    return [s + d for s in seams for d in (-1, 0, 1)]
+
+
+# Intervals whose scan from their own start runs past every seam before it
+# finds a K: a plain K after 52,360 failing K, and, for theta straddling
+# pi/3, a rescue K after 26,881. A depth cap then moves the start so the
+# same K sits at any earlier scan position.
+SEAM_INTERVALS = ((1e-5, 1.5e-5), (1.04719442750736, 1.0471996914378046))
+
+
+def test_find_next_k_matches_scalar_scan_at_scan_seams():
+    """Scans whose answer sits on either side of a seam, or that find no K
+    and end there, with the rescue branch on and off and even and odd
+    caps."""
+    cases = []
+    for lo, hi in SEAM_INTERVALS:
+        found, _ = scalar_scan.next_odd_k(lo, hi, 2, 1, False)
+        for position in scan_seams():
+            start = found + 2 * position
+            for backtracked in (False, True):
+                for cap in (start + 1, start + 2):  # even, then odd
+                    cases.append(((lo, hi, 2, 1, backtracked), {"big_k_cap": cap}))
+                # positions 0..position all fail, and the floor q K_current
+                # ends the scan just above `found`
+                cases.append(((lo, hi, 2, (found + 1) // 2, backtracked),
+                              {"big_k_cap": start + 3}))
+    rescues = 0
+    for args, kwargs in cases:
+        want = scalar_scan.next_odd_k(*args, **kwargs)
+        assert same_scan_result(find_next_k(*args, **kwargs), want), (args, kwargs)
+        rescues += want[1] is not None and want[1] < 1
+    assert rescues == 2 * len(scan_seams())
 
 
 @pytest.mark.parametrize("ulps", [0, 1, 2])

@@ -117,7 +117,8 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
     monkeypatch.setattr(miqae_mod, "next_odd_k", recorded_scan)
     monkeypatch.setattr(miqae_mod, "find_next_k", recorded_search)
     config = MiqaeConfig(epsilon=1e-7, alpha=0.05)
-    # 107 searches: 16 over more than one chunk, 59 that find no K
+    # 107 searches: 41 go past the scalar head, 16 past the first chunk,
+    # and 59 find no K
     for amplitude, seed in ((0.015625, 0), (0.3, 0), (0.5, 2), (0.9, 0)):
         run_for_amplitude(amplitude, config, seed=seed)
     assert len(scans) == len(searches) == 107
@@ -147,10 +148,14 @@ def test_find_next_k_matches_scalar_scan_grid(k_i, lo, width, ulps):
 
 
 def test_scan_chunk_steps_are_read_only():
+    """The 2K steps every chunk of the scan slices are shared by all calls."""
     import dqcount.miqae as miqae_mod
 
+    assert len(miqae_mod._SCAN_STEPS) == miqae_mod._SCAN_CHUNK_MAX
     with pytest.raises(ValueError):
         miqae_mod._SCAN_STEPS[0] = 1.0
+    with pytest.raises(ValueError):
+        miqae_mod._SCAN_STEPS[:miqae_mod._SCAN_CHUNK_MIN] += 1.0
 
 
 def test_run_with_exact_zero_amplitude():
