@@ -51,7 +51,7 @@ from .coordinator import AggregateResult, node_config, run_distributed
 from .diqc import DiqcConfig, run_amplitude
 from .miqae import MiqaeConfig, run_for_amplitude
 from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
-from .qsim import AnalyticSampler
+from .qsim import BACKENDS, AnalyticSampler
 
 # column meanings: count_estimate is the real-valued 2^m * amplitude;
 # amplitude_low/high bound the slice's marked fraction; oracle_calls counts
@@ -479,8 +479,7 @@ def _add_common(
 
 def _add_estimation(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=1, help="log2 node count")
-    sub.add_argument("--backend", choices=("analytic", "statevector"),
-                     default="analytic")
+    sub.add_argument("--backend", choices=tuple(BACKENDS), default="analytic")
     sub.add_argument("--epsilon", type=float, default=None,
                      help="global target half-width")
     sub.add_argument("--alpha", type=float, default=None,

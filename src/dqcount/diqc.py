@@ -48,7 +48,7 @@ from .miqae import (
     run_totals,
 )
 from .oracle import SubOracle
-from .qsim import AnalyticSampler, Sampler, StatevectorSampler
+from .qsim import BACKENDS, AnalyticSampler, Sampler
 
 __all__ = [
     "DiqcConfig",
@@ -333,16 +333,15 @@ def run_node(
 ) -> NodeResult:
     """Estimate one sub-oracle's marked count.
 
-    When no sampler is supplied one is built from the sub-oracle on the
-    requested backend, seeded with `seed`.
+    `backend` must name an entry of `qsim.BACKENDS`, even when a sampler
+    is supplied. When none is, one is built from the sub-oracle on that
+    backend, seeded with `seed`.
     """
+    make_sampler = BACKENDS.get(backend)
+    if make_sampler is None:
+        raise ValueError(f"unknown backend {backend!r}")
     if sampler is None:
-        if backend == "analytic":
-            sampler = AnalyticSampler.from_sub_oracle(sub, seed)
-        elif backend == "statevector":
-            sampler = StatevectorSampler(sub, seed)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        sampler = make_sampler(sub, seed)
     return _estimate(sampler, sub.m, config, seed, sub.node_id)
 
 

@@ -31,22 +31,27 @@ is exact, not an approximation, and an iterate moves half the bytes of a
 complex128 one. A `StateVector` built from complex amplitudes stays
 complex128, and the gates apply to it unchanged.
 
-`StatevectorSampler` keeps one running state: the rotation weight r it
-was built for, A|0> for that r, the state after the last requested power,
-its P[11], a scratch vector each iterate writes its multiple of A|0>
-into, and the sub-oracle's marked index rows, computed once. A request at
-the same r and a power at or above the kept one advances the state in
-place by the difference; a new r rebuilds A|0>, and a lower power restarts
-from A|0>. So a live sampler holds three 2^(m+2) float64 vectors and shares
-nothing, and an iterate allocates nothing.
+`Sampler`, the base class of both backends, holds their per-call rules.
+It binds `np.random.default_rng(rng)` and its `binomial` once, and keeps
+the (power, r) of its last accepted request with its P[11]: `probability`
+and `sample` call the backend's `_advance(power, r)` only when either
+changed, and keep the new pair only once `_advance` returns, so a rejected
+request changes nothing. So one shot is one `sample` call and one scalar
+draw (a Python int for a scalar (shots, p)), and a round's shots pay for
+P[11] once. A backend supplies its constructor and `_advance`; `BACKENDS`
+maps each backend name to the builder of its seeded sampler. The
+estimators call only `sample`, so a stand-in (the tests' `ExactSampler`,
+a wrapper that records calls) needs only that method.
+
+`StatevectorSampler` keeps one running state: A|0> for the kept r, the
+state after the kept power, a scratch vector each iterate writes its
+multiple of A|0> into, and the sub-oracle's marked index rows, computed
+once. A request at the same r and a power at or above the kept one
+advances the state in place by the difference; a new r rebuilds A|0>, and
+a lower power restarts from A|0>. So a live sampler holds three 2^(m+2)
+float64 vectors and shares nothing, and an iterate allocates nothing.
 `prob11_statevector` reads a fresh sampler and is the reference the tests
 compare a long-lived one against.
-
-Both samplers keep the P[11] of their last (power, r), so one shot is one
-`sample` call: it compares the kept (power, r), recomputes P[11] only when
-either changed, and makes one scalar draw with the generator's `binomial`,
-bound once when the sampler is built. For a scalar (shots, p) that draw
-returns a Python int. So the shots of one round pay for P[11] once.
 
 Register convention: m index qubits, then the oracle flag qubit, then the
 rotation qubit; a basis index reads (x << 2) | (flag << 1) | rot. The
@@ -56,7 +61,7 @@ measurement statistics are invariant to the order of the last two qubits.
 from __future__ import annotations
 
 import math
-from typing import Protocol, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,6 +78,7 @@ __all__ = [
     "Sampler",
     "AnalyticSampler",
     "StatevectorSampler",
+    "BACKENDS",
 ]
 
 STATEVECTOR_QUBIT_LIMIT = 22
@@ -95,12 +101,6 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> Union[float, complex]:
         stop = start + _VDOT_BLOCK
         total += np.vdot(a[start:stop], b[start:stop])
     return total
-
-
-def _as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def prob11(sin_theta: float, r: float, grover_power: int) -> float:
@@ -276,36 +276,43 @@ def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
     return StatevectorSampler(sub).probability(grover_power, r)
 
 
-class Sampler(Protocol):
-    """Measurement source: good-outcome counts for (power, r, shots).
+class Sampler:
+    """Measurement source: good-outcome counts `rng.binomial(shots, P[11])`
+    for (power, r, shots), with the per-call rules of the module docstring.
+    A seed fixes every count."""
 
-    `AnalyticSampler` and `StatevectorSampler` draw `rng.binomial(shots,
-    probability)` from the generator they were built with, so a seed
-    fixes every count.
-    """
+    def __init__(self, rng: Union[int, np.random.Generator]):
+        self.rng = np.random.default_rng(rng)  # a Generator passes through
+        self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
+        self._r: Union[float, None] = None  # nothing kept yet
+        self._power = 0
+        self._p11 = 0.0
 
-    def probability(self, grover_power: int, r: float) -> float: ...
+    def _advance(self, grover_power: int, r: float) -> float:
+        """P[11] at (power, r), computed from the kept (power, r), which
+        still hold the last accepted request; raise to reject the request."""
+        raise NotImplementedError
 
-    def sample(self, grover_power: int, r: float, shots: int) -> int: ...
+    def probability(self, grover_power: int, r: float) -> float:
+        if r != self._r or grover_power != self._power:
+            self._p11 = self._advance(grover_power, r)
+            self._r, self._power = r, grover_power  # kept only once accepted
+        return self._p11
+
+    def sample(self, grover_power: int, r: float, shots: int) -> int:
+        if r != self._r or grover_power != self._power:
+            self.probability(grover_power, r)
+        return self._draw(shots, self._p11)
 
 
-class AnalyticSampler:
-    """Draws from the closed-form distribution of a fixed unrescaled angle.
-
-    Keeps the P[11] of its last (power, r), so the shots of one round
-    evaluate `prob11` once and each costs one bound scalar draw.
-    """
+class AnalyticSampler(Sampler):
+    """Draws from the closed-form distribution of a fixed unrescaled angle."""
 
     def __init__(self, theta: float, rng: Union[int, np.random.Generator] = 0):
         if not 0 <= theta <= _HALF_PI:
             raise ValueError("theta must lie in [0, pi/2]")
-        self.theta = theta
+        super().__init__(rng)
         self._sin_theta = math.sin(theta)
-        self.rng = _as_generator(rng)
-        self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
-        self._r: Union[float, None] = None  # no P[11] computed yet
-        self._power = 0
-        self._p11 = 0.0
 
     @classmethod
     def from_amplitude(cls, amplitude: float, rng: Union[int, np.random.Generator] = 0):
@@ -317,62 +324,47 @@ class AnalyticSampler:
     def from_sub_oracle(cls, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
         return cls.from_amplitude(sub.amplitude, rng)
 
-    def probability(self, grover_power: int, r: float) -> float:
+    def _advance(self, grover_power: int, r: float) -> float:
         return prob11(self._sin_theta, r, grover_power)
 
-    def sample(self, grover_power: int, r: float, shots: int) -> int:
-        if r != self._r or grover_power != self._power:
-            self._p11 = prob11(self._sin_theta, r, grover_power)
-            self._r, self._power = r, grover_power  # kept only once prob11 accepts them
-        return self._draw(shots, self._p11)
 
-
-class StatevectorSampler:
+class StatevectorSampler(Sampler):
     """Draws from the exact-circuit distribution of a sub-oracle.
 
     Keeps the state of its last request (see the module docstring), so a
-    run whose powers rise at one r pays each iterate once, and a shot at the
-    kept (power, r) is one bound scalar draw. A request that raises leaves
-    the kept state as it was and draws nothing.
+    run whose powers rise at one r pays each iterate once.
     """
 
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
+        super().__init__(rng)
         self.sub = sub
-        self.rng = _as_generator(rng)
-        self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
         self._state = StateVector.zero(sub.m + 2)
         self._scratch = np.empty_like(self._state.amplitudes)
         self._marked_rows = _marked_rows(sub)
-        self._r: Union[float, None] = None  # no A|0> built yet
-        self._prepared: Union[StateVector, None] = None
-        self._power = 0
-        self._p11 = 0.0
+        self._prepared: Union[StateVector, None] = None  # A|0> at the kept r
 
-    def probability(self, grover_power: int, r: float) -> float:
-        if r != self._r or grover_power != self._power:
-            self._advance(grover_power, r)
-        return self._p11
-
-    def _advance(self, grover_power: int, r: float) -> None:
-        """Step the kept state to `grover_power` iterates at `r`: forward
-        from where it is, or from A|0> after a new r or a lower power."""
+    def _advance(self, grover_power: int, r: float) -> float:
+        """Step the state to `grover_power` iterates at `r`: forward from
+        the kept power, or from A|0> after a new r or a lower power."""
         if grover_power < 0:
             raise ValueError("grover_power must be non-negative")
         new_r = r != self._r
         if new_r:
             # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
             self._prepared = _prepare(self.sub, r, self._marked_rows)
-            self._r = r
-        if new_r or grover_power < self._power:
+        power = self._power
+        if new_r or grover_power < power:
             np.copyto(self._state.amplitudes, self._prepared.amplitudes)
-            self._power = 0
+            power = 0
         # Looked up per iterate, so a tracer that wraps `qsim.apply_Q` counts them.
-        for _ in range(grover_power - self._power):
+        for _ in range(grover_power - power):
             apply_Q(self._state, self._prepared, self._scratch)
-        self._power = grover_power
-        self._p11 = self._state.prob11()
+        return self._state.prob11()
 
-    def sample(self, grover_power: int, r: float, shots: int) -> int:
-        if r != self._r or grover_power != self._power:
-            self._advance(grover_power, r)
-        return self._draw(shots, self._p11)
+
+# Each backend by name, with the builder of its sampler for a sub-oracle and
+# a seed; `diqc.run_node` and the CLI's --backend read the names from here.
+BACKENDS = {
+    "analytic": AnalyticSampler.from_sub_oracle,
+    "statevector": StatevectorSampler,
+}

@@ -399,8 +399,12 @@ def test_run_node_statevector_backend_consistent():
     sv = run_node(sub, config, seed=3, backend="statevector")
     an = run_node(sub, config, seed=3, backend="analytic")
     assert sv.t_prime == an.t_prime == sub.t_local
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown backend 'tensor-network'$"):
         run_node(sub, config, backend="tensor-network")
+    # a supplied sampler does not excuse an unknown backend name
+    sampler = AnalyticSampler.from_sub_oracle(sub, 3)
+    with pytest.raises(ValueError, match="^unknown backend 'tensor-network'$"):
+        run_node(sub, config, sampler=sampler, backend="tensor-network")
 
 
 def test_trace_invariants_and_query_bound():

@@ -15,6 +15,7 @@ from dqcount.miqae import (
     run_miqae,
 )
 
+import exact_quadrant
 import scalar_scan
 from exact_sampler import ExactSampler
 
@@ -126,6 +127,43 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
         assert next_odd_k(*args) == scalar_scan.next_odd_k(*args), args
     for args in searches:
         assert search(*args) == scalar_scan.miqae_find_next_k(*args), args
+
+
+def test_quadrant_decisions_of_deep_eps_runs_match_exact_arithmetic(monkeypatch):
+    """Every `quadrant_count` and `same_quadrant` decision of seeded DIQC
+    and MIQAE runs at the epsilon floor, where K reaches the millions and
+    the float error of 2K theta/pi nears QUADRANT_SLACK, is the one exact
+    arithmetic makes."""
+    import dqcount.diqc as diqc_mod
+    import dqcount.miqae as miqae_mod
+
+    counts, pairs = [], []
+    quadrant_count, same_quadrant = miqae_mod.quadrant_count, miqae_mod.same_quadrant
+
+    def recorded_count(*args):
+        counts.append((args, quadrant_count(*args)))
+        return counts[-1][1]
+
+    def recorded_pair(*args):
+        pairs.append((args, same_quadrant(*args)))
+        return pairs[-1][1]
+
+    for module in (miqae_mod, diqc_mod):
+        monkeypatch.setattr(module, "quadrant_count", recorded_count)
+    monkeypatch.setattr(miqae_mod, "same_quadrant", recorded_pair)
+    for amplitude in (0.015625, 0.3, 0.5, 0.9):
+        for seed in (0, 1, 2):
+            diqc_mod.run_amplitude(amplitude, diqc_mod.DiqcConfig(1e-7, 0.05), seed=seed)
+            run_for_amplitude(amplitude, MiqaeConfig(1e-7, 0.05), seed=seed)
+    # K reaches 7,424,135; 71 counts are at K above 3.93e6, where the float
+    # error can pass half the slack, and 38 lie within 2e-9 of an edge
+    assert (len(counts), len(pairs)) == (1950, 1311)
+    # pi rounds to math.pi from both ends of the reference's bracket
+    assert float(exact_quadrant._PI_LOW) == float(exact_quadrant._PI_HIGH) == math.pi
+    for args, got in counts:
+        assert exact_quadrant.quadrant_count(*args) == got, args
+    for args, got in pairs:
+        assert exact_quadrant.same_quadrant(*args) == got, args
 
 
 @given(

@@ -4,9 +4,13 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import sys
+
 import dqcount.applications
 import dqcount.cli
 import dqcount.diqc
+import dqcount.qsim
+from dqcount.oracle import SubOracle
 
 _LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -57,3 +61,48 @@ def test_tracer_counts_every_shot_and_row_of_a_traced_count(tmp_path):
     metrics = tracer.metrics()
     assert metrics["qsim.shots"][0] == sum(int(row["total_shots"]) for row in runs)
     assert metrics["cli.rows_written"][0] == len(runs) + len(trace)
+
+
+def _package_attributes() -> dict:
+    """Every attribute of every dqcount module and of every class in one,
+    as `getattr` resolves it, keyed by (owner id, name)."""
+    owners = [mod for name, mod in sys.modules.items()
+              if name == "dqcount" or name.startswith("dqcount.")]
+    owners += [value for mod in list(owners) for value in vars(mod).values()
+               if isinstance(value, type) and value.__module__.startswith("dqcount")]
+    return {(id(owner), attr): getattr(owner, attr) for owner in owners for attr in dir(owner)}
+
+
+def test_uninstall_restores_every_wrapped_attribute():
+    """Each attribute the tracer wraps, the sampler methods that
+    `AnalyticSampler` and `StatevectorSampler` inherit from `Sampler`
+    included, resolves to its old object after `install()` and
+    `uninstall()`, and a sampler drawn from while traced then draws what a
+    fresh one draws."""
+    qsim = dqcount.qsim
+    sub = SubOracle(m=3, node_id=0, k=1, scheme="prefix", marked_local=frozenset({1, 6}))
+
+    def make():
+        return [qsim.AnalyticSampler.from_sub_oracle(sub, 5), qsim.StatevectorSampler(sub, 5)]
+
+    requests = [(0, 1.0, 20), (0, 1.0, 20), (2, 0.9, 50), (3, 0.9, 50), (1, 0.9, 10)]
+    before = _package_attributes()
+    tracer = _load_tracer()()
+    traced = make()
+    tracer.install()
+    try:
+        wrapped = [(owner, attr) for owner, attr, _ in tracer._originals]
+        drawn = [[s.sample(*req) for req in requests] for s in traced]
+    finally:
+        tracer.uninstall()
+    assert {(qsim.AnalyticSampler, "sample"), (qsim.StatevectorSampler, "sample"),
+            (qsim.StatevectorSampler, "probability")} <= set(wrapped)
+    for owner, attr in wrapped:
+        assert getattr(owner, attr) is before[id(owner), attr], (owner, attr)
+    for cls in (qsim.AnalyticSampler, qsim.StatevectorSampler):
+        assert cls.sample is qsim.Sampler.sample
+        assert cls.probability is qsim.Sampler.probability
+    for s, got in zip(traced, drawn):
+        got += [s.sample(*req) for req in requests]
+    fresh = make()
+    assert drawn == [[s.sample(*req) for req in requests * 2] for s in fresh]

@@ -202,6 +202,9 @@ def test_statevector_limits():
 
 def test_sample_shots():
     rng = np.random.default_rng(0)
+    # a Generator is drawn from as given, not wrapped or copied
+    assert AnalyticSampler(0.3, rng).rng is rng
+    assert StatevectorSampler(sub_for(2, 1), rng).rng is rng
     assert AnalyticSampler(0.0, rng).sample(0, 1.0, 1000) == 0  # p = 0
     assert AnalyticSampler(math.pi / 2, rng).sample(0, 1.0, 100) == 100  # p = 1
     assert (AnalyticSampler.from_amplitude(0.5, 123).sample(0, 1.0, 10)
@@ -214,14 +217,18 @@ def test_sample_shots_binomial_band():
 
 
 def test_analytic_sampler_rejected_request_leaves_no_trace():
-    """A request prob11 rejects is rejected again when repeated, draws
-    nothing, and leaves the next draw equal to a fresh sampler's."""
+    """A `sample` or `probability` request prob11 rejects is rejected again
+    when repeated, draws nothing, and leaves the kept (power, r) and the
+    next draw equal to a fresh sampler's."""
     kept = AnalyticSampler.from_amplitude(0.3, 11)
     fresh = AnalyticSampler.from_amplitude(0.3, 11)
     assert kept.sample(2, 0.8, 40) == fresh.sample(2, 0.8, 40)
-    for power, r in ((2, 0.0), (2, 0.0), (-1, 0.8), (-1, 0.8)):
+    for power, r in ((2, 0.0), (2, 0.0), (-1, 0.8), (-1, 0.8), (2, float("nan"))):
         with pytest.raises(ValueError):
             kept.sample(power, r, 10)
+        with pytest.raises(ValueError):
+            kept.probability(power, r)
+    assert (kept._power, kept._r) == (2, 0.8)
     assert kept.sample(2, 0.8, 1000) == fresh.sample(2, 0.8, 1000)
     assert kept.sample(0, 0.5, 1000) == fresh.sample(0, 0.5, 1000)
 
@@ -268,6 +275,14 @@ def test_samplers_agree_and_cache(monkeypatch):
     counts = count_work(monkeypatch)
     assert sv.probability(3, 1.0) == pytest.approx(analytic.probability(3, 1.0), abs=1e-10)
     assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
+    # and the closed form runs once for a probability and the shots after it
+    closed_forms = []
+    monkeypatch.setattr(qsim, "prob11", lambda *args: closed_forms.append(args) or prob11(*args))
+    fresh = AnalyticSampler.from_sub_oracle(sub, 5)
+    assert fresh.probability(2, 0.5) == prob11(fresh._sin_theta, 0.5, 2)
+    fresh.sample(2, 0.5, 30)
+    fresh.sample(2, 0.5, 30)
+    assert len(closed_forms) == 1
     assert exact.sample(0, 1.0, 1600) == round(1600 * 3 / 16)
     # same seed, same stream
     a = AnalyticSampler.from_amplitude(0.3, 42)
@@ -304,9 +319,10 @@ def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
 
 
 def test_rejected_statevector_sample_leaves_the_kept_state(monkeypatch):
-    """A `sample` request the sampler rejects raises ValueError each time,
-    draws nothing, and leaves the kept state, so the next draws equal a
-    fresh sampler's and a request at the kept (power, r) does no work."""
+    """A `sample` or `probability` request the sampler rejects raises
+    ValueError each time, draws nothing, and leaves the kept state, so the
+    next draws equal a fresh sampler's and a request at the kept
+    (power, r) does no work."""
     sub = sub_for(3, 2)
     fresh = StatevectorSampler(sub, 11)
     want = [fresh.sample(power, 0.8, shots) for power, shots in ((2, 40), (2, 1000), (3, 1000))]
@@ -314,9 +330,11 @@ def test_rejected_statevector_sample_leaves_the_kept_state(monkeypatch):
     assert kept.sample(2, 0.8, 40) == want[0]
     amplitudes = kept._state.amplitudes.tobytes()
     for power, r in ((-1, 0.8), (-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (2, 1.5),
-                     (2, float("nan")), (2, float("nan"))):
+                     (2, float("nan")), (2, float("nan")), (-1, 0.0)):
         with pytest.raises(ValueError):
             kept.sample(power, r, 10)
+        with pytest.raises(ValueError):
+            kept.probability(power, r)
     assert (kept._power, kept._r) == (2, 0.8)
     assert kept._state.amplitudes.tobytes() == amplitudes
     counts = count_work(monkeypatch)
