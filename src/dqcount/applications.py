@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 from . import metrics
 from .coordinator import node_config, run_nodes
 # run_node stays imported because perfbench's tracer wraps applications.run_node.
-from .diqc import NodeResult, half_width, run_node  # noqa: F401
+from .diqc import NodeResult, half_width, run_node, sum_in_order  # noqa: F401
 from .oracle import BitVector, check_split, hamming_suboracle, inner_product_suboracle
 
 __all__ = [
@@ -129,7 +129,7 @@ def _run_pair(
         classical_bits=_CLASSICAL_BITS_PER_NODE * nodes,
     )
     return ApplicationResult(
-        estimate=sum(res.c for res in agg.per_node) / (1 << n),
+        estimate=sum_in_order(res.c for res in agg.per_node) / (1 << n),
         error_bound=half_width(config.epsilon_node),
         confidence=agg.confidence,
         status=agg.status,

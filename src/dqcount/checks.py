@@ -8,12 +8,11 @@ seeded, so a report is reproducible from its configuration.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from . import metrics
-from .diqc import find_next_k
+from .diqc import find_next_k, sum_in_order
 from .oracle import SubOracle
 from .qsim import (
     AnalyticSampler,
@@ -34,6 +33,19 @@ __all__ = [
     "run_all",
 ]
 
+# The fixed grids of the suites every caller runs at one size: the weights r
+# and the highest power of the backend-equivalence grid and its error bound,
+# the odd K, r and theta steps of the angle-slack scan, and the (n, k) of
+# the gate-cost comparison.
+_EQUIVALENCE_R_VALUES = (0.25, 0.5, 0.8, 1.0)
+_EQUIVALENCE_MAX_POWER = 10
+_EQUIVALENCE_TOLERANCE = 1e-10
+_SLACK_MAX_BIG_K = 99
+_SLACK_R_STEPS = 10
+_SLACK_THETA_STEPS = 1000
+_COST_N_RANGE = range(4, 31)
+_COST_K_VALUES = (1, 2)
+
 
 def _gate_level_Q(state: StateVector, sub: SubOracle, r: float) -> None:
     """The iterate with A^dagger and A run gate by gate: the reference for
@@ -45,12 +57,7 @@ def _gate_level_Q(state: StateVector, sub: SubOracle, r: float) -> None:
     np.negative(state.amplitudes, out=state.amplitudes)
 
 
-def check_backend_equivalence(
-    max_m: int = 4,
-    r_values: Sequence[float] = (0.25, 0.5, 0.8, 1.0),
-    max_power: int = 10,
-    tolerance: float = 1e-10,
-) -> dict:
+def check_backend_equivalence(max_m: int = 4) -> dict:
     """Exact-circuit P[11] against the analytic sampler on an exhaustive grid.
 
     Each sub-oracle gets one `StatevectorSampler`, read at rising powers
@@ -68,9 +75,9 @@ def check_backend_equivalence(
             )
             analytic = AnalyticSampler.from_sub_oracle(sub)
             sampler = StatevectorSampler(sub)
-            for r in r_values:
+            for r in _EQUIVALENCE_R_VALUES:
                 gates = apply_A(StateVector.zero(m + 2), sub, r)
-                for power in range(max_power + 1):
+                for power in range(_EQUIVALENCE_MAX_POWER + 1):
                     if power:
                         _gate_level_Q(gates, sub, r)
                     expected = analytic.probability(power, r)
@@ -80,36 +87,32 @@ def check_backend_equivalence(
                     cases += 1
     return {
         "name": "backend_equivalence",
-        "passed": worst <= tolerance,
+        "passed": worst <= _EQUIVALENCE_TOLERANCE,
         "cases": cases,
         "max_error": worst,
-        "tolerance": tolerance,
+        "tolerance": _EQUIVALENCE_TOLERANCE,
     }
 
 
-def check_angle_slack(
-    max_big_k: int = 99,
-    r_steps: int = 10,
-    theta_steps: int = 1000,
-) -> dict:
+def check_angle_slack() -> dict:
     """Rescaling never moves the scaled angle by a full quadrant.
 
     For odd K, r above sin^2(pi/2 (1-1/K)) and theta in [0, pi/2):
     0 <= 2K theta/pi - 2K asin(sqrt(r) sin theta)/pi < 1. The lower bound
     is exact monotonicity, so it is allowed the width of rounding noise.
     """
-    theta = np.linspace(0.0, math.pi / 2, theta_steps, endpoint=False)
+    theta = np.linspace(0.0, math.pi / 2, _SLACK_THETA_STEPS, endpoint=False)
     sin_theta = np.sin(theta)
     worst_low = math.inf
     worst_high = -math.inf
     cases = 0
-    for big_k in range(1, max_big_k + 1, 2):
+    for big_k in range(1, _SLACK_MAX_BIG_K + 1, 2):
         threshold = math.sin(math.pi / 2 * (1 - 1 / big_k)) ** 2
-        for r in np.linspace(threshold + 1e-6, 1.0, r_steps):
+        for r in np.linspace(threshold + 1e-6, 1.0, _SLACK_R_STEPS):
             slack = (2 * big_k / math.pi) * (theta - np.arcsin(np.sqrt(r) * sin_theta))
             worst_low = min(worst_low, float(slack.min()))
             worst_high = max(worst_high, float(slack.max()))
-            cases += theta_steps
+            cases += _SLACK_THETA_STEPS
     return {
         "name": "angle_slack",
         "passed": worst_low >= -1e-9 and worst_high < 1.0,
@@ -173,8 +176,8 @@ def check_budget_sums(trials: int = 300, seed: int = 0) -> dict:
         big_c = 2 * q * k_max / ((q - 1) * 0.05)
         for f in (lambda x: x, lambda x: x * math.log(big_c / x)):
             for ihat in range(1, t + 1):
-                lhs = sum(f(k) for k in ks[ihat - 1 :])
-                rhs = sum(f(k_max / q ** i) for i in range(t - ihat + 1))
+                lhs = sum_in_order(f(k) for k in ks[ihat - 1 :])
+                rhs = sum_in_order(f(k_max / q ** i) for i in range(t - ihat + 1))
                 if lhs > rhs + 1e-9:
                     failures += 1
     return {
@@ -185,21 +188,18 @@ def check_budget_sums(trials: int = 300, seed: int = 0) -> dict:
     }
 
 
-def check_gate_cost_comparison(
-    n_range: Sequence[int] = tuple(range(4, 31)),
-    k_values: Sequence[int] = (1, 2),
-) -> dict:
+def check_gate_cost_comparison() -> dict:
     """Exact gate-cost dominance of the centralized counter on the grid."""
     failing = [
         (n, k)
-        for n in n_range
-        for k in k_values
+        for n in _COST_N_RANGE
+        for k in _COST_K_VALUES
         if not metrics.centralized_cost_dominates(n, k)
     ]
     return {
         "name": "gate_cost_comparison",
         "passed": not failing,
-        "cases": len(n_range) * len(k_values),
+        "cases": len(_COST_N_RANGE) * len(_COST_K_VALUES),
         "failures": failing,
     }
 

@@ -48,52 +48,43 @@ from .applications import (
     padded_width,
 )
 from .coordinator import AggregateResult, node_config, run_distributed
-from .diqc import DiqcConfig, run_amplitude
+from .diqc import DiqcConfig, run_amplitude, sum_in_order
 from .miqae import MiqaeConfig, run_for_amplitude
 from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
 from .qsim import BACKENDS, AnalyticSampler
 
-# column meanings: count_estimate is the real-valued 2^m * amplitude;
+# runs.csv: one row per node run, rep and then (header, NodeResult
+# attribute). count_estimate is the real-valued 2^m * amplitude;
 # amplitude_low/high bound the slice's marked fraction; oracle_calls counts
 # one query per amplification iterate per shot, oracle_calls_physical every
 # state preparation; max_big_k is the largest odd amplification factor used.
-_RUN_COLUMNS = [
-    "rep",
-    "node_id",
-    "seed",
-    "t_prime",
-    "count_estimate",
-    "amplitude_low",
-    "amplitude_high",
-    "oracle_calls",
-    "oracle_calls_physical",
-    "total_shots",
-    "max_big_k",
-    "status",
-]
+_RUN_COLUMNS = (
+    ("node_id", "node_id"), ("seed", "seed"), ("t_prime", "t_prime"),
+    ("count_estimate", "c"), ("amplitude_low", "a_low"), ("amplitude_high", "a_high"),
+    ("oracle_calls", "oracle_calls"), ("oracle_calls_physical", "oracle_calls_physical"),
+    ("total_shots", "total_shots"), ("max_big_k", "max_big_k"), ("status", "status"),
+)
 
-# one row per adaptive round: big_k odd amplification factor, quadrant of the
-# amplified angle, r_weight rotation parameter, q_stage growth factor,
-# shots taken this round (its whole cap), pooled_shots behind the interval,
-# a_* the measured amplified probability and its bounds, theta_* the angle
-# interval in radians after the round.
-_TRACE_COLUMNS = [
-    "rep",
-    "node_id",
-    "round",
-    "big_k",
-    "quadrant",
-    "r_weight",
-    "q_stage",
-    "shots",
-    "pooled_shots",
-    "a_hat",
-    "a_min",
-    "a_max",
-    "theta_min",
-    "theta_max",
-    "backtracked",
-]
+# trace.csv: one row per adaptive round, rep, node_id and the round's
+# position from 1, then (header, RoundRecord attribute): big_k odd
+# amplification factor, quadrant of the amplified angle, r_weight rotation
+# parameter, q_stage growth factor, shots taken this round (its whole cap),
+# pooled_shots behind the interval, a_* the measured amplified probability
+# and its bounds, theta_* the angle interval in radians after the round,
+# backtracked 1 or 0.
+_TRACE_COLUMNS = (
+    ("big_k", "big_k"), ("quadrant", "quadrant"), ("r_weight", "r"), ("q_stage", "q"),
+    ("shots", "shots"), ("pooled_shots", "pooled_shots"), ("a_hat", "a_hat"),
+    ("a_min", "a_min"), ("a_max", "a_max"), ("theta_min", "theta_min"),
+    ("theta_max", "theta_max"), ("backtracked", "backtracked"),
+)
+
+
+def _cells(record, columns) -> list:
+    """`record`'s attributes in `columns` order, a bool as 1 or 0. The csv
+    module writes a float as its repr."""
+    return [int(value) if isinstance(value, bool) else value
+            for value in (getattr(record, attr) for _, attr in columns)]
 
 
 def _write_json(path: Union[str, Path, None], payload) -> None:
@@ -215,14 +206,11 @@ def _global_budget(
 
 
 def _node_means(aggs: list[AggregateResult], j: int) -> dict:
-    """Node j's means over the repetitions."""
+    """Node j's means over the repetitions, each summed in rep order."""
     results = [agg.per_node[j] for agg in aggs]
 
     def mean(values) -> float:
-        total = 0.0
-        for value in values:  # in rep order; sum() compensates floats from 3.12 on
-            total += value
-        return total / len(results)
+        return sum_in_order(values) / len(results)
 
     return {
         "node_id": j,
@@ -264,25 +252,10 @@ def _cmd_count(args, parser) -> int:
     trace_rows: list[list] = []
     for rep, agg in enumerate(aggs):
         for res in agg.per_node:
-            rows.append(
-                [
-                    rep, res.node_id, res.seed, res.t_prime, repr(res.c),
-                    repr(res.a_low), repr(res.a_high), res.oracle_calls,
-                    res.oracle_calls_physical, res.total_shots, res.max_big_k,
-                    res.status,
-                ]
-            )
+            rows.append([rep, *_cells(res, _RUN_COLUMNS)])
             if args.trace:
-                for rd in res.rounds:
-                    trace_rows.append(
-                        [
-                            rep, res.node_id, rd.index, rd.big_k, rd.quadrant,
-                            repr(rd.r), rd.q, rd.shots, rd.pooled_shots,
-                            repr(rd.a_hat), repr(rd.a_min), repr(rd.a_max),
-                            repr(rd.theta_min), repr(rd.theta_max),
-                            int(rd.backtracked),
-                        ]
-                    )
+                trace_rows += ([rep, res.node_id, i, *_cells(rd, _TRACE_COLUMNS)]
+                               for i, rd in enumerate(res.rounds, 1))
     t_counts = Counter(agg.t_prime for agg in aggs)
     failed_reps = sum(not agg.succeeded for agg in aggs)
     first = aggs[0].per_node[0]
@@ -307,10 +280,12 @@ def _cmd_count(args, parser) -> int:
         "error_bound": aggs[-1].error_bound,
         "confidence": aggs[-1].confidence,
     }
-    _write_csv(out / "runs.csv", _RUN_COLUMNS, rows)
+    _write_csv(out / "runs.csv", ["rep", *(name for name, _ in _RUN_COLUMNS)], rows)
     _write_json(out / "summary.json", summary)
     if args.trace:
-        _write_csv(out / "trace.csv", _TRACE_COLUMNS, trace_rows)
+        _write_csv(out / "trace.csv",
+                   ["rep", "node_id", "round", *(name for name, _ in _TRACE_COLUMNS)],
+                   trace_rows)
     return 0 if failed_reps == 0 else 1
 
 
@@ -389,16 +364,10 @@ def _cmd_compare(args, parser) -> int:
             results = [runner(args.seed + rep) for rep in range(args.reps)]
             good = [res for res in results if res.succeeded]
             pool = good if good else results
-            rows.append(
-                [
-                    repr(eps),
-                    name,
-                    len(good),
-                    repr(sum(res.max_big_k for res in pool) / len(pool)),
-                    repr(sum(res.oracle_calls for res in pool) / len(pool)),
-                    repr(sum(res.total_shots for res in pool) / len(pool)),
-                ]
-            )
+            rows.append([eps, name, len(good),
+                         sum(res.max_big_k for res in pool) / len(pool),
+                         sum(res.oracle_calls for res in pool) / len(pool),
+                         sum(res.total_shots for res in pool) / len(pool)])
     _write_csv(
         out / "sweep.csv",
         ["epsilon", "algorithm", "successes", "mean_max_big_k",

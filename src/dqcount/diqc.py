@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Union
+from typing import Iterable, Union
 
 from . import metrics
 from .miqae import (
@@ -57,6 +57,7 @@ __all__ = [
     "EstimationIncompleteError",
     "find_next_k",
     "post_process",
+    "sum_in_order",
     "run_node",
     "run_amplitude",
 ]
@@ -113,7 +114,6 @@ class RoundRecord:
     stall at its K, and ends the run as failed.
     """
 
-    index: int
     big_k: int
     quadrant: int
     r: float
@@ -184,6 +184,19 @@ def a_width(theta_min: float, theta_max: float) -> float:
     return math.sin(theta_max) ** 2 - math.sin(theta_min) ** 2
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """The float sum of `values`, added left to right without compensation.
+
+    Every float sum behind an output byte goes through here: the builtin
+    `sum()` compensates floats from Python 3.12 on, so its last bits depend
+    on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def post_process(
     rounds: list[RoundRecord], epsilon_node: float, m: int
 ) -> tuple[float, int, tuple[float, float]]:
@@ -201,14 +214,10 @@ def post_process(
     qualifying = [rd for rd in rounds if a_width(rd.theta_min, rd.theta_max) <= 2 * half]
     if not qualifying:
         raise EstimationIncompleteError(f"no round reached width {2 * half}")
-    weight_sum = 0.0
-    acc = 0.0
-    for rd in qualifying:
-        lo, hi = rd.a_bounds
-        w = 1.0 / (hi - lo)
-        acc += w * 0.5 * (lo + hi)
-        weight_sum += w
-    a_bar = acc / weight_sum
+    bounds = [rd.a_bounds for rd in qualifying]
+    weights = [1.0 / (hi - lo) for lo, hi in bounds]
+    acc = sum_in_order(w * 0.5 * (lo + hi) for w, (lo, hi) in zip(weights, bounds))
+    a_bar = acc / sum_in_order(weights)
     c = (1 << m) * a_bar
     t_prime = math.floor(c + 0.5)
     return c, t_prime, (max(0.0, a_bar - half), min(1.0, a_bar + half))
@@ -267,7 +276,6 @@ def _estimate(
             theta_max = math.asin(math.sqrt(sin2_max / r))
         rounds.append(
             RoundRecord(
-                index=len(rounds) + 1,
                 big_k=big_k,
                 quadrant=quadrant,
                 r=r,

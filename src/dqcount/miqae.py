@@ -248,7 +248,6 @@ class MiqaeConfig:
 class MiqaeRound:
     """Trace record of one round (one K value)."""
 
-    index: int
     big_k: int
     quadrant: int
     shots: int
@@ -385,7 +384,6 @@ def run_miqae(
                 break
         rounds.append(
             MiqaeRound(
-                index=len(rounds) + 1,
                 big_k=big_k,
                 quadrant=quadrant,
                 shots=n_round,

@@ -1,7 +1,12 @@
+import builtins
+import importlib
+import math
+import pkgutil
 import random
 
 import pytest
 
+import dqcount
 from dqcount.applications import (
     HAMMING,
     INNER_PRODUCT,
@@ -184,3 +189,32 @@ def test_float_bits_raise_value_error():
     for runner in (estimate_inner_product, estimate_hamming):
         with pytest.raises(ValueError, match="x and y must contain only integer 0/1"):
             runner([1.0, 0, 1, 0], [1, 0, 1, 0], 1, 0.01, 0.05)
+
+
+def compensated_sum(values, start=0):
+    """builtins.sum as Python 3.12 and later run it: Neumaier-compensated
+    over floats, builtins.sum itself over ints."""
+    values = list(values)
+    if not any(isinstance(value, float) for value in values):
+        return builtins.sum(values, start)
+    total, comp = float(start), 0.0
+    for value in map(float, values):
+        step = total + value
+        if abs(total) >= abs(value):
+            comp += (total - step) + value
+        else:
+            comp += (value - step) + total
+        total = step
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_pair_estimate_bytes_do_not_depend_on_the_python_sum(monkeypatch):
+    # at k 2, seed 3 a compensated sum of the node counts moves the last bit
+    # of the Hamming estimate (0.5312766948572224 against ...223)
+    assert compensated_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
+    x, y = bits(random.Random(42), 64), bits(random.Random(43), 64)
+    plain = estimate_hamming(x, y, 2, 0.01, 0.05, base_seed=3).estimate
+    for info in pkgutil.iter_modules(dqcount.__path__):
+        module = importlib.import_module(f"dqcount.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert estimate_hamming(x, y, 2, 0.01, 0.05, base_seed=3).estimate == plain

@@ -1,8 +1,11 @@
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,21 @@ def test_count_command_outputs_and_determinism(tmp_path):
     assert header.startswith("rep,node_id,seed,t_prime,count_estimate")
     rows = read(out_a / "runs.csv").decode().splitlines()[1:]
     assert len(rows) == 6  # 3 reps x 2 nodes
+
+    # trace.csv numbers each run's rounds by their position in its trace
+    trace = defaultdict(list)
+    for row in csv.DictReader(io.StringIO(read(out_a / "trace.csv").decode())):
+        trace[int(row["rep"]), int(row["node_id"])].append(row)
+    assert sorted(trace) == [(rep, j) for rep in range(3) for j in range(2)]
+    oracle = dqcount.make_oracle(6, {38, 8, 16})
+    for rep in range(3):
+        agg = dqcount.run_distributed(oracle, 1, 0.002, 0.1, base_seed=7 + 2 * rep)
+        for res in agg.per_node:
+            run_rows = trace[rep, res.node_id]
+            assert [int(row["round"]) for row in run_rows] == list(
+                range(1, len(res.rounds) + 1))
+            assert [row["backtracked"] for row in run_rows] == [
+                str(int(rd.backtracked)) for rd in res.rounds]
 
 
 def test_hash_suite_matches_expected_bytes():
@@ -406,6 +424,26 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, argv, config, message):
         argv = argv + ["--config", str(path)]
     assert exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.endswith(f"error: argument --seed: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("budget, settings", [
+    ("epsilon", {"epsilon": 0.002, "epsilon-node": 0.001}),
+    ("alpha", {"alpha": 0.1, "alpha-node": 0.05}),
+])
+def test_global_and_node_budget_are_mutually_exclusive(tmp_path, capsys, budget, settings,
+                                                       via_config):
+    argv = ["count", "--n", "6", "--marked", "1"]
+    if via_config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(settings))
+        argv += ["--config", str(path)]
+    else:
+        argv += [f"--{key}={value}" for key, value in settings.items()]
+    assert exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: --{budget} and --{budget}-node are mutually exclusive\n")
     assert not (tmp_path / "out").exists()
 
 

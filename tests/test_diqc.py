@@ -46,9 +46,9 @@ def scan_oracle(theta_min, theta_max, q, big_k_current, backtracked):
     return big_k_current, None
 
 
-def make_round(a_low_angle, a_high_angle, index=1, big_k=1):
+def make_round(a_low_angle, a_high_angle, big_k=1):
     return RoundRecord(
-        index=index, big_k=big_k, quadrant=0, r=1.0, q=3, shots=10,
+        big_k=big_k, quadrant=0, r=1.0, q=3, shots=10,
         pooled_shots=10, a_hat=0.5, a_min=0.0, a_max=1.0,
         theta_min=a_low_angle, theta_max=a_high_angle, backtracked=False,
     )
@@ -326,7 +326,7 @@ def test_find_next_k_at_theta_max_half_pi(ulps):
 def test_post_process_weighted_average():
     rounds = [
         round_from_amplitudes(0.0610, 0.0640),
-        round_from_amplitudes(0.0615, 0.0630, index=2),
+        round_from_amplitudes(0.0615, 0.0630),
     ]
     # direct arithmetic with weights 1/width
     w1, w2 = 1 / 0.0030, 1 / 0.0015
@@ -345,7 +345,7 @@ def test_post_process_single_and_identical_intervals():
     assert c == pytest.approx(32 * 0.111, abs=1e-9)
     assert t_prime == round(32 * 0.111)
 
-    same = [round_from_amplitudes(0.2, 0.202, index=i) for i in range(3)]
+    same = [round_from_amplitudes(0.2, 0.202) for _ in range(3)]
     c, _, _ = post_process(same, epsilon_node=0.001, m=4)
     assert c == pytest.approx(16 * 0.201, abs=1e-9)
 
@@ -424,7 +424,6 @@ def test_trace_invariants_and_query_bound():
             assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in rounds)
             assert result.total_shots == sum(rd.shots for rd in rounds)
             assert result.max_big_k == max(rd.big_k for rd in rounds)
-            assert [rd.index for rd in rounds] == list(range(1, len(rounds) + 1))
             caps = [rd.shots for rd in rounds]  # a round spends its whole cap
             ks = [rd.big_k for rd in rounds]
             assert all(k % 2 == 1 and k < k_cap for k in ks)

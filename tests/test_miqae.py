@@ -226,7 +226,6 @@ def test_interval_and_growth_properties():
         assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in result.rounds)
         assert result.oracle_calls_physical == sum(rd.big_k * rd.shots for rd in result.rounds)
         assert result.total_shots == sum(rd.shots for rd in result.rounds)
-        assert [rd.index for rd in result.rounds] == list(range(1, len(ks) + 1))
 
 
 def test_epsilon_above_pi_over_4_runs_no_rounds():
