@@ -16,10 +16,10 @@ Subcommands:
 Every command but bench (which is closed-form) takes --seed, and every
 command produces byte-identical output for identical (config, seed). The
 (n, k) split is checked before any per-node budget is derived; count,
-bench and the pair commands check the budget with
-`coordinator.node_config` and name the flag that set a rejected value. The
-node estimator runs at DiqcConfig's default everywhere, one shot per
-sampler call: no command has a flag for its batch. The count summary is
+bench and the pair commands check each budget flag against its own range,
+then the budget with `coordinator.node_config`, and name the flag that set
+a rejected value. The node estimator draws each round with one sampler
+call, so no command has a batch flag for it. The count summary is
 read from the per-repetition AggregateResults. `main` parses with one
 parser per process (`build_parser` is cached), so in-process calls do not
 rebuild it. Exit codes: 0 success, 1 estimation failure or a reader that
@@ -180,8 +180,9 @@ def _global_budget(
 ) -> tuple[float, float]:
     """Global (epsilon, alpha), checked by `node_config`, the budget rule
     the runs apply. A per-node value stands for 2^k times itself, and a
-    global one for a 2^k-th of itself on each node; a rejection names the
-    flag that set the value."""
+    global one for a 2^k-th of itself on each node. Each flag is checked
+    against its own range before the value it stands for, and a rejection
+    names the flag that set the value."""
     check_split(n, k)
     nodes = 1 << k
     flags = {}
@@ -201,6 +202,11 @@ def _global_budget(
         alpha = 0.1 if alpha is None else alpha
         flags["alpha"] = ("--alpha", alpha)
         flags["alpha_node"] = (f"--alpha over 2^{k} nodes", alpha / nodes)
+    # the per-node flags on their own scale (an unset one at a value in
+    # range), then node_config: the global pair, then its 2^k-th
+    _checked(DiqcConfig, flags,
+             epsilon_node=0.01 if epsilon_node is None else epsilon_node,
+             alpha_node=0.05 if alpha_node is None else alpha_node)
     _checked(node_config, flags, epsilon=epsilon, alpha=alpha, n=n, k=k)
     return epsilon, alpha
 
@@ -381,11 +387,6 @@ def _cmd_bench(args, parser) -> int:
     n = args.n
     k = args.k
     epsilon_node, alpha_node = args.epsilon_node, args.alpha_node
-    # the per-node ranges first, then the 2^k-fold budget `count` would run
-    _checked(DiqcConfig,
-             {"epsilon_node": ("--epsilon-node", epsilon_node),
-              "alpha_node": ("--alpha-node", alpha_node)},
-             epsilon_node=epsilon_node, alpha_node=alpha_node)
     _global_budget(n, k, None, None, epsilon_node=epsilon_node, alpha_node=alpha_node)
     central, node = metrics.counting_comparison(n, k)
     payload = {

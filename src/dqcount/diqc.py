@@ -14,10 +14,11 @@ amplitude estimation with two extensions over the baseline in `miqae`:
   angle arcsin(sqrt(r) sin theta) until some large K does. A round whose
   measured interval is inconsistent with the current r (sin^2 of the
   inferred angle exceeding r) is discarded and the previous interval
-  restored ("backtracking"); the r branch of the K search is then disabled
+  kept ("backtracking"); the r branch of the K search is then disabled
   until a plain-condition K succeeds.
 
-A round consumes its full shot budget N_max before anything is decided:
+A round draws its full shot budget N_max, with one `sample_round` call on
+the sampler, before anything is decided:
 the budget is calibrated so that the pooled Chernoff interval at
 exhaustion is narrow enough for the K search to succeed, and only then are
 the interval update, the convergence test, and the K search evaluated. A
@@ -81,26 +82,16 @@ class DiqcConfig:
     significance (`coordinator.node_config` builds them from a global
     budget); `epsilon_node` lies in [EPSILON_FLOOR, 0.01] and `alpha_node`
     in [ALPHA_FLOOR, 3/4).
-    `shots_per_batch` is the number of shots drawn per sampler call: a
-    round of n_cap shots makes ceil(n_cap / batch) calls, the last one
-    partial when the batch does not divide n_cap. A round always takes its
-    full shot budget before anything reads its counts, so the batch changes
-    only how the RNG stream is consumed.
-    Only tests set it, for speed. The ROADMAP item on one binomial draw
-    per DIQC round removes it.
     """
 
     epsilon_node: float
     alpha_node: float
-    shots_per_batch: int = 1
 
     def __post_init__(self) -> None:
         if not EPSILON_FLOOR <= self.epsilon_node <= 0.01:
             raise ValueError(f"epsilon_node must lie in [{EPSILON_FLOOR:g}, 0.01]")
         if not ALPHA_FLOOR <= self.alpha_node < 0.75:
             raise ValueError(f"alpha_node must lie in [{ALPHA_FLOOR:g}, 3/4)")
-        if self.shots_per_batch < 1:
-            raise ValueError("shots_per_batch must be positive")
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,7 @@ def _estimate(
 ) -> NodeResult:
     eps = config.epsilon_node
     alpha = config.alpha_node
-    batch_size = config.shots_per_batch
     big_k_cap = metrics.k_max_cap(eps)
-    sample = sampler.sample  # one lookup per run, not one per shot
 
     theta_min, theta_max = 0.0, _HALF_PI
     width = a_width(theta_min, theta_max)
@@ -252,14 +241,7 @@ def _estimate(
         quadrant = quadrant_count(
             big_k, math.asin(math.sqrt(r) * math.sin(theta_min))
         )
-        prev_min, prev_max = theta_min, theta_max
-        backtracked = False
-        power = (big_k - 1) // 2
-        full, rest = divmod(n_cap, batch_size)
-        for _ in range(full):
-            pooled_ones += sample(power, r, batch_size)
-        if rest:
-            pooled_ones += sample(power, r, rest)
+        pooled_ones += sampler.sample_round((big_k - 1) // 2, r, n_cap)
         pooled_shots += n_cap
         a_hat = pooled_ones / pooled_shots
         a_min, a_max = chernoff_interval(a_hat, pooled_shots, alpha_i)
@@ -268,10 +250,8 @@ def _estimate(
         rescaled_max = (quadrant * _HALF_PI + gamma_high) / big_k
         sin2_min = math.sin(rescaled_min) ** 2
         sin2_max = math.sin(rescaled_max) ** 2
-        if sin2_min > r or sin2_max > r:
-            theta_min, theta_max = prev_min, prev_max
-            backtracked = True
-        else:
+        backtracked = sin2_min > r or sin2_max > r
+        if not backtracked:
             theta_min = math.asin(math.sqrt(sin2_min / r))
             theta_max = math.asin(math.sqrt(sin2_max / r))
         rounds.append(

@@ -38,10 +38,12 @@ and `sample` call the backend's `_advance(power, r)` only when either
 changed, and keep the new pair only once `_advance` returns, so a rejected
 request changes nothing. So one shot is one `sample` call and one scalar
 draw (a Python int for a scalar (shots, p)), and a round's shots pay for
-P[11] once. A backend supplies its constructor and `_advance`; `BACKENDS`
-maps each backend name to the builder of its seeded sampler. The
-estimators call only `sample`, so a stand-in (the tests' `ExactSampler`,
-a wrapper that records calls) needs only that method.
+P[11] once. DIQC draws each round with one `sample_round(power, r,
+shots)`, which makes `shots` calls of `sample(power, r, 1)`; MIQAE calls
+`sample`. A backend supplies its constructor and `_advance`; `BACKENDS`
+maps each backend name to the builder of its seeded sampler. A stand-in
+(the tests' `ExactSampler`, a wrapper that records calls) needs only the
+method its estimator calls.
 
 `StatevectorSampler` keeps one running state: A|0> for the kept r, the
 state after the kept power, a scratch vector each iterate writes its
@@ -303,6 +305,14 @@ class Sampler:
         if r != self._r or grover_power != self._power:
             self.probability(grover_power, r)
         return self._draw(shots, self._p11)
+
+    def sample_round(self, grover_power: int, r: float, shots: int) -> int:
+        """A DIQC round's count: `shots` calls of `sample(power, r, 1)`, summed."""
+        sample = self.sample  # one lookup per round, not one per shot
+        count = 0
+        for _ in range(shots):
+            count += sample(grover_power, r, 1)
+        return count
 
 
 class AnalyticSampler(Sampler):

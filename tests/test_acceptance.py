@@ -24,6 +24,9 @@ from dqcount.coordinator import run_distributed, run_nodes
 from dqcount.diqc import DiqcConfig, run_amplitude
 from dqcount.miqae import MiqaeConfig, run_for_amplitude
 from dqcount.oracle import decompose_prefix, make_oracle
+from dqcount.qsim import AnalyticSampler
+
+from batched import Batched, batched_backends
 
 COVERAGE_AMPLITUDES = (0.0, 1 / 64, 1 / 8, 0.5, 1.0)
 COVERAGE_RUNS = 500
@@ -49,10 +52,14 @@ def table3_runs():
 
 @pytest.fixture(scope="module")
 def coverage_runs():
-    config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05, shots_per_batch=100)
+    config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05)
+
+    def run(amp, seed):
+        sampler = Batched(AnalyticSampler.from_amplitude(amp, seed), 100)
+        return run_amplitude(amp, config, seed=seed, sampler=sampler)
+
     return {
-        amp: [run_amplitude(amp, config, seed=1000 * idx + run)
-              for run in range(COVERAGE_RUNS)]
+        amp: [run(amp, 1000 * idx + rep) for rep in range(COVERAGE_RUNS)]
         for idx, amp in enumerate(COVERAGE_AMPLITUDES, start=1)
     }
 
@@ -62,15 +69,16 @@ def aggregate_trials():
     """1,000 runs of the global budget (0.01, 0.05) over 4 prefix nodes,
     as `run_distributed` splits it, drawing 100 shots per sampler call."""
     rng = np.random.default_rng(2024)
-    config = DiqcConfig(epsilon_node=0.01 / 4, alpha_node=0.05 / 4, shots_per_batch=100)
+    config = DiqcConfig(epsilon_node=0.01 / 4, alpha_node=0.05 / 4)
     trials = []
-    for _ in range(20):
-        t = int(rng.integers(0, 257))
-        marked = frozenset(map(int, rng.choice(256, size=t, replace=False)))
-        subs = decompose_prefix(make_oracle(8, marked), 2)
-        for rep in range(50):
-            seed = int(rng.integers(0, 2 ** 31))
-            trials.append((t, run_nodes(subs, config, base_seed=seed)))
+    with batched_backends(100):
+        for _ in range(20):
+            t = int(rng.integers(0, 257))
+            marked = frozenset(map(int, rng.choice(256, size=t, replace=False)))
+            subs = decompose_prefix(make_oracle(8, marked), 2)
+            for rep in range(50):
+                seed = int(rng.integers(0, 2 ** 31))
+                trials.append((t, run_nodes(subs, config, base_seed=seed)))
     return trials
 
 
@@ -218,7 +226,7 @@ def test_criterion_8_depth_and_success_trend():
     reps = 100
     lines = []
     for eps in (0.005, 0.002, 0.001):
-        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=alpha, shots_per_batch=1)
+        node_cfg = DiqcConfig(epsilon_node=eps, alpha_node=alpha)
         base_cfg = MiqaeConfig(epsilon=eps, alpha=alpha, shots_per_batch=100)
         node_runs = [run_amplitude(amplitude, node_cfg, seed=300 + rep) for rep in range(reps)]
         base_runs = [run_for_amplitude(amplitude, base_cfg, seed=300 + rep) for rep in range(reps)]

@@ -339,8 +339,8 @@ _STDERR = {
     "inner-product --x 0101 --y 0110 --shots-per-batch 5": None,
     "hamming --x 0101 --y 0110 --shots-per-batch 5": None,
 }
-# malformed flag values; listed after the config-file row below so that
-# every earlier parameter id keeps its input
+# malformed flag values, then later rows; listed after the config-file
+# rows below so that every earlier parameter id keeps its input
 _VALUE_STDERR = {
     "count --n 6 --marked 1,x": "error: --marked must be comma-separated integers, got '1,x'\n",
     "count --n 6 --marked 1.5": "error: --marked must be comma-separated integers, got '1.5'\n",
@@ -359,6 +359,15 @@ _VALUE_STDERR = {
     "count --n 6 --marked 1 --k 1 --alpha-node 5e-324":
         "error: --alpha-node must lie in [1e-300, 3/4), got 4.94066e-324\n",
     "bench --alpha-node 1e-320": "error: --alpha-node must lie in [1e-300, 3/4), got 9.99989e-321\n",
+    "hamming --x 2 --y 01": "error: '2' is neither a file nor a 0/1 string\n",
+    # count checks a per-node flag on its own range as bench does, and a
+    # global flag on its own range before its 2^k-th
+    "count --n 6 --marked 1 --epsilon-node 0.5":
+        "error: --epsilon-node must lie in [1e-07, 0.01], got 0.5\n",
+    "count --n 6 --marked 1 --alpha-node 0.9":
+        "error: --alpha-node must lie in [1e-300, 3/4), got 0.9\n",
+    "count --n 6 --marked 1 --epsilon-node 0.001 --alpha 5":
+        "error: --alpha must lie in (0, 3/4), got 5\n",
 }
 
 
@@ -381,12 +390,17 @@ _VALUE_STDERR = {
     *[(line.split(), None) for line in _STDERR],
     (["count", "--n", "6", "--marked", "1"], {"shots-per-batch": 5}),
     *[(line.split(), None) for line in _VALUE_STDERR],
+    # a config file that is not JSON (written as is), one that holds a list
+    (["count", "--n", "6", "--marked", "1"], "{"),
+    (["count", "--n", "6", "--marked", "1"], [6, 1]),
+    (["count", "--marked", "1"], None),  # no --n
+    (["hamming", "--x", "0101"], None),  # no --y
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
     expected_err = {**_STDERR, **_VALUE_STDERR}.get(" ".join(argv))
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(path)]
     assert exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -404,6 +418,10 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config)
         }[argv[argv.index("--k") + 1]]
     if expected_err is not None:
         assert err == expected_err
+    if isinstance(config, (str, list)):
+        assert err.endswith({str: "error: cannot read config file: Expecting property name "
+                                  "enclosed in double quotes: line 1 column 2 (char 1)\n",
+                             list: "error: config file must hold a JSON object\n"}[type(config)])
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -456,11 +474,23 @@ def test_usage_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("argv", [
+# commands that write their JSON to stdout when --out is omitted
+_STDOUT_COMMANDS = [
     ["bench", "--n", "6", "--k", "1"],
     ["hamming", "--x", "0110", "--y", "1010"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS)
+def test_json_goes_to_stdout_without_out(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("ascii") == read(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS)
 def test_closed_stdout_pipe_exits_1_quietly(argv, unbuffered):
     # The read end is closed before the child starts, so its first write to
     # stdout (or the flush at the end of main) always fails with EPIPE.

@@ -117,7 +117,7 @@ def test_node_config_splits_global_budget():
 def test_aggregate_matches_node_runs():
     oracle = make_oracle(6, {1, 2, 3, 40})
     subs = decompose_prefix(oracle, 1)
-    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=1)
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
     results = [run_node(sub, config, seed=11 + sub.node_id) for sub in subs]
     agg = aggregate(results)
     assert agg.t_prime == sum(res.t_prime for res in results)

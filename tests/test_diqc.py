@@ -20,6 +20,7 @@ from dqcount.oracle import decompose_prefix, make_oracle
 from dqcount.qsim import AnalyticSampler
 
 import scalar_scan
+from batched import Batched, batched_backends
 from exact_sampler import ExactSampler
 
 
@@ -368,8 +369,8 @@ def test_rounding_stays_within_two_thirds():
 
 def test_run_node_empty_sub_oracle():
     sub = decompose_prefix(make_oracle(4, set()), 1)[0]
-    config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05, shots_per_batch=100)
-    result = run_node(sub, config, sampler=ExactSampler.from_amplitude(0.0))
+    config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05)
+    result = run_node(sub, config, sampler=Batched(ExactSampler.from_amplitude(0.0), 100))
     assert result.succeeded
     assert result.c == pytest.approx(0.0, abs=0.1)
     assert result.t_prime == 0
@@ -379,7 +380,7 @@ def test_run_node_empty_sub_oracle():
 def test_run_node_single_marked_element():
     oracle = make_oracle(6, {38, 8, 16})
     sub = decompose_prefix(oracle, 1)[1]
-    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=1)
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
     result = run_node(sub, config, seed=42)
     assert result.succeeded
     assert result.t_prime == 1
@@ -395,9 +396,10 @@ def test_run_node_single_marked_element():
 def test_run_node_statevector_backend_consistent():
     oracle = make_oracle(5, {3, 17})
     sub = decompose_prefix(oracle, 1)[0]
-    config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05, shots_per_batch=100)
-    sv = run_node(sub, config, seed=3, backend="statevector")
-    an = run_node(sub, config, seed=3, backend="analytic")
+    config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05)
+    with batched_backends(100):
+        sv = run_node(sub, config, seed=3, backend="statevector")
+        an = run_node(sub, config, seed=3, backend="analytic")
     assert sv.t_prime == an.t_prime == sub.t_local
     with pytest.raises(ValueError, match="^unknown backend 'tensor-network'$"):
         run_node(sub, config, backend="tensor-network")
@@ -410,63 +412,78 @@ def test_run_node_statevector_backend_consistent():
 def test_trace_invariants_and_query_bound():
     oracle = make_oracle(6, {38, 8, 16})
     subs = decompose_prefix(oracle, 1)
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
+    k_cap = metrics.k_max_cap(config.epsilon_node)
+    bound = metrics.query_bound(config.epsilon_node, config.alpha_node)
+    results = [run_node(sub, config, seed=seed) for seed in range(8) for sub in subs]
     # 100 shots per draw also covers a round's partial last batch
-    for batch in (1, 100):
-        config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=batch)
-        k_cap = metrics.k_max_cap(config.epsilon_node)
-        bound = metrics.query_bound(config.epsilon_node, config.alpha_node)
-        results = [run_node(sub, config, seed=seed) for seed in range(8) for sub in subs]
-        for result in results:
-            rounds = result.rounds
-            assert result.a_high - result.a_low <= 3 * config.epsilon_node + 1e-12
-            assert result.oracle_calls <= bound
-            assert result.oracle_calls_physical == sum(rd.big_k * rd.shots for rd in rounds)
-            assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in rounds)
-            assert result.total_shots == sum(rd.shots for rd in rounds)
-            assert result.max_big_k == max(rd.big_k for rd in rounds)
-            caps = [rd.shots for rd in rounds]  # a round spends its whole cap
-            ks = [rd.big_k for rd in rounds]
-            assert all(k % 2 == 1 and k < k_cap for k in ks)
-            assert caps == [
-                metrics.shots_cap((rd.q - 1) * 0.05 * rd.big_k / (rd.q * k_cap))
-                for rd in rounds
-            ]
-            for prev_k, cur_k, prev_cap, cur_cap, rd in zip(
-                ks, ks[1:], caps, caps[1:], rounds[1:]
-            ):
-                assert cur_k == prev_k or cur_k >= rd.q * prev_k
-                if cur_k > prev_k:
-                    assert cur_cap <= prev_cap
-            widths = [a_width(rd.theta_min, rd.theta_max) for rd in rounds]
-            assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+    with batched_backends(100):
+        results += [run_node(sub, config, seed=seed) for seed in range(8) for sub in subs]
+    for result in results:
+        rounds = result.rounds
+        assert result.a_high - result.a_low <= 3 * config.epsilon_node + 1e-12
+        assert result.oracle_calls <= bound
+        assert result.oracle_calls_physical == sum(rd.big_k * rd.shots for rd in rounds)
+        assert result.oracle_calls == sum((rd.big_k - 1) // 2 * rd.shots for rd in rounds)
+        assert result.total_shots == sum(rd.shots for rd in rounds)
+        assert result.max_big_k == max(rd.big_k for rd in rounds)
+        caps = [rd.shots for rd in rounds]  # a round spends its whole cap
+        ks = [rd.big_k for rd in rounds]
+        assert all(k % 2 == 1 and k < k_cap for k in ks)
+        assert caps == [
+            metrics.shots_cap((rd.q - 1) * 0.05 * rd.big_k / (rd.q * k_cap))
+            for rd in rounds
+        ]
+        for prev_k, cur_k, prev_cap, cur_cap, rd in zip(
+            ks, ks[1:], caps, caps[1:], rounds[1:]
+        ):
+            assert cur_k == prev_k or cur_k >= rd.q * prev_k
+            if cur_k > prev_k:
+                assert cur_cap <= prev_cap
+        widths = [a_width(rd.theta_min, rd.theta_max) for rd in rounds]
+        assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
 
 
-class RecordingSampler:
-    """An `AnalyticSampler` that logs each `sample` call's arguments."""
+class RecordingSampler(AnalyticSampler):
+    """An `AnalyticSampler` that logs each `sample_round` and `sample`
+    call's arguments."""
 
     def __init__(self, amplitude, seed):
-        self.inner = AnalyticSampler.from_amplitude(amplitude, seed)
+        super().__init__(math.asin(math.sqrt(amplitude)), seed)
+        self.rounds = []
         self.calls = []
 
-    def probability(self, grover_power, r):
-        return self.inner.probability(grover_power, r)
+    def sample_round(self, grover_power, r, shots):
+        self.rounds.append((grover_power, r, shots))
+        return super().sample_round(grover_power, r, shots)
 
     def sample(self, grover_power, r, shots):
         self.calls.append((grover_power, r, shots))
-        return self.inner.sample(grover_power, r, shots)
+        return super().sample(grover_power, r, shots)
 
 
 def test_round_draws_full_batches_then_one_partial():
+    """A round is one `sample_round(power, r, n_cap)` at its (power, r).
+    The default `sample_round` makes n_cap `sample(power, r, 1)` calls;
+    the tests' `Batched` makes full batches, then one partial call."""
     amplitude, seed = 0.3, 4
-    first_cap = run_amplitude(amplitude, DiqcConfig(0.001, 0.05), seed=seed).rounds[0].shots
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
+    recorder = RecordingSampler(amplitude, seed)
+    result = run_amplitude(amplitude, config, seed=seed, sampler=recorder)
+    assert result == run_amplitude(amplitude, config, seed=seed)
+    assert recorder.rounds == [((rd.big_k - 1) // 2, rd.r, rd.shots) for rd in result.rounds]
+    assert recorder.calls == [
+        (power, r, 1) for power, r, shots in recorder.rounds for _ in range(shots)
+    ]
     partial_rounds = 0
-    for batch in (1, 7, 100, first_cap + 1):
-        config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=batch)
+    for batch in (7, 100, result.rounds[0].shots + 1):
         recorder = RecordingSampler(amplitude, seed)
-        result = run_amplitude(amplitude, config, seed=seed, sampler=recorder)
-        assert result == run_amplitude(amplitude, config, seed=seed)
+        batched = run_amplitude(amplitude, config, seed=seed, sampler=Batched(recorder, batch))
+        plain = Batched(AnalyticSampler.from_amplitude(amplitude, seed), batch)
+        assert batched == run_amplitude(amplitude, config, seed=seed, sampler=plain)
+        assert recorder.rounds == []
         calls = iter(recorder.calls)
-        for rd in result.rounds:
+        for rd in batched.rounds:
             full, rest = divmod(rd.shots, batch)
             expected = [batch] * full + ([rest] if rest else [])
             drawn = [next(calls) for _ in expected]
@@ -485,8 +502,8 @@ def test_stall_grants_one_retry_then_fails(monkeypatch):
     monkeypatch.setattr(
         diqc_mod, "find_next_k", lambda *args, **kw: (args[3], None)
     )
-    config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05, shots_per_batch=100)
-    result = run_amplitude(0.3, config, sampler=ExactSampler.from_amplitude(0.3))
+    config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05)
+    result = run_amplitude(0.3, config, sampler=Batched(ExactSampler.from_amplitude(0.3), 100))
     assert result.status == "failed"
     assert len(result.rounds) == 2
     assert result.rounds[0].big_k == result.rounds[1].big_k == 1
@@ -511,10 +528,39 @@ def test_retry_budget_belongs_to_one_k(monkeypatch):
 
     answers = iter([(1, None), (3, 1.0), (3, None), (3, None)])
     monkeypatch.setattr(diqc_mod, "find_next_k", lambda *args, **kw: next(answers))
-    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05, shots_per_batch=100)
-    result = run_amplitude(0.3, config, sampler=ExactSampler.from_amplitude(0.3))
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
+    result = run_amplitude(0.3, config, sampler=Batched(ExactSampler.from_amplitude(0.3), 100))
     assert [rd.big_k for rd in result.rounds] == [1, 1, 3, 3]
     assert result.status == "failed"
+
+
+class EverySuccess:
+    """A sampler whose every shot is a good outcome."""
+
+    def sample_round(self, grover_power, r, shots):
+        return shots
+
+
+def test_backtracked_round_keeps_the_previous_interval(monkeypatch):
+    # Seeded runs never backtrack, so rig one: after the K = 1 round the
+    # search answers r = 0.2, but every shot of the K = 3 round succeeds,
+    # which puts sin^2 of the rescaled angle above r.
+    import dqcount.diqc as diqc_mod
+
+    answers = iter([(3, 0.2), (9, 1.0)])
+    searched = []
+
+    def find_next_k(theta_min, theta_max, q, big_k, backtracked, big_k_cap):
+        searched.append(backtracked)
+        return next(answers)
+
+    monkeypatch.setattr(diqc_mod, "find_next_k", find_next_k)
+    result = run_amplitude(0.9, DiqcConfig(0.01, 0.05), sampler=EverySuccess())
+    first, second = result.rounds[:2]
+    assert not first.backtracked
+    assert (second.big_k, second.r, second.backtracked) == (3, 0.2, True)
+    assert (second.theta_min, second.theta_max) == (first.theta_min, first.theta_max)
+    assert searched == [False, True]
 
 
 @pytest.mark.parametrize("amplitude, seed", [
@@ -528,8 +574,8 @@ def test_stalled_run_reports_its_last_round_when_width_over_3_rounds_down(
     import dqcount.diqc as diqc_mod
 
     monkeypatch.setattr(diqc_mod, "find_next_k", lambda *args, **kw: (args[3], None))
-    config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05, shots_per_batch=1000)
-    result = run_amplitude(amplitude, config, seed=seed)
+    sampler = Batched(AnalyticSampler.from_amplitude(amplitude, seed), 1000)
+    result = run_amplitude(amplitude, DiqcConfig(0.01, 0.05), seed=seed, sampler=sampler)
     last = result.rounds[-1]
     width = a_width(last.theta_min, last.theta_max)
     assert 3 * (width / 3) < width
@@ -556,8 +602,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiqcConfig(epsilon_node=0.005, alpha_node=5e-324)
     DiqcConfig(epsilon_node=0.005, alpha_node=1e-300)  # the alpha floor is inclusive
-    with pytest.raises(ValueError):
-        DiqcConfig(epsilon_node=0.005, alpha_node=0.05, shots_per_batch=0)
 
 
 def test_angle_slack_grid():

@@ -24,6 +24,7 @@ from dqcount.qsim import (
     prob11_statevector,
 )
 
+from batched import Batched
 from exact_sampler import ExactSampler
 
 
@@ -369,7 +370,7 @@ def test_sample_returns_a_python_int():
     for sampler in (AnalyticSampler.from_sub_oracle(sub, 3), StatevectorSampler(sub, 3)):
         counter = CountTypes(sampler)
         for batch in (1, 7):
-            node = run_node(sub, DiqcConfig(0.005, 0.05, shots_per_batch=batch), counter)
+            node = run_node(sub, DiqcConfig(0.005, 0.05), Batched(counter, batch))
             assert {type(rd.a_hat) for rd in node.rounds} == {float}
         baseline = run_miqae(MiqaeConfig(0.005, 0.05), counter)
         assert {type(rd.a_hat) for rd in baseline.rounds} == {float}
@@ -377,6 +378,7 @@ def test_sample_returns_a_python_int():
     for sampler in (AnalyticSampler(0.0, 1), AnalyticSampler(math.pi / 2, 1),
                     StatevectorSampler(sub_for(4, 0), 1)):
         assert type(sampler.sample(3, 1.0, 50)) is int
+        assert type(sampler.sample_round(3, 1.0, 50)) is int
 
 
 def test_prepare_writes_the_gate_level_prepared_state():

@@ -5,10 +5,10 @@
 Imports dqcount from the `src` directory of the checkout this file sits in
 and uses only its public API. It prints:
 
-* ns per shot on the path DIQC draws a shot by: `sample(power, r, 1)`
-  through a bound method looked up once, at the (power, r) the sampler
-  kept from the call before, for `AnalyticSampler` and for
-  `StatevectorSampler` (whose per-shot cost does not depend on the width);
+* ns per shot of `sample_round(power, r, shots)`, the one call DIQC draws
+  a round with, at the (power, r) the sampler kept from the call before,
+  for `AnalyticSampler` and for `StatevectorSampler` (whose per-shot cost
+  does not depend on the width);
 * us per `apply_Q` iterate at 6, 10, 14 and 18 qubits, on a prepared state
   and a scratch vector made once, as `StatevectorSampler` runs it.
 
@@ -54,15 +54,9 @@ def _sub_oracle(qubits: int):
     return decompose_prefix(make_oracle(n, range(0, 1 << n, 7)), 1)[0]
 
 
-def shot_loop(sampler):
-    sample = sampler.sample
-    sample(POWER, R, 1)  # the round's first shot computes P[11]
-
-    def loop(count):
-        for _ in range(count):
-            sample(POWER, R, 1)
-
-    return loop
+def round_loop(sampler):
+    sampler.sample_round(POWER, R, 1)  # the first shot at (POWER, R) computes P[11]
+    return lambda count: sampler.sample_round(POWER, R, count)
 
 
 def iterate_loop(qubits: int):
@@ -82,10 +76,10 @@ def main() -> None:
     sub = _sub_oracle(SAMPLER_QUBITS)
     # (label, loop, steps per timed loop, unit, seconds per unit)
     cases = [
-        ("sample  analytic", shot_loop(AnalyticSampler.from_sub_oracle(sub, 0)),
+        ("sample_round analytic", round_loop(AnalyticSampler.from_sub_oracle(sub, 0)),
          SHOTS, "ns/shot", 1e-9),
-        (f"sample  statevector {SAMPLER_QUBITS:2d} qubits", shot_loop(StatevectorSampler(sub, 0)),
-         SHOTS, "ns/shot", 1e-9),
+        (f"sample_round statevector {SAMPLER_QUBITS:2d} qubits",
+         round_loop(StatevectorSampler(sub, 0)), SHOTS, "ns/shot", 1e-9),
     ]
     for qubits in ITERATE_QUBITS:
         cases.append((f"apply_Q {qubits:2d} qubits", iterate_loop(qubits),
@@ -101,7 +95,7 @@ def main() -> None:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}, {os.cpu_count()} CPUs; best of {REPEATS}")
     for (label, _, _, unit, scale), seconds in zip(cases, best):
-        print(f"{label:32s}{seconds / scale:9.2f} {unit}")
+        print(f"{label:36s}{seconds / scale:9.2f} {unit}")
 
 
 if __name__ == "__main__":
