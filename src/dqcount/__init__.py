@@ -19,7 +19,6 @@ from .applications import (
 from .coordinator import AggregateResult, aggregate, run_distributed
 from .diqc import (
     DiqcConfig,
-    EstimationIncompleteError,
     NodeResult,
     RoundRecord,
     post_process,

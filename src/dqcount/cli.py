@@ -53,6 +53,12 @@ from .miqae import MiqaeConfig, run_for_amplitude
 from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
 from .qsim import BACKENDS, AnalyticSampler
 
+# The global budget when no flag sets it, of `count` and of the pair
+# commands. `--help` shows it; the parser default stays None so that
+# `count` can tell an unset --epsilon from --epsilon-node.
+_COUNT_EPSILON, _COUNT_ALPHA = 0.002, 0.1
+_PAIR_EPSILON, _PAIR_ALPHA = 0.01, 0.05
+
 # runs.csv: one row per node run, rep and then (header, NodeResult
 # attribute). count_estimate is the real-valued 2^m * amplitude;
 # amplitude_low/high bound the slice's marked fraction; oracle_calls counts
@@ -191,7 +197,7 @@ def _global_budget(
         flags["epsilon"] = (f"--epsilon-node times 2^{k} nodes", epsilon)
         flags["epsilon_node"] = ("--epsilon-node", epsilon_node)
     else:
-        epsilon = 0.002 if epsilon is None else epsilon
+        epsilon = _COUNT_EPSILON if epsilon is None else epsilon
         flags["epsilon"] = ("--epsilon", epsilon)
         flags["epsilon_node"] = (f"--epsilon over 2^{k} nodes", epsilon / nodes)
     if alpha_node is not None:
@@ -199,7 +205,7 @@ def _global_budget(
         flags["alpha"] = (f"--alpha-node times 2^{k} nodes", alpha)
         flags["alpha_node"] = ("--alpha-node", alpha_node)
     else:
-        alpha = 0.1 if alpha is None else alpha
+        alpha = _COUNT_ALPHA if alpha is None else alpha
         flags["alpha"] = ("--alpha", alpha)
         flags["alpha_node"] = (f"--alpha over 2^{k} nodes", alpha / nodes)
     # the per-node flags on their own scale (an unset one at a value in
@@ -447,13 +453,13 @@ def _add_common(
                      help="JSON file supplying defaults; flags win")
 
 
-def _add_estimation(sub: argparse.ArgumentParser) -> None:
+def _add_estimation(sub: argparse.ArgumentParser, epsilon: float, alpha: float) -> None:
     sub.add_argument("--k", type=int, default=1, help="log2 node count")
     sub.add_argument("--backend", choices=tuple(BACKENDS), default="analytic")
     sub.add_argument("--epsilon", type=float, default=None,
-                     help="global target half-width")
+                     help=f"global target half-width (default {epsilon:g})")
     sub.add_argument("--alpha", type=float, default=None,
-                     help="global significance level")
+                     help=f"global significance level (default {alpha:g})")
 
 
 @functools.cache
@@ -468,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("count", help="repeated distributed counting runs")
     _add_common(p, out="count-out")
-    _add_estimation(p)
+    _add_estimation(p, _COUNT_EPSILON, _COUNT_ALPHA)
     p.add_argument("--n", type=int, default=None, help="index register width")
     p.add_argument("--marked", type=str, default=None,
                    help="comma-separated marked indices")
@@ -486,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd, blurb in (("inner-product", "inner product"), ("hamming", "Hamming distance")):
         p = subs.add_parser(cmd, help=f"two-party {blurb} estimation")
         _add_common(p)
-        _add_estimation(p)
-        p.set_defaults(epsilon=0.01, alpha=0.05)
+        _add_estimation(p, _PAIR_EPSILON, _PAIR_ALPHA)
+        p.set_defaults(epsilon=_PAIR_EPSILON, alpha=_PAIR_ALPHA)
         p.add_argument("--x", type=str, default=None,
                        help="bit vector: 0/1 string or file path (required)")
         p.add_argument("--y", type=str, default=None, help="(required)")

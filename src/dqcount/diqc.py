@@ -12,24 +12,27 @@ amplitude estimation with two extensions over the baseline in `miqae`:
 * Rotation rescaling: when no larger K keeps the scaled interval inside a
   single quadrant, the auxiliary-qubit weight r < 1 shrinks the effective
   angle arcsin(sqrt(r) sin theta) until some large K does. A round whose
-  measured interval is inconsistent with the current r (sin^2 of the
-  inferred angle exceeding r) is discarded and the previous interval
+  measured interval is inconsistent with the current r (sin^2 of a
+  rescaled angle exceeding r) is discarded and the previous interval
   kept ("backtracking"); the r branch of the K search is then disabled
-  until a plain-condition K succeeds.
+  until a plain-condition K succeeds. The rescue weight r =
+  sin^2((R+1) pi/2K) / sin^2(theta_max), R the quadrant of K theta_min, is
+  at least sin^2((R+1) pi/2K), which bounds sin^2 of every rescaled angle;
+  so the branch fires only through float rounding, and
+  `test_backtracked_round_keeps_the_previous_interval` rigs the search to
+  reach it.
 
 A round draws its full shot budget N_max, with one `sample_round` call on
-the sampler, before anything is decided:
-the budget is calibrated so that the pooled Chernoff interval at
-exhaustion is narrow enough for the K search to succeed, and only then are
-the interval update, the convergence test, and the K search evaluated. A
-round whose search comes up empty is granted one more full budget at the
-same K with its counts carried over; a second stall ends the run as
-failed, still reporting the current estimate.
+the sampler, before anything is decided: the budget is calibrated so that
+the pooled Chernoff interval at exhaustion is narrow enough for the K
+search to succeed, and only then are the interval update, the convergence
+test, and the K search evaluated. A round whose search comes up empty is
+granted one more full budget at the same K with its counts carried over;
+a second stall ends the run as failed.
 
 Convergence is measured on amplitude scale: the loop stops when
-sin^2(theta_max) - sin^2(theta_min) <= 2 epsilon. The final estimate is an
-inverse-width weighted average over every round whose interval reached
-3 epsilon, scaled by 2^m and rounded, and reported +/- `half_width`.
+sin^2(theta_max) - sin^2(theta_min) <= 2 epsilon. `post_process` turns
+the rounds into the node's report, failed runs included.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "DiqcConfig",
     "RoundRecord",
     "NodeResult",
-    "EstimationIncompleteError",
     "find_next_k",
     "post_process",
     "sum_in_order",
@@ -68,10 +70,6 @@ _HALF_PI = math.pi / 2
 # Two-stage rule: an amplitude interval at least this many epsilon_node wide
 # selects growth factor q = 2, a narrower one q = 3.
 _WIDE_ROUND_FACTOR = 50.0
-
-
-class EstimationIncompleteError(RuntimeError):
-    """No round produced an interval narrow enough to post-process."""
 
 
 @dataclass(frozen=True)
@@ -193,18 +191,22 @@ def post_process(
 ) -> tuple[float, int, tuple[float, float]]:
     """Inverse-width weighted average over the qualifying rounds.
 
-    Uses every round whose amplitude interval is at most
-    2 * half_width(epsilon_node) = 3*epsilon wide. Returns (c, t_prime,
-    interval) where c = 2^m * abar, t_prime is c rounded half away from
-    zero, and the interval is [abar -/+ half_width(epsilon_node)] clamped
-    to [0, 1], on amplitude scale.
+    Uses every round whose amplitude interval is at most 2 * half wide,
+    half = half_width(epsilon_node) = 1.5 epsilon; when none is (a failed
+    run), the last round alone, with half = half its width. Returns (c,
+    t_prime, interval) where c = 2^m * abar, t_prime is c rounded half
+    away from zero, and the interval is [abar -/+ half] clamped to [0, 1],
+    on amplitude scale. Every node's report is made here.
     """
     if m < 0:
         raise ValueError("register width must be non-negative")
+    if not rounds:
+        raise ValueError("no rounds to post-process")
     half = half_width(epsilon_node)
     qualifying = [rd for rd in rounds if a_width(rd.theta_min, rd.theta_max) <= 2 * half]
     if not qualifying:
-        raise EstimationIncompleteError(f"no round reached width {2 * half}")
+        qualifying = rounds[-1:]
+        half = a_width(qualifying[0].theta_min, qualifying[0].theta_max) / 2
     bounds = [rd.a_bounds for rd in qualifying]
     weights = [1.0 / (hi - lo) for lo, hi in bounds]
     acc = sum_in_order(w * 0.5 * (lo + hi) for w, (lo, hi) in zip(weights, bounds))
@@ -230,11 +232,9 @@ def _estimate(
     big_k = 1
     r = 1.0
     rounds: list[RoundRecord] = []
-    pooled_ones = 0
-    pooled_shots = 0
-    failed = False
+    pooled_ones = pooled_shots = 0
 
-    while width > 2 * eps and not failed:
+    while True:
         q = 2 if width >= _WIDE_ROUND_FACTOR * eps else 3
         alpha_i = (q - 1) * alpha * big_k / (q * big_k_cap)
         n_cap = metrics.shots_cap(alpha_i)
@@ -280,22 +280,12 @@ def _estimate(
             big_k = new_k
             r = new_r
             pooled_ones = pooled_shots = 0
-        else:
-            # Stalled: grant one more full budget at this K with the counts
-            # carried over. If this round already pooled such a retry, it
-            # is the second stall at this K and ends the run.
-            failed = rounds[-1].pooled_shots > rounds[-1].shots
+        elif rounds[-1].pooled_shots > rounds[-1].shots:
+            # a second stall at one K ends the run; a first is granted one
+            # more full budget there, with the counts carried over
+            break
 
-    status = "failed" if failed else "success"
-    try:
-        c, t_prime, (a_low, a_high) = post_process(rounds, eps, m)
-    except EstimationIncompleteError:
-        # Failed before any round qualified: report the last round, at the
-        # least epsilon whose qualifying width 2 * half_width covers it.
-        eps_last = width / (2 * half_width(1.0))
-        while 2 * half_width(eps_last) < width:  # the division rounded down
-            eps_last = math.nextafter(eps_last, 1.0)
-        c, t_prime, (a_low, a_high) = post_process(rounds[-1:], eps_last, m)
+    c, t_prime, (a_low, a_high) = post_process(rounds, eps, m)
     return NodeResult(
         node_id=node_id,
         m=m,
@@ -306,7 +296,7 @@ def _estimate(
         a_high=a_high,
         c=c,
         t_prime=t_prime,
-        status=status,
+        status="success" if width <= 2 * eps else "failed",
         **run_totals(rounds),
         rounds=rounds,
     )

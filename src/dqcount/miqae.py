@@ -165,13 +165,13 @@ def next_odd_k(
     for bit that of a scalar scan over one K at a time.
 
     This is the only odd-K scan: DIQC calls it as `diqc.find_next_k`, and
-    MIQAE's `find_next_k` is its plain branch (`backtracked` set).
+    MIQAE's `find_next_k` passes `backtracked=True` to switch rescue off.
     """
     if not 0 <= theta_min < theta_max <= _HALF_PI:
         raise ValueError(f"invalid angle interval [{theta_min}, {theta_max}]")
     if q not in (2, 3):
         raise ValueError("growth factor q must be 2 or 3")
-    big_k = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
+    big_k = metrics.k_max_cap((theta_max - theta_min) / 2)
     if big_k_cap is not None:
         big_k = min(big_k, big_k_cap - 1 - big_k_cap % 2)
     k_floor = q * big_k_current

@@ -465,6 +465,18 @@ def test_global_and_node_budget_are_mutually_exclusive(tmp_path, capsys, budget,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, epsilon, alpha", [
+    ("count", "0.002", "0.1"), ("hamming", "0.01", "0.05"), ("inner-product", "0.01", "0.05"),
+])
+def test_help_shows_the_budget_defaults(capsys, command, epsilon, alpha):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"global target half-width (default {epsilon})" in text
+    assert f"global significance level (default {alpha})" in text
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--k", "1"])  # no marked set

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from dqcount import checks, metrics, miqae
 from dqcount.diqc import (
     DiqcConfig,
-    EstimationIncompleteError,
     RoundRecord,
     a_width,
     find_next_k,
@@ -351,13 +350,35 @@ def test_post_process_single_and_identical_intervals():
     assert c == pytest.approx(16 * 0.201, abs=1e-9)
 
 
-def test_post_process_requires_qualifying_round():
+def test_post_process_without_qualifying_round_reports_the_last():
+    # a failed run: no round is 3 epsilon wide, so the last round is
+    # reported alone, +/- half its own width
     wide = [round_from_amplitudes(0.1, 0.5)]
-    with pytest.raises(EstimationIncompleteError):
-        post_process(wide, epsilon_node=0.001, m=5)
+    rounds = wide + [round_from_amplitudes(0.3, 0.34)]
+    c, t_prime, (lo, hi) = post_process(rounds, epsilon_node=0.001, m=5)
+    assert c == pytest.approx(32 * 0.32, abs=1e-9)
+    assert t_prime == 10
+    assert hi - lo == pytest.approx(a_width(rounds[-1].theta_min, rounds[-1].theta_max))
+    assert (lo, hi) == (pytest.approx(0.3), pytest.approx(0.34))
+    with pytest.raises(ValueError):
+        post_process([], epsilon_node=0.001, m=5)
     # the wide round is simply skipped when a narrow one exists
     c, _, _ = post_process(wide + [round_from_amplitudes(0.3, 0.301)], 0.001, 5)
     assert c == pytest.approx(32 * 0.3005, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed, a_low, a_high, c", [
+    (94, 0.6083641638664946, 0.6714487710651383, 0.6399064674658165),
+    (213, 0.6087621260686393, 0.6714487710651384, 0.6401054485668889),
+    (268, 0.6087621260686393, 0.6714487710651384, 0.6401054485668889),
+])
+def test_failed_run_in_the_known_band_keeps_its_report(seed, a_low, a_high, c):
+    # node 0 of `count --n 6 --marked 0,...,19 --k 1 --epsilon 0.01
+    # --alpha 0.05` at these seeds: no round qualifies, so the report is the
+    # last round's interval, pinned here to the bit
+    result = run_amplitude(0.625, DiqcConfig(0.005, 0.025), seed=seed)
+    assert result.status == "failed"
+    assert (result.a_low, result.a_high, result.c) == (a_low, a_high, c)
 
 
 def test_rounding_stays_within_two_thirds():

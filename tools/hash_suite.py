@@ -38,10 +38,14 @@ def _bits(seed: int) -> str:
     return "".join(str(rng.randint(0, 1)) for _ in range(64))
 
 
-def suite() -> list[tuple[str, list[str], str]]:
-    """(run name, argv without --out, output: a directory "" or a file name).
+def suite() -> list[tuple[str, list[str], str, int]]:
+    """(run name, argv without --out, output: a directory "" or a file name,
+    expected exit code).
 
-    The first run is the README `count` command at 20 repetitions.
+    The first run is the README `count` command at 20 repetitions. Every
+    run exits 0 but `count-failed-node`, whose node 0 (amplitude 20/32 at
+    epsilon_node 0.005) fails before any round qualifies, so the command
+    exits 1 and the node reports its last round.
     """
     x, y = _bits(42), _bits(43)
     runs = [
@@ -74,20 +78,24 @@ def suite() -> list[tuple[str, list[str], str]]:
         runs.append((f"compare-miqae-deep-a{amplitude}",
                      ["compare-miqae", "--epsilons", "1e-7", "--amplitude", amplitude,
                       "--reps", reps, "--shots-per-batch", batch], ""))
-    return runs
+    failed = [("count-failed-node",
+               ["count", "--n", "6", "--marked", ",".join(map(str, range(20))), "--k", "1",
+                "--epsilon", "0.01", "--alpha", "0.05", "--seed", "94", "--trace"], "", 1)]
+    return [(*run, 0) for run in runs] + failed
 
 
 def hashes() -> list[str]:
     """One `name sha256[:16]` line per output file of the `suite` runs;
-    raises RuntimeError naming the first run that does not exit 0."""
+    raises RuntimeError naming the first run that does not exit with its
+    expected code."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, output in suite():
+        for name, argv, output, expected in suite():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(argv + ["--out", str(out / output)])
-            if code != 0:
-                raise RuntimeError(f"{name}: exit {code}")
+            if code != expected:
+                raise RuntimeError(f"{name}: exit {code}, expected {expected}")
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                 lines.append(f"{name}/{path.name} {digest}")

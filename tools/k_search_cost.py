@@ -34,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import dqcount.diqc as diqc  # noqa: E402
+import dqcount.metrics as metrics  # noqa: E402
 import dqcount.miqae as miqae  # noqa: E402
 
 EPSILONS = (1e-3, 1e-5, 1e-7)
@@ -48,7 +49,7 @@ BUCKETS = (("1-6", 6), ("7-64", 64), ("65-1024", 1024), (">1024", math.inf))
 def visited(args: tuple, kwargs: dict, result: tuple) -> int:
     """Odd K the downward scan visits for one search."""
     theta_min, theta_max, q, big_k_current = args[:4]
-    start = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
+    start = metrics.k_max_cap((theta_max - theta_min) / 2)
     cap = kwargs.get("big_k_cap")
     if cap is not None:
         start = min(start, cap - 1 - cap % 2)  # the largest odd K below the cap
