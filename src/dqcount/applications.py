@@ -98,8 +98,11 @@ def padded_width(size: int) -> int:
 
 
 def _pad_to_power_of_two(bits: BitVector) -> tuple[list[int], int]:
-    """Append zeros up to the next power of two; zeros never mark anything."""
+    """Append zeros up to the next power of two; zeros never mark anything.
+    A list already 2^n long is returned as it is, not copied."""
     n = padded_width(len(bits))
+    if isinstance(bits, list) and len(bits) == 1 << n:
+        return bits, n
     return list(bits) + [0] * ((1 << n) - len(bits)), n
 
 

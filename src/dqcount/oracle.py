@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 __all__ = [
     "OracleSpec",
     "SubOracle",
@@ -185,6 +187,20 @@ def _check_bits(bits: BitVector, what: str) -> None:
         raise ValueError(f"{what} must contain only 0/1 entries")
 
 
+def _bit_bytes(bits: BitVector) -> Union[np.ndarray, None]:
+    """A list or tuple whose entries are all 0 or 1 as one uint8 per entry,
+    else None."""
+    if not isinstance(bits, (list, tuple)):
+        return None  # a numpy array's bytes() is its raw buffer, not its entries
+    try:
+        packed = bytes(bits)
+    except (TypeError, ValueError):  # no __index__ (a numpy bool has none), or outside 0..255
+        return None
+    if packed.translate(None, b"\x00\x01"):  # some entry is neither 0 nor 1
+        return None
+    return np.frombuffer(packed, dtype=np.uint8)
+
+
 def _paired_suboracle(
     x: BitVector, y: BitVector, k: int, node_id: int, pair_bit
 ) -> SubOracle:
@@ -201,13 +217,21 @@ def _paired_suboracle(
     # entry once between them.
     stride = 1 << k
     xs, ys = x[node_id::stride], y[node_id::stride]
-    _check_bits(xs, "x")
-    _check_bits(ys, "y")
-    bits = map(pair_bit, xs, ys)
-    try:
-        marked = frozenset(compress(range(1 << m), bits))
-    except TypeError:  # a float such as 1.0 passes the 0/1 check but has no & or ^
-        raise ValueError("x and y must contain only integer 0/1 entries") from None
+    # Two list or tuple slices of Python ints, bools or numpy integers, each
+    # 0 or 1, take the pair bit on their bytes. Everything else (numpy
+    # arrays, numpy bools, floats, other entries) takes the checked path,
+    # the one source of the two error messages.
+    xb, yb = _bit_bytes(xs), _bit_bytes(ys)
+    if xb is not None and yb is not None:
+        marked = frozenset(np.flatnonzero(pair_bit(xb, yb)).tolist())
+    else:
+        _check_bits(xs, "x")
+        _check_bits(ys, "y")
+        bits = map(pair_bit, xs, ys)
+        try:
+            marked = frozenset(compress(range(1 << m), bits))
+        except TypeError:  # a float such as 1.0 passes the 0/1 check but has no & or ^
+            raise ValueError("x and y must contain only integer 0/1 entries") from None
     return SubOracle(m=m, node_id=node_id, k=k, scheme=STRIDE, marked_local=marked)
 
 

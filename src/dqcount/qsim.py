@@ -47,11 +47,14 @@ method its estimator calls.
 
 `StatevectorSampler` keeps one running state: A|0> for the kept r, the
 state after the kept power, a scratch vector each iterate writes its
-multiple of A|0> into, and the sub-oracle's marked index rows, computed
-once. A request at the same r and a power at or above the kept one
-advances the state in place by the difference; a new r rebuilds A|0>, and
-a lower power restarts from A|0>. So a live sampler holds three 2^(m+2)
-float64 vectors and shares nothing, and an iterate allocates nothing.
+multiple of A|0> into, and a row mask, one bool per index row that is True
+where the row is marked, built once after the width check. A|0> copies
+each index row's four (flag, rot) amplitudes from a two-row table, the
+row its mask entry picks, so a rebuild walks no marked set. A request at
+the same r and a power at or above the kept one advances the state in
+place by the difference; a new r rebuilds A|0>, and a lower power restarts
+from A|0>. So a live sampler holds three 2^(m+2) float64 vectors and a
+2^m-byte mask and shares nothing, and an iterate allocates nothing.
 `prob11_statevector` reads a fresh sampler and is the reference the tests
 compare a long-lived one against.
 
@@ -256,20 +259,26 @@ def apply_Q(
     return state
 
 
-def _prepare(sub: SubOracle, r: float, marked_rows: np.ndarray) -> StateVector:
-    """A|0> written in closed form from `_marked_rows(sub)`; the same bits
+def _marked_mask(sub: SubOracle) -> np.ndarray:
+    """One bool per index row, True where the row is marked."""
+    mask = np.zeros(1 << sub.m, dtype=bool)
+    mask[_marked_rows(sub)] = True
+    return mask
+
+
+def _prepare(sub: SubOracle, r: float, marked_mask: np.ndarray) -> StateVector:
+    """A|0> written in closed form from `_marked_mask(sub)`; the same bits
     as `apply_A(StateVector.zero(m + 2), sub, r)`."""
     _check_r(r)
-    state = StateVector.zero(sub.m + 2)
     h = 1.0
     for _ in range(sub.m):  # 2^(-m/2), one factor per Hadamard, rounded as the gates round it
         h *= _INV_SQRT2
-    weights = (math.sqrt(1.0 - r) * h, math.sqrt(r) * h)
-    rows = state.amplitudes.reshape(-1, 4)  # columns (flag, rot) = 00, 01, 10, 11
-    rows[:, :2] = weights
-    rows[marked_rows, 2:] = weights
-    rows[marked_rows, :2] = 0.0
-    return state
+    w0, w1 = math.sqrt(1.0 - r) * h, math.sqrt(r) * h
+    # Columns (flag, rot) = 00, 01, 10, 11; each index row copies the
+    # unmarked or the marked one, picked by its mask entry.
+    table = np.array(((w0, w1, 0.0, 0.0), (0.0, 0.0, w0, w1)))
+    rows = np.take(table, marked_mask, axis=0)
+    return StateVector(sub.m + 2, rows.reshape(-1))
 
 
 def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
@@ -342,7 +351,9 @@ class StatevectorSampler(Sampler):
     """Draws from the exact-circuit distribution of a sub-oracle.
 
     Keeps the state of its last request (see the module docstring), so a
-    run whose powers rise at one r pays each iterate once.
+    run whose powers rise at one r pays each iterate once. The sub-oracle's
+    marked rows become a bool row mask once, when the sampler is made, and
+    every A|0> it builds is written from that mask.
     """
 
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
@@ -350,7 +361,7 @@ class StatevectorSampler(Sampler):
         self.sub = sub
         self._state = StateVector.zero(sub.m + 2)
         self._scratch = np.empty_like(self._state.amplitudes)
-        self._marked_rows = _marked_rows(sub)
+        self._marked_mask = _marked_mask(sub)  # after the width check StateVector.zero makes
         self._prepared: Union[StateVector, None] = None  # A|0> at the kept r
 
     def _advance(self, grover_power: int, r: float) -> float:
@@ -361,7 +372,7 @@ class StatevectorSampler(Sampler):
         new_r = r != self._r
         if new_r:
             # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
-            self._prepared = _prepare(self.sub, r, self._marked_rows)
+            self._prepared = _prepare(self.sub, r, self._marked_mask)
         power = self._power
         if new_r or grover_power < power:
             np.copyto(self._state.amplitudes, self._prepared.amplitudes)

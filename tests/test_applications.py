@@ -10,6 +10,7 @@ import dqcount
 from dqcount.applications import (
     HAMMING,
     INNER_PRODUCT,
+    _pad_to_power_of_two,
     communication_bound,
     estimate_hamming,
     estimate_inner_product,
@@ -147,6 +148,11 @@ def test_padding_to_power_of_two():
     assert result.n == 6
     exact = sum(a & b for a, b in zip(x, y)) / 64
     assert abs(result.estimate - exact) <= result.error_bound
+    assert _pad_to_power_of_two(x) == (x + [0] * 16, 6)
+    # a list already 2^n long is used as it is, not copied; a tuple becomes a list
+    full = bits(rng, 64)
+    assert _pad_to_power_of_two(full)[0] is full
+    assert _pad_to_power_of_two(tuple(full)) == (full, 6)
 
 
 def test_ledger_accounting():

@@ -113,11 +113,15 @@ def test_inner_product_suboracle_matches_brute_force():
 
 
 def test_paired_suboracles_match_brute_force_on_every_node():
+    """Lists, tuples and numpy arrays (whose bytes() is their raw buffer,
+    not one byte per entry) all mark the brute-force set."""
     import random
 
     rng = random.Random(13)
     x = [rng.randint(0, 1) for _ in range(64)]
     y = [rng.randint(0, 1) for _ in range(64)]
+    inputs = [(x, y), (tuple(x), tuple(y))]
+    inputs += [(np.array(x, dtype=d), np.array(y, dtype=d)) for d in (np.int64, np.uint8, bool)]
     for build, keep in (
         (inner_product_suboracle, lambda a, b: a == b == 1),
         (hamming_suboracle, lambda a, b: a != b),
@@ -127,8 +131,8 @@ def test_paired_suboracles_match_brute_force_on_every_node():
                 expected = frozenset(
                     i for i in range(64 >> k) if keep(x[(i << k) | j], y[(i << k) | j])
                 )
-                assert build(x, y, k, j).marked_local == expected
-                assert build(tuple(x), tuple(y), k, j).marked_local == expected
+                for xv, yv in inputs:
+                    assert build(xv, yv, k, j).marked_local == expected
 
 
 def test_hamming_suboracle():
@@ -155,7 +159,9 @@ def test_paired_suboracle_errors():
         hamming_suboracle([2, 0], [1, 0], 1, 0)
 
 
-@pytest.mark.parametrize("entry", [0, 1, True, False, np.int64(1), np.int64(0)])
+@pytest.mark.parametrize(
+    "entry", [0, 1, True, False, np.int64(1), np.int64(0), np.True_, np.False_, np.uint8(1)]
+)
 def test_paired_suboracle_accepts_what_equals_a_bit(entry):
     x = [1, 0, 1, 1, 0, 0, 1, 0]
     for position in range(8):

@@ -383,13 +383,15 @@ def test_sample_returns_a_python_int():
 
 def test_prepare_writes_the_gate_level_prepared_state():
     """Every closed-form A|0> equals the gate-level one bit for bit, up to
-    the 12-index-qubit width of the benchmark's pair estimates."""
+    the 12-index-qubit width of the benchmark's pair estimates, for runs
+    from row 0 and for every third row marked."""
     for m in (3, 4, 3, 1, 2, 1, 5, 2, 4, 5, 8, 12):
-        for t in (0, 1, 1 << m):
-            sub = sub_for(m, t)
+        every_third = SubOracle(m=m, node_id=0, k=1, scheme="prefix",
+                                marked_local=frozenset(range(0, 1 << m, 3)))
+        for sub in (*(sub_for(m, t) for t in (0, 1, 1 << m)), every_third):
             for r in (1.0, 0.8, 0.3):
                 gates = apply_A(StateVector.zero(m + 2), sub, r)
-                prepared = qsim._prepare(sub, r, qsim._marked_rows(sub))
+                prepared = qsim._prepare(sub, r, qsim._marked_mask(sub))
                 assert prepared.amplitudes.tobytes() == gates.amplitudes.tobytes()
 
 
@@ -411,7 +413,7 @@ def test_statevector_backend_runs_on_real_amplitudes():
     sub = sub_for(4, 5)
     assert StateVector.zero(6).amplitudes.dtype == np.float64
     assert StateVector(6, np.ones(64, dtype=np.float32)).amplitudes.dtype == np.float64
-    assert qsim._prepare(sub, 0.7, qsim._marked_rows(sub)).amplitudes.dtype == np.float64
+    assert qsim._prepare(sub, 0.7, qsim._marked_mask(sub)).amplitudes.dtype == np.float64
     sampler = StatevectorSampler(sub)
     sampler.probability(3, 0.7)
     for vec in (sampler._state.amplitudes, sampler._prepared.amplitudes, sampler._scratch):

@@ -32,10 +32,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from dqcount.cli import main as cli_main  # noqa: E402
 
 
-def _bits(seed: int) -> str:
-    """64 bits, each `random.Random(seed).randint(0, 1)`."""
+def _bits(seed: int, length: int = 64) -> str:
+    """`length` bits, each `random.Random(seed).randint(0, 1)`."""
     rng = random.Random(seed)
-    return "".join(str(rng.randint(0, 1)) for _ in range(64))
+    return "".join(str(rng.randint(0, 1)) for _ in range(length))
 
 
 def suite() -> list[tuple[str, list[str], str, int]]:
@@ -67,6 +67,10 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     # the estimate's last bit
     runs.append(("hamming-analytic-seed3",
                  ["hamming", "--x", x, "--y", y, "--k", "2", "--seed", "3"], "result.json"))
+    # 100-bit vectors, zero-padded to 128 before the stride split
+    runs.append(("hamming-statevector-padded",
+                 ["hamming", "--x", _bits(44, 100), "--y", _bits(45, 100), "--k", "1",
+                  "--seed", "5", "--backend", "statevector"], "result.json"))
     runs += [
         ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], ""),
         ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json"),

@@ -10,7 +10,11 @@ and uses only its public API. It prints:
   for `AnalyticSampler` and for `StatevectorSampler` (whose per-shot cost
   does not depend on the width);
 * us per `apply_Q` iterate at 6, 10, 14 and 18 qubits, on a prepared state
-  and a scratch vector made once, as `StatevectorSampler` runs it.
+  and a scratch vector made once, as `StatevectorSampler` runs it;
+* us per `hamming_suboracle` build of node 0 of a pair of 2^13-bit lists
+  split over two nodes, the set-up a pair estimate pays per node;
+* us per fresh `StatevectorSampler(sub, 0).probability(0, R)` on that
+  14-qubit sub-oracle: the sampler's set-up plus one A|0>.
 
 Each figure is the best of `REPEATS` timed loops, taken in turns with
 the other figures' loops. The run takes a few seconds. Its figures are
@@ -31,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from dqcount.oracle import decompose_prefix, make_oracle  # noqa: E402
+from dqcount.oracle import decompose_prefix, hamming_suboracle, make_oracle  # noqa: E402
 from dqcount.qsim import (  # noqa: E402
     AnalyticSampler,
     StatevectorSampler,
@@ -45,6 +49,7 @@ SHOTS = 20_000
 POWER, R = 5, 0.9  # a mid-run DIQC round: K = 11 at a rescued rotation weight
 SAMPLER_QUBITS = 14
 ITERATE_QUBITS = (6, 10, 14, 18)
+PAIR_BITS = 1 << 13  # the benchmark's pair width; k = 1 leaves 14 qubits per node
 
 
 def _sub_oracle(qubits: int):
@@ -72,8 +77,31 @@ def iterate_loop(qubits: int):
     return loop
 
 
+def _pair(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, PAIR_BITS).tolist(), rng.integers(0, 2, PAIR_BITS).tolist()
+
+
+def build_loop(x, y):
+    def loop(count):
+        for _ in range(count):
+            hamming_suboracle(x, y, 1, 0)
+
+    return loop
+
+
+def fresh_sampler_loop(sub):
+    def loop(count):
+        for _ in range(count):
+            StatevectorSampler(sub, 0).probability(0, R)
+
+    return loop
+
+
 def main() -> None:
     sub = _sub_oracle(SAMPLER_QUBITS)
+    x, y = _pair()
+    pair_sub = hamming_suboracle(x, y, 1, 0)
     # (label, loop, steps per timed loop, unit, seconds per unit)
     cases = [
         ("sample_round analytic", round_loop(AnalyticSampler.from_sub_oracle(sub, 0)),
@@ -84,6 +112,11 @@ def main() -> None:
     for qubits in ITERATE_QUBITS:
         cases.append((f"apply_Q {qubits:2d} qubits", iterate_loop(qubits),
                       max(10, (1 << 18) >> qubits), "us/iterate", 1e-6))
+    cases += [
+        ("hamming_suboracle 2^13 bits, k 1", build_loop(x, y), 10, "us/build", 1e-6),
+        (f"fresh statevector {pair_sub.m + 2:2d} qubits, A|0>",
+         fresh_sampler_loop(pair_sub), 10, "us/build", 1e-6),
+    ]
     # The cases take turns, so each one's best is drawn from the whole run
     # and a slow stretch of the host does not land on one case alone.
     best = [float("inf")] * len(cases)
