@@ -36,9 +36,13 @@ It binds `np.random.default_rng(rng)` and its `binomial` once, and keeps
 the (power, r) of its last accepted request with its P[11]: `probability`
 and `sample` call the backend's `_advance(power, r)` only when either
 changed, and keep the new pair only once `_advance` returns, so a rejected
-request changes nothing. So one shot is one `sample` call and one scalar
-draw (a Python int for a scalar (shots, p)), and a round's shots pay for
-P[11] once. DIQC draws each round with one `sample_round(power, r,
+request changes nothing. It keeps P[11] as a 0-d float64 array and hands
+`binomial` that array: numpy's scalar path reads it as is, where a Python
+float would be copied into a new array on every call, and it runs the same
+C draw on the same double, so no count moves. `probability` returns a
+Python float of it. So one shot is one `sample` call and one scalar draw
+(a Python int for a scalar (shots, p)), and a round's shots pay for P[11]
+once. DIQC draws each round with one `sample_round(power, r,
 shots)`, which makes `shots` calls of `sample(power, r, 1)`; MIQAE calls
 `sample`. A backend supplies its constructor and `_advance`; `BACKENDS`
 maps each backend name to the builder of its seeded sampler. A stand-in
@@ -290,14 +294,16 @@ def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
 class Sampler:
     """Measurement source: good-outcome counts `rng.binomial(shots, P[11])`
     for (power, r, shots), with the per-call rules of the module docstring.
-    A seed fixes every count."""
+    A seed fixes every count. The kept P[11] is a 0-d float64 array, which
+    the draw reads as is; a Python float would be copied into a new array
+    on every shot. `probability` hands out a Python float of it."""
 
     def __init__(self, rng: Union[int, np.random.Generator]):
         self.rng = np.random.default_rng(rng)  # a Generator passes through
         self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
         self._r: Union[float, None] = None  # nothing kept yet
         self._power = 0
-        self._p11 = 0.0
+        self._p11 = np.array(0.0)
 
     def _advance(self, grover_power: int, r: float) -> float:
         """P[11] at (power, r), computed from the kept (power, r), which
@@ -306,9 +312,9 @@ class Sampler:
 
     def probability(self, grover_power: int, r: float) -> float:
         if r != self._r or grover_power != self._power:
-            self._p11 = self._advance(grover_power, r)
+            self._p11 = np.array(self._advance(grover_power, r))
             self._r, self._power = r, grover_power  # kept only once accepted
-        return self._p11
+        return float(self._p11)
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
         if r != self._r or grover_power != self._power:

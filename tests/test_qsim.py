@@ -247,6 +247,43 @@ def test_analytic_sampler_interleaved_keys_reproduce_fresh_counts():
         assert sampler.probability(power, r) == prob11(sampler._sin_theta, r, power)
 
 
+# (label, sampler of a seed, power, r, bounds on its P[11]) for both
+# backends: P[11] of 0, of 1, below 1/2 and above it.
+STREAM_CASES = [
+    ("analytic p=0", lambda seed: AnalyticSampler(0.0, seed), 3, 0.8, (0.0, 0.0)),
+    ("analytic p=1", lambda seed: AnalyticSampler(math.pi / 2, seed), 0, 1.0, (1.0, 1.0)),
+    ("analytic p<1/2", lambda seed: AnalyticSampler.from_amplitude(0.05, seed), 1, 0.9,
+     (0.0, 0.5)),
+    ("analytic p>1/2", lambda seed: AnalyticSampler.from_amplitude(0.05, seed), 3, 1.0,
+     (0.5, 1.0)),
+    ("statevector p=0", lambda seed: StatevectorSampler(sub_for(4, 0), seed), 3, 0.8,
+     (0.0, 0.0)),
+    ("statevector p=1", lambda seed: StatevectorSampler(sub_for(1, 1), seed), 1, 0.5,
+     (1.0, 1.0)),
+    ("statevector p<1/2", lambda seed: StatevectorSampler(sub_for(4, 1), seed), 1, 0.9,
+     (0.0, 0.5)),
+    ("statevector p>1/2", lambda seed: StatevectorSampler(sub_for(4, 1), seed), 2, 1.0,
+     (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("label, make, power, r, band", STREAM_CASES,
+                         ids=[case[0] for case in STREAM_CASES])
+def test_one_vectorized_draw_reproduces_the_per_shot_stream(label, make, power, r, band):
+    """A round's `sample_round(power, r, n)`, made of n one-shot draws, counts
+    what one `binomial(1, p, size=n)` call on the same seed sums to, and
+    `sample(power, r, 100)` what one scalar `binomial(100, p)` draws. So a
+    round can become one vectorized call without moving a seeded byte."""
+    seed = 23
+    p = make(seed).probability(power, r)
+    assert band[0] <= p <= band[1] and p != 0.5
+    for n in (1, 7, 1000):
+        want = int(np.random.default_rng(seed).binomial(1, p, size=n).sum())
+        assert make(seed).sample_round(power, r, n) == want
+    p = make(seed).probability(power, 1.0)
+    assert make(seed).sample(power, 1.0, 100) == int(np.random.default_rng(seed).binomial(100, p))
+
+
 def count_work(monkeypatch) -> dict:
     """Count the marked-row builds (`_marked_rows`), A|0> builds
     (`_prepare`) and iterates (`apply_Q`) qsim runs."""
@@ -363,9 +400,9 @@ class CountTypes:
 
 def test_sample_returns_a_python_int():
     """Both samplers return a plain int at every (power, r, shots) DIQC and
-    MIQAE pass, and at p = 0 and p = 1. A numpy integer would make a_hat an
-    np.float64, whose repr would change the bytes of runs.csv and
-    trace.csv."""
+    MIQAE pass, and at p = 0 and p = 1, and `probability` a plain float. A
+    numpy integer would make a_hat an np.float64, whose repr would change
+    the bytes of runs.csv and trace.csv."""
     sub = sub_for(4, 3)
     for sampler in (AnalyticSampler.from_sub_oracle(sub, 3), StatevectorSampler(sub, 3)):
         counter = CountTypes(sampler)
@@ -379,6 +416,11 @@ def test_sample_returns_a_python_int():
                     StatevectorSampler(sub_for(4, 0), 1)):
         assert type(sampler.sample(3, 1.0, 50)) is int
         assert type(sampler.sample_round(3, 1.0, 50)) is int
+    # P[11] is kept as a 0-d array for the draw; what leaves is a plain float.
+    for sampler in (AnalyticSampler.from_sub_oracle(sub, 3), StatevectorSampler(sub, 3)):
+        assert type(sampler.probability(3, 1.0)) is float
+        assert type(sampler.probability(3, 1.0)) is float  # the kept value, read again
+    assert type(prob11_statevector(sub, 1.0, 3)) is float
 
 
 def test_prepare_writes_the_gate_level_prepared_state():

@@ -9,6 +9,11 @@ and uses only its public API. It prints:
   a round with, at the (power, r) the sampler kept from the call before,
   for `AnalyticSampler` and for `StatevectorSampler` (whose per-shot cost
   does not depend on the width);
+* the bare numpy draw a shot ends in, at that round's P[11]. These three
+  lines time numpy, not dqcount: ns per `rng.binomial(1, p)` call with `p`
+  a Python float, and with `p` a 0-d float64 array, as the samplers keep
+  it; and ns per shot of one `rng.binomial(1, p, size=shots).sum()` call,
+  a whole round drawn at once;
 * us per `apply_Q` iterate at 6, 10, 14 and 18 qubits, on a prepared state
   and a scratch vector made once, as `StatevectorSampler` runs it;
 * us per `hamming_suboracle` build of node 0 of a pair of 2^13-bit lists
@@ -64,6 +69,21 @@ def round_loop(sampler):
     return lambda count: sampler.sample_round(POWER, R, count)
 
 
+def numpy_shot_loop(p):
+    draw = np.random.default_rng(0).binomial
+
+    def loop(count):
+        for _ in range(count):
+            draw(1, p)
+
+    return loop
+
+
+def numpy_round_loop(p: float):
+    draw = np.random.default_rng(0).binomial
+    return lambda count: int(draw(1, p, size=count).sum())
+
+
 def iterate_loop(qubits: int):
     sub = _sub_oracle(qubits)
     prepared = apply_A(StateVector.zero(qubits), sub, R)
@@ -108,6 +128,13 @@ def main() -> None:
          SHOTS, "ns/shot", 1e-9),
         (f"sample_round statevector {SAMPLER_QUBITS:2d} qubits",
          round_loop(StatevectorSampler(sub, 0)), SHOTS, "ns/shot", 1e-9),
+    ]
+    p = AnalyticSampler.from_sub_oracle(sub, 0).probability(POWER, R)
+    cases += [
+        ("numpy binomial(1, p), float p", numpy_shot_loop(p), SHOTS, "ns/call", 1e-9),
+        ("numpy binomial(1, p), 0-d array p", numpy_shot_loop(np.array(p)),
+         SHOTS, "ns/call", 1e-9),
+        ("numpy binomial(1, p, size=n).sum()", numpy_round_loop(p), SHOTS, "ns/shot", 1e-9),
     ]
     for qubits in ITERATE_QUBITS:
         cases.append((f"apply_Q {qubits:2d} qubits", iterate_loop(qubits),
