@@ -126,7 +126,7 @@ def _sample_quadrant_interval(rng: np.random.Generator) -> tuple[float, float, i
     """A (theta_min, theta_max, K_current) whose K-scaled interval sits in
     one quadrant with amplitude-scale width safely inside the shot-cap
     regime sin(pi/21) sin(8*pi/21)."""
-    cap = math.sin(math.pi / 21) * math.sin(8 * math.pi / 21)
+    cap = metrics.SIN_PI_21 * metrics.SIN_8PI_21
     big_k = 2 * int(rng.integers(0, 25)) + 1
     quadrant = int(rng.integers(0, big_k))
     while True:
@@ -146,7 +146,7 @@ def check_k_growth(trials: int = 300, seed: int = 0) -> dict:
     for _ in range(trials):
         theta_min, theta_max, big_k = _sample_quadrant_interval(rng)
         q = int(rng.choice((2, 3)))
-        found_k, found_r = find_next_k(theta_min, theta_max, q, big_k, False)
+        found_k, found_r = find_next_k(theta_min, theta_max, q, big_k, True)
         if found_r is None or found_k < 3 * big_k:
             failures.append((theta_min, theta_max, big_k, q, found_k))
     return {

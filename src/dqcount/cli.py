@@ -77,7 +77,8 @@ _RUN_COLUMNS = (
 # parameter, q_stage growth factor, shots taken this round (its whole cap),
 # pooled_shots behind the interval, a_* the measured amplified probability
 # and its bounds, theta_* the angle interval in radians after the round,
-# backtracked 1 or 0.
+# backtracked 1 when a rescaled bound exceeded r and the round was clamped
+# (float rounding only), else 0.
 _TRACE_COLUMNS = (
     ("big_k", "big_k"), ("quadrant", "quadrant"), ("r_weight", "r"), ("q_stage", "q"),
     ("shots", "shots"), ("pooled_shots", "pooled_shots"), ("a_hat", "a_hat"),

@@ -11,16 +11,12 @@ amplitude estimation with two extensions over the baseline in `miqae`:
 
 * Rotation rescaling: when no larger K keeps the scaled interval inside a
   single quadrant, the auxiliary-qubit weight r < 1 shrinks the effective
-  angle arcsin(sqrt(r) sin theta) until some large K does. A round whose
-  measured interval is inconsistent with the current r (sin^2 of a
-  rescaled angle exceeding r) is discarded and the previous interval
-  kept ("backtracking"); the r branch of the K search is then disabled
-  until a plain-condition K succeeds. The rescue weight r =
-  sin^2((R+1) pi/2K) / sin^2(theta_max), R the quadrant of K theta_min, is
-  at least sin^2((R+1) pi/2K), which bounds sin^2 of every rescaled angle;
-  so the branch fires only through float rounding, and
-  `test_backtracked_round_keeps_the_previous_interval` rigs the search to
-  reach it.
+  angle arcsin(sqrt(r) sin theta) until some large K does. The round that
+  chooses r = sin^2((R+1) pi/2K) / sin^2(theta_max), R the quadrant of K
+  theta_min, puts the next round in quadrant R, so each ratio sin^2/r that
+  round inverts is at most sin^2((R+1) pi/2K) / r = sin^2(theta_max) <= 1.
+  Only float rounding can push it past 1; the round clamps it to 1 before
+  the arcsine, which moves an endpoint by that rounding alone.
 
 A round draws its full shot budget N_max, with one `sample_round` call on
 the sampler, before anything is decided: the budget is calibrated so that
@@ -99,8 +95,10 @@ class RoundRecord:
     `shots` counts this round's measurements, always its whole shot cap;
     `pooled_shots` the total the interval was computed from, which exceeds
     `shots` only when a stalled round was granted a second budget at the
-    same K and the counts carried over. So a round that stalls with `pooled_shots > shots` is the second
-    stall at its K, and ends the run as failed.
+    same K and the counts carried over. So a round that stalls with
+    `pooled_shots > shots` is the second stall at its K, and ends the run
+    as failed. `backtracked` marks a round with a rescaled bound above r,
+    by rounding only, which the round clamped (see the module docstring).
     """
 
     big_k: int
@@ -251,9 +249,8 @@ def _estimate(
         sin2_min = math.sin(rescaled_min) ** 2
         sin2_max = math.sin(rescaled_max) ** 2
         backtracked = sin2_min > r or sin2_max > r
-        if not backtracked:
-            theta_min = math.asin(math.sqrt(sin2_min / r))
-            theta_max = math.asin(math.sqrt(sin2_max / r))
+        theta_min = math.asin(math.sqrt(min(1.0, sin2_min / r)))
+        theta_max = math.asin(math.sqrt(min(1.0, sin2_max / r)))
         rounds.append(
             RoundRecord(
                 big_k=big_k,
@@ -273,9 +270,7 @@ def _estimate(
         width = a_width(theta_min, theta_max)
         if width <= 2 * eps:
             break
-        new_k, new_r = find_next_k(
-            theta_min, theta_max, q, big_k, backtracked, big_k_cap=big_k_cap
-        )
+        new_k, new_r = find_next_k(theta_min, theta_max, q, big_k, True, big_k_cap=big_k_cap)
         if new_r is not None:
             big_k = new_k
             r = new_r

@@ -28,8 +28,11 @@ __all__ = [
     "counting_comparison",
 ]
 
-# 1 / (sin^2(pi/21) * sin^2(8*pi/21)); scales every per-round shot cap.
-SHOT_CAP_CONSTANT = 1.0 / (math.sin(math.pi / 21) ** 2 * math.sin(8 * math.pi / 21) ** 2)
+# The shot-cap regime: amplitude widths up to sin(pi/21) sin(8*pi/21), and
+# 1 / (sin^2(pi/21) * sin^2(8*pi/21)) scales every per-round shot cap.
+SIN_PI_21 = math.sin(math.pi / 21)
+SIN_8PI_21 = math.sin(8 * math.pi / 21)
+SHOT_CAP_CONSTANT = 1.0 / (SIN_PI_21 ** 2 * SIN_8PI_21 ** 2)
 
 # pi < 355/113; used to upper-bound depth-dependent costs exactly.
 _PI_UPPER = Fraction(355, 113)

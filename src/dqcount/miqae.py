@@ -133,17 +133,16 @@ def next_odd_k(
     theta_max: float,
     q: int,
     big_k_current: int,
-    backtracked: bool,
+    rescue: bool,
     big_k_cap: Union[int, None] = None,
 ) -> tuple[int, Union[float, None]]:
     """Search for the next odd amplification factor and rotation weight.
 
     Scans odd K downward from the largest odd integer <= pi/(2*width)
     while K >= q*K_current. At each K the plain same-quadrant condition is
-    tried first and returns (K, 1.0). If it fails and no backtracking has
-    occurred this round, the rescue weight of `_rescue_weight` is tried and
-    returns (K, r). Returns (K_current, None) when no factor qualifies; the
-    caller keeps its current r.
+    tried first and returns (K, 1.0). If it fails and `rescue` is True,
+    the weight of `_rescue_weight` is tried and returns (K, r). Returns
+    (K_current, None) when no factor qualifies; the caller keeps its r.
 
     `big_k_cap` optionally starts the scan at the largest odd K strictly
     below it, so the returned K stays under the run's depth cap.
@@ -164,8 +163,8 @@ def next_odd_k(
     in scan order, by the scalar `_rescue_weight`. So the result is bit
     for bit that of a scalar scan over one K at a time.
 
-    This is the only odd-K scan: DIQC calls it as `diqc.find_next_k`, and
-    MIQAE's `find_next_k` passes `backtracked=True` to switch rescue off.
+    This is the only odd-K scan: DIQC calls it as `diqc.find_next_k` with
+    `rescue=True`, and MIQAE's `find_next_k` passes `rescue=False`.
     """
     if not 0 <= theta_min < theta_max <= _HALF_PI:
         raise ValueError(f"invalid angle interval [{theta_min}, {theta_max}]")
@@ -181,7 +180,7 @@ def next_odd_k(
     for k in range(big_k, k_floor - 1, -2)[:_SCAN_HEAD]:
         if same_quadrant(k, theta_min, theta_max):
             return k, 1.0
-        if backtracked:
+        if not rescue:
             continue
         over = k * theta_max * 2 / math.pi - (quadrant_count(k, theta_min) + 1)
         if over < _rescue_reach(tan_hi, k, k):
@@ -206,7 +205,7 @@ def next_odd_k(
         first = int(plain.argmax())
         if not plain[first]:
             first = count
-        if first and not backtracked:
+        if first and rescue:
             reach = _rescue_reach(tan_hi, big_k - 2 * (first - 1), big_k)
             over = x_hi[:first]
             over -= edges[:first]
@@ -328,7 +327,7 @@ def find_next_k(k_i: int, theta_low: float, theta_high: float) -> int:
     This is `next_odd_k` at q = 3 with the rescue branch off. theta_high
     is clamped to pi/2, which the interval update can overshoot by an ulp.
     """
-    big_k, r = next_odd_k(theta_low, min(theta_high, _HALF_PI), 3, 2 * k_i + 1, True)
+    big_k, r = next_odd_k(theta_low, min(theta_high, _HALF_PI), 3, 2 * k_i + 1, False)
     return k_i if r is None else (big_k - 1) // 2
 
 
@@ -362,7 +361,6 @@ def run_miqae(
         quadrant = quadrant_count(big_k, theta_low)
         ones = 0
         n_round = 0
-        a_hat = a_min = a_max = 0.0
         failed = False
         while True:
             batch = min(batch_size, n_cap - n_round)

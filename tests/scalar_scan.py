@@ -19,9 +19,9 @@ def same_quadrant(big_k, theta_low, theta_high):
     ) - 1
 
 
-def next_odd_k(theta_min, theta_max, q, big_k_current, backtracked, big_k_cap=None):
+def next_odd_k(theta_min, theta_max, q, big_k_current, rescue, big_k_cap=None):
     """(K, r) of the first odd K, scanning down, that passes the plain test
-    (r = 1.0) or, unless `backtracked`, the rescue test; (K_current, None)
+    (r = 1.0) or, if `rescue`, the rescue test; (K_current, None)
     if none does."""
     if not 0 <= theta_min < theta_max <= _HALF_PI:
         raise ValueError(f"invalid angle interval [{theta_min}, {theta_max}]")
@@ -36,7 +36,7 @@ def next_odd_k(theta_min, theta_max, q, big_k_current, backtracked, big_k_cap=No
     while big_k >= q * big_k_current:
         if same_quadrant(big_k, theta_min, theta_max):
             return big_k, 1.0
-        if not backtracked:
+        if rescue:
             quadrant = quadrant_count(big_k, theta_min)
             r = math.sin((quadrant + 1) * math.pi / (2 * big_k)) ** 2 / sin2_hi
             if r > max(math.sin(_HALF_PI * (1 - 1 / big_k)) ** 2, 0.75):
@@ -52,5 +52,5 @@ def next_odd_k(theta_min, theta_max, q, big_k_current, backtracked, big_k_cap=No
 def miqae_find_next_k(k_i, theta_low, theta_high):
     """MIQAE's k = (K-1)/2 from the scan at q = 3 with the rescue off and
     theta_high clamped to pi/2; k_i if no K qualifies."""
-    big_k, r = next_odd_k(theta_low, min(theta_high, _HALF_PI), 3, 2 * k_i + 1, True)
+    big_k, r = next_odd_k(theta_low, min(theta_high, _HALF_PI), 3, 2 * k_i + 1, False)
     return k_i if r is None else (big_k - 1) // 2

@@ -23,7 +23,7 @@ from batched import Batched, batched_backends
 from exact_sampler import ExactSampler
 
 
-def scan_oracle(theta_min, theta_max, q, big_k_current, backtracked):
+def scan_oracle(theta_min, theta_max, q, big_k_current, rescue):
     """Independent descending scan replicating the search conditions."""
     start = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
     sin_lo, sin_hi = math.sin(theta_min), math.sin(theta_max)
@@ -32,7 +32,7 @@ def scan_oracle(theta_min, theta_max, q, big_k_current, backtracked):
         hi_q = math.ceil(2 * big_k * theta_max / math.pi - QUADRANT_SLACK) - 1
         if lo_q == hi_q:
             return big_k, 1.0
-        if backtracked:
+        if not rescue:
             continue
         r = math.sin((lo_q + 1) * math.pi / (2 * big_k)) ** 2 / sin_hi ** 2
         if r <= max(math.sin(math.pi / 2 * (1 - 1 / big_k)) ** 2, 0.75):
@@ -59,9 +59,9 @@ def round_from_amplitudes(a_lo, a_hi, **kw):
 
 
 def test_find_next_k_plain_example():
-    result = find_next_k(0.1, 0.11, q=2, big_k_current=1, backtracked=False)
+    result = find_next_k(0.1, 0.11, q=2, big_k_current=1, rescue=True)
     assert result == (127, 1.0)
-    assert result == scan_oracle(0.1, 0.11, 2, 1, False)
+    assert result == scan_oracle(0.1, 0.11, 2, 1, True)
     # quadrant check at the returned K
     assert math.floor(2 * 127 * 0.1 / math.pi) == 8
     assert math.ceil(2 * 127 * 0.11 / math.pi) - 1 == 8
@@ -69,7 +69,7 @@ def test_find_next_k_plain_example():
 
 def test_find_next_k_empty_scan():
     # interval so wide that the scan range is empty
-    assert find_next_k(0.1, 0.7, q=3, big_k_current=3, backtracked=False) == (3, None)
+    assert find_next_k(0.1, 0.7, q=3, big_k_current=3, rescue=True) == (3, None)
 
 
 def test_find_next_k_rescue_branch():
@@ -80,32 +80,32 @@ def test_find_next_k_rescue_branch():
     theta_max = edge + 1e-4
     theta_min = theta_max - 0.06
     assert math.floor(2 * 25 * theta_min / math.pi) == 3
-    big_k, r = find_next_k(theta_min, theta_max, q=2, big_k_current=1, backtracked=False)
-    assert (big_k, r) == scan_oracle(theta_min, theta_max, 2, 1, False)
+    big_k, r = find_next_k(theta_min, theta_max, q=2, big_k_current=1, rescue=True)
+    assert (big_k, r) == scan_oracle(theta_min, theta_max, 2, 1, True)
     assert big_k == 25
     assert r is not None and 0.75 < r < 1.0
     expected_r = math.sin(edge) ** 2 / math.sin(theta_max) ** 2
     assert r == pytest.approx(expected_r, rel=1e-12)
-    # with the backtrack flag the rescue branch is disabled
-    flagged = find_next_k(theta_min, theta_max, q=2, big_k_current=1, backtracked=True)
-    assert flagged == scan_oracle(theta_min, theta_max, 2, 1, True)
-    assert flagged[1] in (None, 1.0)
+    # with rescue off the rescue branch is skipped
+    plain = find_next_k(theta_min, theta_max, q=2, big_k_current=1, rescue=False)
+    assert plain == scan_oracle(theta_min, theta_max, 2, 1, False)
+    assert plain[1] in (None, 1.0)
 
 
 def test_find_next_k_validation():
     with pytest.raises(ValueError):
-        find_next_k(0.2, 0.2, 2, 1, False)
+        find_next_k(0.2, 0.2, 2, 1, True)
     with pytest.raises(ValueError):
-        find_next_k(0.1, 0.2, 4, 1, False)
+        find_next_k(0.1, 0.2, 4, 1, True)
 
 
 def test_find_next_k_respects_cap():
-    big_k, _ = find_next_k(0.3, 0.3002, q=2, big_k_current=1, backtracked=False,
+    big_k, _ = find_next_k(0.3, 0.3002, q=2, big_k_current=1, rescue=True,
                            big_k_cap=101)
     assert big_k <= 99
     # an even cap starts the scan at the largest odd K below it
-    assert find_next_k(0.3, 0.3002, 2, 1, False, big_k_cap=100) == (99, 1.0)
-    assert find_next_k(0.3, 0.3002, 2, 1, False, big_k_cap=2000) == (1997, 1.0)
+    assert find_next_k(0.3, 0.3002, 2, 1, True, big_k_cap=100) == (99, 1.0)
+    assert find_next_k(0.3, 0.3002, 2, 1, True, big_k_cap=2000) == (1997, 1.0)
 
 
 def test_find_next_k_returns_odd_k_under_every_cap():
@@ -113,9 +113,9 @@ def test_find_next_k_returns_odd_k_under_every_cap():
     intervals = ((0.3, 0.3002), (edge + 1e-4 - 0.06, edge + 1e-4), (0.1, 0.6), (1.5, math.pi / 2))
     for cap in range(1, 301):
         for lo, hi in intervals:
-            for backtracked in (False, True):
-                big_k, r = find_next_k(lo, hi, 2, 1, backtracked, big_k_cap=cap)
-                assert big_k % 2 == 1, (cap, lo, hi, backtracked)
+            for rescue in (True, False):
+                big_k, r = find_next_k(lo, hi, 2, 1, rescue, big_k_cap=cap)
+                assert big_k % 2 == 1, (cap, lo, hi, rescue)
                 assert r is None or big_k < cap
 
 
@@ -124,14 +124,14 @@ def test_find_next_k_returns_odd_k_under_every_cap():
     width=st.floats(min_value=5e-4, max_value=0.6),
     q=st.sampled_from((2, 3)),
     big_k_current=st.sampled_from((1, 3, 5, 9, 15)),
-    backtracked=st.booleans(),
+    rescue=st.booleans(),
 )
-def test_find_next_k_matches_scan_oracle(lo, width, q, big_k_current, backtracked):
+def test_find_next_k_matches_scan_oracle(lo, width, q, big_k_current, rescue):
     hi = min(lo + width, math.pi / 2)
     if hi <= lo:
         return
-    assert find_next_k(lo, hi, q, big_k_current, backtracked) == scan_oracle(
-        lo, hi, q, big_k_current, backtracked
+    assert find_next_k(lo, hi, q, big_k_current, rescue) == scan_oracle(
+        lo, hi, q, big_k_current, rescue
     )
 
 
@@ -175,16 +175,15 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
     width=st.floats(min_value=2e-5, max_value=0.8),
     q=st.sampled_from((2, 3)),
     big_k_current=st.integers(min_value=1, max_value=3000),
-    backtracked=st.booleans(),
+    rescue=st.booleans(),
     big_k_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=10 ** 5)),
 )
-def test_find_next_k_matches_scalar_scan_grid(lo, width, q, big_k_current, backtracked,
-                                              big_k_cap):
+def test_find_next_k_matches_scalar_scan_grid(lo, width, q, big_k_current, rescue, big_k_cap):
     hi = min(lo + width, math.pi / 2)
     if hi <= lo:
         return
-    got = find_next_k(lo, hi, q, big_k_current, backtracked, big_k_cap=big_k_cap)
-    want = scalar_scan.next_odd_k(lo, hi, q, big_k_current, backtracked, big_k_cap=big_k_cap)
+    got = find_next_k(lo, hi, q, big_k_current, rescue, big_k_cap=big_k_cap)
+    want = scalar_scan.next_odd_k(lo, hi, q, big_k_current, rescue, big_k_cap=big_k_cap)
     assert same_scan_result(got, want)
 
 
@@ -192,17 +191,17 @@ def test_find_next_k_matches_scalar_scan_grid(lo, width, q, big_k_current, backt
     big_k=st.integers(min_value=1, max_value=5000).map(lambda j: 2 * j + 1),
     data=st.data(),
     q=st.sampled_from((2, 3)),
-    backtracked=st.booleans(),
+    rescue=st.booleans(),
 )
-def test_find_next_k_matches_scalar_scan_at_quadrant_edges(big_k, data, q, backtracked):
+def test_find_next_k_matches_scalar_scan_at_quadrant_edges(big_k, data, q, rescue):
     """theta_max just past a quadrant edge of some K, where the rescue
     branch is most often taken."""
     edge = data.draw(st.integers(min_value=1, max_value=big_k)) * math.pi / (2 * big_k)
     quarter = math.pi / (2 * big_k)
     hi = min(edge + data.draw(st.floats(min_value=0.0, max_value=0.05)) * quarter, math.pi / 2)
     lo = max(0.0, hi - data.draw(st.floats(min_value=0.05, max_value=1.0)) * quarter)
-    got = find_next_k(lo, hi, q, 1, backtracked)
-    assert same_scan_result(got, scalar_scan.next_odd_k(lo, hi, q, 1, backtracked))
+    got = find_next_k(lo, hi, q, 1, rescue)
+    assert same_scan_result(got, scalar_scan.next_odd_k(lo, hi, q, 1, rescue))
 
 
 def rescue_prefilter_admits(big_k, theta_min, theta_max):
@@ -286,15 +285,15 @@ def test_find_next_k_matches_scalar_scan_at_scan_seams():
     caps."""
     cases = []
     for lo, hi in SEAM_INTERVALS:
-        found, _ = scalar_scan.next_odd_k(lo, hi, 2, 1, False)
+        found, _ = scalar_scan.next_odd_k(lo, hi, 2, 1, True)
         for position in scan_seams():
             start = found + 2 * position
-            for backtracked in (False, True):
+            for rescue in (True, False):
                 for cap in (start + 1, start + 2):  # even, then odd
-                    cases.append(((lo, hi, 2, 1, backtracked), {"big_k_cap": cap}))
+                    cases.append(((lo, hi, 2, 1, rescue), {"big_k_cap": cap}))
                 # positions 0..position all fail, and the floor q K_current
                 # ends the scan just above `found`
-                cases.append(((lo, hi, 2, (found + 1) // 2, backtracked),
+                cases.append(((lo, hi, 2, (found + 1) // 2, rescue),
                               {"big_k_cap": start + 3}))
     rescues = 0
     for args, kwargs in cases:
@@ -312,8 +311,8 @@ def test_find_next_k_at_theta_max_half_pi(ulps):
     for _ in range(ulps):
         hi = math.nextafter(hi, 4.0)
     for lo in (0.0, 1.0, 1.5, 1.5707):
-        for backtracked in (False, True):
-            args = (lo, hi, 2, 1, backtracked)
+        for rescue in (True, False):
+            args = (lo, hi, 2, 1, rescue)
             if ulps:
                 with pytest.raises(ValueError):
                     find_next_k(*args)
@@ -562,26 +561,63 @@ class EverySuccess:
         return shots
 
 
-def test_backtracked_round_keeps_the_previous_interval(monkeypatch):
-    # Seeded runs never backtrack, so rig one: after the K = 1 round the
+def test_overshooting_round_is_clamped_and_adopted(monkeypatch):
+    # Seeded runs never overshoot, so rig one: after the K = 1 round the
     # search answers r = 0.2, but every shot of the K = 3 round succeeds,
-    # which puts sin^2 of the rescaled angle above r.
+    # which puts sin^2 of the rescaled upper angle, sin^2(pi/6), above r.
+    # The round clamps that ratio to 1 and keeps its interval.
     import dqcount.diqc as diqc_mod
 
     answers = iter([(3, 0.2), (9, 1.0)])
     searched = []
 
-    def find_next_k(theta_min, theta_max, q, big_k, backtracked, big_k_cap):
-        searched.append(backtracked)
+    def find_next_k(theta_min, theta_max, q, big_k, rescue, big_k_cap):
+        searched.append((theta_min, theta_max, rescue))
         return next(answers)
 
     monkeypatch.setattr(diqc_mod, "find_next_k", find_next_k)
     result = run_amplitude(0.9, DiqcConfig(0.01, 0.05), sampler=EverySuccess())
     first, second = result.rounds[:2]
     assert not first.backtracked
-    assert (second.big_k, second.r, second.backtracked) == (3, 0.2, True)
-    assert (second.theta_min, second.theta_max) == (first.theta_min, first.theta_max)
-    assert searched == [False, True]
+    assert (second.big_k, second.quadrant, second.r, second.backtracked) == (3, 0, 0.2, True)
+    gamma_low, gamma_high = miqae.gamma_from_interval(second.a_min, second.a_max, 0)
+    assert math.sin(gamma_high / 3) ** 2 > 0.2  # the overshoot
+    sin2_min = math.sin(gamma_low / 3) ** 2
+    assert sin2_min < 0.2
+    assert second.theta_min == math.asin(math.sqrt(sin2_min / 0.2)) != first.theta_min
+    assert second.theta_max == math.pi / 2  # clamped
+    # both searches ran with rescue on, the second from the clamped interval
+    assert searched == [(first.theta_min, first.theta_max, True),
+                        (second.theta_min, second.theta_max, True)]
+
+
+def test_rescued_rounds_stay_under_the_bound_of_the_round_that_chose_r():
+    """A rescued round at (K, r) inverts sin^2/r of its rescaled upper
+    angle, which is at most sin^2(theta_max) of the round that chose r (the
+    last round at a smaller K), so at most 1: the clamp to 1 before the
+    arcsine moves an endpoint by rounding alone. Checked on every rescued
+    round of a seeded sweep, within 4 ulps, from each round's own record."""
+    amplitudes = [(i + 0.5) / 32 for i in range(32)]
+    rescued = 0
+    for epsilon, seeds in ((1e-2, 3), (1e-3, 1), (1e-4, 1), (1e-7, 1)):
+        config = DiqcConfig(epsilon_node=epsilon, alpha_node=0.05)
+        for amplitude in amplitudes:
+            for seed in range(seeds):
+                rounds = run_amplitude(amplitude, config, seed=seed).rounds
+                chooser = rounds[0]
+                for prev, rd in zip(rounds, rounds[1:]):
+                    if rd.big_k != prev.big_k:
+                        chooser = prev
+                    if rd.r == 1.0:
+                        continue
+                    _, gamma_high = miqae.gamma_from_interval(rd.a_min, rd.a_max, rd.quadrant)
+                    rescaled_max = (rd.quadrant * math.pi / 2 + gamma_high) / rd.big_k
+                    ratio = math.sin(rescaled_max) ** 2 / rd.r
+                    bound = math.sin(chooser.theta_max) ** 2
+                    assert ratio <= bound + 4 * math.ulp(bound), (amplitude, seed, rd)
+                    assert not rd.backtracked
+                    rescued += 1
+    assert rescued == 88
 
 
 @pytest.mark.parametrize("amplitude, seed", [

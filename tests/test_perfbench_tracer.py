@@ -63,6 +63,38 @@ def test_tracer_counts_every_shot_and_row_of_a_traced_count(tmp_path):
     assert metrics["cli.rows_written"][0] == len(runs) + len(trace)
 
 
+class _AlwaysGood(dqcount.qsim.AnalyticSampler):
+    """Every shot a good outcome, drawn through the traced `sample`."""
+
+    def _advance(self, grover_power, r):
+        return 1.0
+
+
+def test_tracer_counts_the_clamped_round_of_a_rigged_overshoot(monkeypatch):
+    # After the K = 1 round the search answers r = 0.2; every shot of the
+    # K = 3 round succeeds, which puts a rescaled bound above r, so that
+    # round is clamped and flagged. The tracer binds the rigged search's
+    # arguments by name, so it keeps the real parameter names.
+    answers = iter([(3, 0.2), (9, 1.0)])
+
+    def find_next_k(theta_min, theta_max, q, big_k_current, rescue, big_k_cap=None):
+        return next(answers)
+
+    monkeypatch.setattr(dqcount.diqc, "find_next_k", find_next_k)
+    tracer = _load_tracer()()
+    tracer.install()
+    try:
+        node = dqcount.diqc.run_amplitude(
+            0.9, dqcount.diqc.DiqcConfig(0.01, 0.05), sampler=_AlwaysGood.from_amplitude(0.9))
+    finally:
+        tracer.uninstall()
+    assert [rd.backtracked for rd in node.rounds] == [False, True, False]
+    assert tracer.check() == []
+    metrics = tracer.metrics()
+    assert metrics["diqc.backtracks"][0] == 1
+    assert metrics["qsim.shots"][0] == node.total_shots
+
+
 def _package_attributes() -> dict:
     """Every attribute of every dqcount module and of every class in one,
     as `getattr` resolves it, keyed by (owner id, name)."""
