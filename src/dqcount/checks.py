@@ -69,10 +69,7 @@ def check_backend_equivalence(max_m: int = 4) -> dict:
     cases = 0
     for m in range(1, max_m + 1):
         for t in range(0, (1 << m) + 1):
-            sub = SubOracle(
-                m=m, node_id=0, k=1, scheme="prefix",
-                marked_local=frozenset(range(t)),
-            )
+            sub = SubOracle(m=m, node_id=0, marked_local=frozenset(range(t)))
             analytic = AnalyticSampler.from_sub_oracle(sub)
             sampler = StatevectorSampler(sub)
             for r in _EQUIVALENCE_R_VALUES:

@@ -50,7 +50,7 @@ from .applications import (
 from .coordinator import AggregateResult, node_config, run_distributed
 from .diqc import DiqcConfig, run_amplitude, sum_in_order
 from .miqae import MiqaeConfig, run_for_amplitude
-from .oracle import check_split, load_bit_vector, load_marked_set, make_oracle
+from .oracle import PREFIX, STRIDE, check_split, load_bit_vector, load_marked_set, make_oracle
 from .qsim import BACKENDS, AnalyticSampler
 
 # The global budget when no flag sets it, of `count` and of the pair
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-node half-width (alternative to --epsilon)")
     p.add_argument("--alpha-node", type=float, default=None,
                    help="per-node significance (alternative to --alpha)")
-    p.add_argument("--scheme", choices=("prefix", "stride"), default="prefix")
+    p.add_argument("--scheme", choices=(PREFIX, STRIDE), default=PREFIX)
     p.add_argument("--reps", type=_positive_int, default=1,
                    help="repetitions (default 1)")
     p.add_argument("--trace", action="store_true", help="also write trace.csv")

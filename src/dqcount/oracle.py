@@ -7,8 +7,9 @@ indices whose top k bits equal j) or by striding (node j owns the indices
 congruent to j mod 2^k, so local index i maps to 2^k * i + j).
 
 `check_split` holds the one rule every split obeys: n at least 2, k at
-least 1 and below n, and n at most MAX_N. It runs before anything
-computes 2^k.
+least 1 and below n, and n at most MAX_N. The decompositions and the
+two-party builders run it before anything computes 2^k. A sub-oracle is
+just its slice: the width m, its node id and its marked local indices.
 Counts are carried as float64 2^m * a, so the index register is capped at
 MAX_N = 1023 qubits.
 
@@ -49,7 +50,10 @@ MAX_N = 1023
 
 
 def _check_members(marked: Iterable[int], size: int, what: str) -> None:
-    bad = sorted(x for x in marked if not 0 <= x < size)
+    try:
+        bad = sorted(x for x in map(operator.index, marked) if not 0 <= x < size)
+    except TypeError:  # a float, string, None or other non-integer member
+        raise ValueError(f"{what} elements must be integers") from None
     if bad:
         raise ValueError(f"{what} elements outside [0, {size}): {bad[:5]}")
 
@@ -76,33 +80,25 @@ class OracleSpec:
         """Ground-truth number of marked elements."""
         return len(self.marked)
 
-    def indicator(self, x: int) -> int:
-        if not 0 <= x < self.size:
-            raise ValueError(f"index {x} outside [0, {self.size})")
-        return 1 if x in self.marked else 0
-
 
 @dataclass(frozen=True)
 class SubOracle:
     """The restriction of a marked set to one node's m-bit index slice.
 
-    `k` is the log2 node count of the decomposition that produced this
-    sub-oracle; it is carried along so local indices can be lifted back to
-    the parent index space.
+    A node run reads these three fields and nothing else. The split that
+    produced the slice is checked by `check_split` where it is made, and
+    `coordinator.aggregate` checks that the node ids are 0..2^k-1.
     """
 
     m: int
     node_id: int
-    k: int
-    scheme: str
     marked_local: frozenset[int]
 
     def __post_init__(self) -> None:
-        check_split(self.m + self.k, self.k)
-        if self.scheme not in (PREFIX, STRIDE):
-            raise ValueError(f"unknown partition scheme {self.scheme!r}")
-        if not 0 <= self.node_id < (1 << self.k):
-            raise ValueError(f"node_id {self.node_id} outside [0, {1 << self.k})")
+        if not 1 <= self.m < MAX_N:
+            raise ValueError(f"m must lie in [1, {MAX_N - 1}], got {self.m}")
+        if self.node_id < 0:
+            raise ValueError(f"node_id must be non-negative, got {self.node_id}")
         object.__setattr__(self, "marked_local", frozenset(self.marked_local))
         _check_members(self.marked_local, 1 << self.m, "marked_local")
 
@@ -119,26 +115,10 @@ class SubOracle:
         """Fraction of the slice that is marked, t_local / 2^m."""
         return self.t_local / self.size
 
-    def indicator(self, x: int) -> int:
-        if not 0 <= x < self.size:
-            raise ValueError(f"index {x} outside [0, {self.size})")
-        return 1 if x in self.marked_local else 0
-
-    def lift(self, local: int) -> int:
-        """Map a local index back into the parent n-bit index space."""
-        if not 0 <= local < self.size:
-            raise ValueError(f"index {local} outside [0, {self.size})")
-        if self.scheme == PREFIX:
-            return (self.node_id << self.m) | local
-        return (local << self.k) | self.node_id
-
-    def lifted(self) -> frozenset[int]:
-        return frozenset(self.lift(x) for x in self.marked_local)
-
 
 def make_oracle(n: int, marked: Iterable[int]) -> OracleSpec:
     """Build a validated oracle over the n-bit index space."""
-    return OracleSpec(n=n, marked=frozenset(marked))
+    return OracleSpec(n=n, marked=marked)
 
 
 def check_split(n: int, k: int) -> int:
@@ -152,30 +132,27 @@ def check_split(n: int, k: int) -> int:
     return n - k
 
 
+def _decompose(oracle: OracleSpec, k: int, prefix: bool) -> list[SubOracle]:
+    """Bucket the marked set by node: node j takes local index i of every
+    marked index whose node bits (the top k for a prefix split, the bottom
+    k for a stride split) read j and whose other m bits read i."""
+    m = check_split(oracle.n, k)
+    node_shift, local_shift = (m, 0) if prefix else (0, k)
+    node_mask, local_mask = (1 << k) - 1, (1 << m) - 1
+    buckets: list[set[int]] = [set() for _ in range(1 << k)]
+    for x in oracle.marked:
+        buckets[(x >> node_shift) & node_mask].add((x >> local_shift) & local_mask)
+    return [SubOracle(m=m, node_id=j, marked_local=b) for j, b in enumerate(buckets)]
+
+
 def decompose_prefix(oracle: OracleSpec, k: int) -> list[SubOracle]:
     """Split by the top k index bits: node j holds {i | (j << m) | i marked}."""
-    m = check_split(oracle.n, k)
-    buckets: list[set[int]] = [set() for _ in range(1 << k)]
-    mask = (1 << m) - 1
-    for x in oracle.marked:
-        buckets[x >> m].add(x & mask)
-    return [
-        SubOracle(m=m, node_id=j, k=k, scheme=PREFIX, marked_local=frozenset(b))
-        for j, b in enumerate(buckets)
-    ]
+    return _decompose(oracle, k, prefix=True)
 
 
 def decompose_stride(oracle: OracleSpec, k: int) -> list[SubOracle]:
     """Split by the bottom k index bits: node j holds {i | 2^k * i + j marked}."""
-    m = check_split(oracle.n, k)
-    buckets: list[set[int]] = [set() for _ in range(1 << k)]
-    mask = (1 << k) - 1
-    for x in oracle.marked:
-        buckets[x & mask].add(x >> k)
-    return [
-        SubOracle(m=m, node_id=j, k=k, scheme=STRIDE, marked_local=frozenset(b))
-        for j, b in enumerate(buckets)
-    ]
+    return _decompose(oracle, k, prefix=False)
 
 
 def _check_bits(bits: BitVector, what: str) -> None:
@@ -232,7 +209,7 @@ def _paired_suboracle(
             marked = frozenset(compress(range(1 << m), bits))
         except TypeError:  # a float such as 1.0 passes the 0/1 check but has no & or ^
             raise ValueError("x and y must contain only integer 0/1 entries") from None
-    return SubOracle(m=m, node_id=node_id, k=k, scheme=STRIDE, marked_local=marked)
+    return SubOracle(m=m, node_id=node_id, marked_local=marked)
 
 
 def inner_product_suboracle(x: BitVector, y: BitVector, k: int, node_id: int) -> SubOracle:

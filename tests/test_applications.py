@@ -68,7 +68,7 @@ def test_inner_product_chain_matches_suboracle_exhaustively():
             walk = chain_inner_product(x, y, k, node_id, m)
             for i, (xf, yf, tgt) in walk.items():
                 assert (xf, yf) == (0, 0)  # ancillas are returned clean
-                assert tgt == sub.indicator(i)
+                assert tgt == (i in sub.marked_local)
 
 
 def test_hamming_chain_matches_suboracle_exhaustively():
@@ -81,7 +81,7 @@ def test_hamming_chain_matches_suboracle_exhaustively():
             walk = chain_hamming(x, y, k, node_id, m)
             for i, (flag, aux) in walk.items():
                 assert aux == 0
-                assert flag == sub.indicator(i)
+                assert flag == (i in sub.marked_local)
 
 
 def test_inner_product_all_ones():

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields
 from operator import attrgetter
 
@@ -6,7 +7,7 @@ import pytest
 
 from dqcount.coordinator import AggregateResult, aggregate, node_config, run_distributed, run_nodes
 from dqcount.diqc import DiqcConfig, NodeResult, run_node
-from dqcount.oracle import decompose_prefix, make_oracle
+from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 
 
 def node_result(node_id=0, m=5, t_prime=0, eps=0.001, alpha=0.05, status="success"):
@@ -126,3 +127,12 @@ def test_aggregate_matches_node_runs():
     assert shared.t_prime == agg.t_prime
     key = attrgetter("seed", "t_prime", "total_shots", "max_big_k")
     assert [key(res) for res in shared.per_node] == [key(res) for res in results]
+
+
+def test_run_nodes_rejects_node_ids_other_than_0_to_2k_minus_1():
+    """A sub-oracle takes any non-negative node id; the run's aggregate is
+    what rejects ids 0 and 2 as a two-node split."""
+    subs = [SubOracle(m=3, node_id=j, marked_local=frozenset({1})) for j in (0, 2)]
+    config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
+    with pytest.raises(ValueError, match=re.escape("node ids [0, 2] are not 0..1")):
+        run_nodes(subs, config)

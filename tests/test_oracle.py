@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dqcount.oracle import (
+    MAX_N,
     SubOracle,
     decompose_prefix,
     decompose_stride,
@@ -29,21 +31,6 @@ def test_make_oracle_rejects_out_of_range():
         make_oracle(2, {-1})
     with pytest.raises(ValueError):
         make_oracle(0, set())
-
-
-def test_indicator_examples():
-    oracle = make_oracle(6, {38, 8, 16})
-    assert oracle.indicator(38) == 1
-    assert oracle.indicator(0) == 0
-    sub0 = decompose_prefix(oracle, 1)[0]
-    # brute-force restriction: local i is marked iff the 6-bit value 0|i is
-    brute = {i for i in range(32) if i in oracle.marked}
-    assert 8 in brute
-    assert sub0.indicator(8) == 1
-    with pytest.raises(ValueError):
-        oracle.indicator(64)
-    with pytest.raises(ValueError):
-        sub0.indicator(32)
 
 
 def test_decompose_prefix_example():
@@ -206,35 +193,41 @@ def test_paired_suboracle_rejects_float_bits(entry):
     data=st.data(),
 )
 def test_partition_soundness(n, data):
+    """Index x is marked iff its node's slice marks its local index, where
+    a prefix split sends x to node x >> m at local index x & (2^m - 1) and
+    a stride split to node x & (2^k - 1) at local index x >> k."""
     marked = data.draw(
         st.frozensets(st.integers(min_value=0, max_value=2 ** n - 1), max_size=40)
     )
     oracle = make_oracle(n, marked)
     for k in range(1, n):
-        for subs in (decompose_prefix(oracle, k), decompose_stride(oracle, k)):
-            lifted = [s.lifted() for s in subs]
-            union = frozenset().union(*lifted)
-            assert union == oracle.marked
-            assert sum(len(piece) for piece in lifted) == len(union)
+        m = n - k
+        splits = (
+            (decompose_prefix(oracle, k), lambda x: (x >> m, x & ((1 << m) - 1))),
+            (decompose_stride(oracle, k), lambda x: (x & ((1 << k) - 1), x >> k)),
+        )
+        for subs, place in splits:
+            assert [(s.m, s.node_id) for s in subs] == [(m, j) for j in range(1 << k)]
+            for x in range(1 << n):
+                j, i = place(x)
+                assert (i in subs[j].marked_local) == (x in marked)
             assert sum(s.t_local for s in subs) == oracle.t
 
 
-def test_indicator_matches_membership_exhaustively():
-    oracle = make_oracle(5, {3, 7, 21, 30})
-    for x in range(32):
-        assert oracle.indicator(x) == (1 if x in oracle.marked else 0)
-    for sub in decompose_stride(oracle, 2):
-        for x in range(sub.size):
-            assert sub.indicator(x) == (1 if x in sub.marked_local else 0)
-
-
 def test_suboracle_validation():
+    """A slice width outside [1, MAX_N) or a negative node id raises one
+    ValueError line; any non-negative node id is a valid sub-oracle, and
+    `aggregate` is what checks the ids of a run's nodes."""
+    for m in (0, MAX_N):
+        with pytest.raises(ValueError, match=re.escape(f"m must lie in [1, {MAX_N - 1}], got {m}")):
+            SubOracle(m=m, node_id=0, marked_local=frozenset())
+    with pytest.raises(ValueError, match=re.escape("node_id must be non-negative, got -1")):
+        SubOracle(m=3, node_id=-1, marked_local=frozenset())
     with pytest.raises(ValueError):
-        SubOracle(m=3, node_id=2, k=1, scheme="prefix", marked_local=frozenset())
-    with pytest.raises(ValueError):
-        SubOracle(m=3, node_id=0, k=1, scheme="diagonal", marked_local=frozenset())
-    with pytest.raises(ValueError):
-        SubOracle(m=3, node_id=0, k=1, scheme="prefix", marked_local=frozenset({8}))
+        SubOracle(m=3, node_id=0, marked_local=frozenset({8}))
+    assert SubOracle(m=1, node_id=5, marked_local=frozenset({1})).amplitude == 0.5
+    assert SubOracle(m=MAX_N - 1, node_id=0, marked_local=frozenset()).t_local == 0
+    assert [f.name for f in dataclasses.fields(SubOracle)] == ["m", "node_id", "marked_local"]
 
 
 def test_out_of_range_members_name_the_first_five_sorted():
@@ -251,10 +244,33 @@ def test_out_of_range_members_name_the_first_five_sorted():
             make_oracle(3, marked)
         with pytest.raises(ValueError,
                            match=re.escape(f"marked_local elements outside [0, 8): {listed}")):
-            SubOracle(m=3, node_id=0, k=1, scheme="prefix", marked_local=frozenset(marked))
+            SubOracle(m=3, node_id=0, marked_local=frozenset(marked))
     assert make_oracle(3, {0, 7}).t == 2
     assert make_oracle(3, set()).t == 0
-    assert SubOracle(m=3, node_id=1, k=1, scheme="stride", marked_local=frozenset()).t_local == 0
+    assert SubOracle(m=3, node_id=1, marked_local=frozenset()).t_local == 0
+
+
+@pytest.mark.parametrize("member", [1.5, 2.0, "3", None, np.float64(1.0)])
+def test_non_integer_members_raise_value_error(member):
+    """A member that `operator.index` rejects raises one ValueError line
+    from both classes, also beside integer members it cannot be sorted
+    with."""
+    for marked in ({member}, {member, 1, 5}):
+        with pytest.raises(ValueError, match=r"^marked elements must be integers$"):
+            make_oracle(3, marked)
+        with pytest.raises(ValueError, match=r"^marked_local elements must be integers$"):
+            SubOracle(m=3, node_id=0, marked_local=frozenset(marked))
+
+
+def test_integer_like_members_pass():
+    """Ints, bools and numpy integers are members; a numpy integer out of
+    range is listed as its int value."""
+    members = {True, np.int64(2), np.uint8(5), 7}
+    assert make_oracle(3, members).t == 4
+    assert SubOracle(m=3, node_id=0, marked_local=frozenset(members)).t_local == 4
+    assert [s.t_local for s in decompose_prefix(make_oracle(3, members), 1)] == [2, 2]
+    with pytest.raises(ValueError, match=re.escape("marked elements outside [0, 8): [9]")):
+        make_oracle(3, {np.int64(9)})
 
 
 def test_load_marked_set(tmp_path):

@@ -112,7 +112,7 @@ def test_uninstall_restores_every_wrapped_attribute():
     `uninstall()`, and a sampler drawn from while traced then draws what a
     fresh one draws."""
     qsim = dqcount.qsim
-    sub = SubOracle(m=3, node_id=0, k=1, scheme="prefix", marked_local=frozenset({1, 6}))
+    sub = SubOracle(m=3, node_id=0, marked_local=frozenset({1, 6}))
 
     def make():
         return [qsim.AnalyticSampler.from_sub_oracle(sub, 5), qsim.StatevectorSampler(sub, 5)]

@@ -29,7 +29,7 @@ from exact_sampler import ExactSampler
 
 
 def sub_for(m: int, t: int) -> SubOracle:
-    return SubOracle(m=m, node_id=0, k=1, scheme="prefix", marked_local=frozenset(range(t)))
+    return SubOracle(m=m, node_id=0, marked_local=frozenset(range(t)))
 
 
 def test_prob11_analytic_examples():
@@ -428,8 +428,7 @@ def test_prepare_writes_the_gate_level_prepared_state():
     the 12-index-qubit width of the benchmark's pair estimates, for runs
     from row 0 and for every third row marked."""
     for m in (3, 4, 3, 1, 2, 1, 5, 2, 4, 5, 8, 12):
-        every_third = SubOracle(m=m, node_id=0, k=1, scheme="prefix",
-                                marked_local=frozenset(range(0, 1 << m, 3)))
+        every_third = SubOracle(m=m, node_id=0, marked_local=frozenset(range(0, 1 << m, 3)))
         for sub in (*(sub_for(m, t) for t in (0, 1, 1 << m)), every_third):
             for r in (1.0, 0.8, 0.3):
                 gates = apply_A(StateVector.zero(m + 2), sub, r)
@@ -515,8 +514,7 @@ def test_statevector_bits_do_not_depend_on_the_blas_thread_count():
     value = prob11_statevector(sub_for(12, 37), 0.8, 25)
     code = ("from dqcount.oracle import SubOracle\n"
             "from dqcount.qsim import prob11_statevector\n"
-            "sub = SubOracle(m=12, node_id=0, k=1, scheme='prefix', "
-            "marked_local=frozenset(range(37)))\n"
+            "sub = SubOracle(m=12, node_id=0, marked_local=frozenset(range(37)))\n"
             "print(repr(prob11_statevector(sub, 0.8, 25)))\n")
     src = Path(qsim.__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))

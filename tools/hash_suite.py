@@ -57,6 +57,13 @@ def suite() -> list[tuple[str, list[str], str, int]]:
                              "--epsilon", "0.004", "--alpha", "0.1", "--reps", "3",
                              "--seed", "4", "--trace"], ""),
     ]
+    # both splits of one 51-member set over 8 nodes
+    marked = ",".join(map(str, range(3, 256, 5)))
+    for scheme in ("prefix", "stride"):
+        runs.append((f"count-{scheme}-k3",
+                     ["count", "--n", "8", "--marked", marked, "--k", "3", "--scheme", scheme,
+                      "--epsilon-node", "0.001", "--alpha-node", "0.01", "--reps", "2",
+                      "--seed", "7", "--trace"], ""))
     for command, k, seed in (("inner-product", "1", "1"), ("hamming", "2", "2")):
         for backend in ("analytic", "statevector"):
             runs.append((f"{command}-{backend}",
