@@ -76,22 +76,19 @@ _RUN_COLUMNS = (
 # amplification factor, quadrant of the amplified angle, r_weight rotation
 # parameter, q_stage growth factor, shots taken this round (its whole cap),
 # pooled_shots behind the interval, a_* the measured amplified probability
-# and its bounds, theta_* the angle interval in radians after the round,
-# backtracked 1 when a rescaled bound exceeded r and the round was clamped
-# (float rounding only), else 0.
+# and its bounds, theta_* the angle interval in radians after the round.
 _TRACE_COLUMNS = (
     ("big_k", "big_k"), ("quadrant", "quadrant"), ("r_weight", "r"), ("q_stage", "q"),
     ("shots", "shots"), ("pooled_shots", "pooled_shots"), ("a_hat", "a_hat"),
     ("a_min", "a_min"), ("a_max", "a_max"), ("theta_min", "theta_min"),
-    ("theta_max", "theta_max"), ("backtracked", "backtracked"),
+    ("theta_max", "theta_max"),
 )
 
 
 def _cells(record, columns) -> list:
-    """`record`'s attributes in `columns` order, a bool as 1 or 0. The csv
-    module writes a float as its repr."""
-    return [int(value) if isinstance(value, bool) else value
-            for value in (getattr(record, attr) for _, attr in columns)]
+    """`record`'s attributes in `columns` order. The csv module writes a
+    float as its repr."""
+    return [getattr(record, attr) for _, attr in columns]
 
 
 def _write_json(path: Union[str, Path, None], payload) -> None:

@@ -99,6 +99,8 @@ class RoundRecord:
     `pooled_shots > shots` is the second stall at its K, and ends the run
     as failed. `backtracked` marks a round with a rescaled bound above r,
     by rounding only, which the round clamped (see the module docstring).
+    No output file carries it: it is kept only for the benchmark tracer's
+    `diqc.backtracks` count, until the tracer stops reading it.
     """
 
     big_k: int

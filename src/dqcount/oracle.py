@@ -6,10 +6,11 @@ index space, obtained either by fixing a k-bit prefix (node j owns the
 indices whose top k bits equal j) or by striding (node j owns the indices
 congruent to j mod 2^k, so local index i maps to 2^k * i + j).
 
-`check_split` holds the one rule every split obeys: n at least 2, k at
-least 1 and below n, and n at most MAX_N. The decompositions and the
-two-party builders run it before anything computes 2^k. A sub-oracle is
-just its slice: the width m, its node id and its marked local indices.
+`check_split` holds the one rule every split obeys: n and k integers, n
+at least 2, k at least 1 and below n, and n at most MAX_N. The
+decompositions and the two-party builders run it before anything
+computes 2^k. A sub-oracle is just its slice: the width m, its node id
+and its marked local indices.
 Counts are carried as float64 2^m * a, so the index register is capped at
 MAX_N = 1023 qubits.
 
@@ -49,6 +50,15 @@ BitVector = Sequence[int]
 MAX_N = 1023
 
 
+def _integer(value, what: str) -> int:
+    """`value` as a Python int, for anything `operator.index` takes (an
+    int, a bool or a numpy integer); else a one-line ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_members(marked: Iterable[int], size: int, what: str) -> None:
     try:
         bad = sorted(x for x in map(operator.index, marked) if not 0 <= x < size)
@@ -66,6 +76,7 @@ class OracleSpec:
     marked: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [1, {MAX_N}], got {self.n}")
         object.__setattr__(self, "marked", frozenset(self.marked))
@@ -95,6 +106,8 @@ class SubOracle:
     marked_local: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        object.__setattr__(self, "node_id", _integer(self.node_id, "node_id"))
         if not 1 <= self.m < MAX_N:
             raise ValueError(f"m must lie in [1, {MAX_N - 1}], got {self.m}")
         if self.node_id < 0:
@@ -123,6 +136,7 @@ def make_oracle(n: int, marked: Iterable[int]) -> OracleSpec:
 
 def check_split(n: int, k: int) -> int:
     """Check a split of n index bits over 2^k nodes; return the slice width n-k."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 2:
         raise ValueError(f"n={n} cannot be split over nodes: n must be at least 2")
     if not 1 <= k < n:

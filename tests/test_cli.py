@@ -41,10 +41,14 @@ def test_count_command_outputs_and_determinism(tmp_path):
     assert summary["per_node"][0]["successes"] == 3
     assert summary["t_prime_counts"] == {"3": 3}
 
-    header = read(out_a / "runs.csv").decode().splitlines()[0]
-    assert header.startswith("rep,node_id,seed,t_prime,count_estimate")
-    rows = read(out_a / "runs.csv").decode().splitlines()[1:]
+    header, *rows = read(out_a / "runs.csv").decode().splitlines()
+    assert header == (
+        "rep,node_id,seed,t_prime,count_estimate,amplitude_low,amplitude_high,"
+        "oracle_calls,oracle_calls_physical,total_shots,max_big_k,status")
     assert len(rows) == 6  # 3 reps x 2 nodes
+    assert read(out_a / "trace.csv").decode().splitlines()[0] == (
+        "rep,node_id,round,big_k,quadrant,r_weight,q_stage,shots,pooled_shots,"
+        "a_hat,a_min,a_max,theta_min,theta_max")
 
     # trace.csv numbers each run's rounds by their position in its trace
     trace = defaultdict(list)
@@ -58,8 +62,6 @@ def test_count_command_outputs_and_determinism(tmp_path):
             run_rows = trace[rep, res.node_id]
             assert [int(row["round"]) for row in run_rows] == list(
                 range(1, len(res.rounds) + 1))
-            assert [row["backtracked"] for row in run_rows] == [
-                str(int(rd.backtracked)) for rd in res.rounds]
 
 
 def test_hash_suite_matches_expected_bytes():

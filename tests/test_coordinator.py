@@ -115,6 +115,18 @@ def test_node_config_splits_global_budget():
         node_config(0.002, 0.1, 6, 6)
 
 
+def test_non_integer_node_counts_raise_value_error():
+    """A float k reaches neither `1 << k` nor a node's seed: the budget
+    split and the distributed run both reject it in `check_split`."""
+    oracle = make_oracle(6, {38, 8, 16})
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1.0$"):
+        node_config(0.002, 0.1, 6, 1.0)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1.0$"):
+        run_distributed(oracle, 1.0, 0.002, 0.1)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 6.0$"):
+        node_config(0.002, 0.1, 6.0, 1)
+
+
 def test_aggregate_matches_node_runs():
     oracle = make_oracle(6, {1, 2, 3, 40})
     subs = decompose_prefix(oracle, 1)

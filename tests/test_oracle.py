@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from dqcount.oracle import (
     MAX_N,
     SubOracle,
+    check_split,
     decompose_prefix,
     decompose_stride,
     hamming_suboracle,
@@ -228,6 +229,38 @@ def test_suboracle_validation():
     assert SubOracle(m=1, node_id=5, marked_local=frozenset({1})).amplitude == 0.5
     assert SubOracle(m=MAX_N - 1, node_id=0, marked_local=frozenset()).t_local == 0
     assert [f.name for f in dataclasses.fields(SubOracle)] == ["m", "node_id", "marked_local"]
+
+
+@pytest.mark.parametrize("value", [3.0, 0.5, "3", None, np.float64(3.0)])
+def test_non_integer_widths_and_node_ids_raise_value_error(value):
+    """A width, node count or node id that `operator.index` rejects raises
+    one ValueError line naming the argument, before anything shifts by it."""
+    cases = (
+        ("n", lambda: make_oracle(value, {1})),
+        ("m", lambda: SubOracle(m=value, node_id=0, marked_local={1})),
+        ("node_id", lambda: SubOracle(m=3, node_id=value, marked_local={1})),
+        ("n", lambda: check_split(value, 1)),
+        ("k", lambda: check_split(6, value)),
+    )
+    for what, build in cases:
+        message = f"{what} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_integer_like_widths_and_node_ids_pass_as_ints():
+    """Ints, bools and numpy integers are widths and node ids, kept as
+    Python ints; an out-of-range one keeps its range message."""
+    oracle = make_oracle(np.int64(3), {1})
+    sub = SubOracle(m=np.uint8(3), node_id=True, marked_local={1})
+    assert (oracle.n, sub.m, sub.node_id) == (3, 3, 1)
+    assert all(type(v) is int for v in (oracle.n, sub.m, sub.node_id))
+    assert check_split(np.int64(6), True) == 5
+    assert type(check_split(np.int16(6), np.int8(2))) is int
+    with pytest.raises(ValueError, match=re.escape("k must lie in [1, 5] for n=6, got 6")):
+        check_split(6, np.int64(6))
+    with pytest.raises(ValueError, match=re.escape("node_id must be non-negative, got -1")):
+        SubOracle(m=3, node_id=np.int64(-1), marked_local=frozenset())
 
 
 def test_out_of_range_members_name_the_first_five_sorted():
