@@ -43,10 +43,10 @@ HAMMING = "hamming"
 
 _CLASSICAL_BITS_PER_NODE = 64
 
-# Qubits that cross between the parties per state preparation, by (n, k).
+# Qubits that cross between the parties per state preparation, by slice width m.
 _QUBITS_PER_PREPARATION = {
-    INNER_PRODUCT: lambda n, k: 2 * n - 2 * k + 3,
-    HAMMING: lambda n, k: n - k + 1,
+    INNER_PRODUCT: lambda m: 2 * m + 3,
+    HAMMING: lambda m: m + 1,
 }
 
 
@@ -120,6 +120,7 @@ def _run_pair(
         raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
     x_bits, n = _pad_to_power_of_two(x)
     y_bits, _ = _pad_to_power_of_two(y)
+    m, k = check_split(n, k)
     config = node_config(epsilon, alpha, n, k)
     # Looked up at call time, so a tracer that wraps these module names sees the calls.
     build = inner_product_suboracle if problem == INNER_PRODUCT else hamming_suboracle
@@ -127,7 +128,7 @@ def _run_pair(
     agg = run_nodes([build(x_bits, y_bits, k, j) for j in range(nodes)],
                     config, base_seed, backend)
     ledger = CommunicationLedger(
-        qubits_per_preparation=_QUBITS_PER_PREPARATION[problem](n, k),
+        qubits_per_preparation=_QUBITS_PER_PREPARATION[problem](m),
         preparations=sum(res.oracle_calls_physical for res in agg.per_node),
         classical_bits=_CLASSICAL_BITS_PER_NODE * nodes,
     )
@@ -180,10 +181,10 @@ def communication_bound(
     (round trips) and 2^k * (2n-2k+2) * M for the Hamming distance
     (one-way sends).
     """
-    check_split(n, k)
+    m, k = check_split(n, k)
     if problem not in _QUBITS_PER_PREPARATION:
         raise ValueError(f"unknown problem {problem!r}")
-    per = 2 * _QUBITS_PER_PREPARATION[problem](n, k)
+    per = 2 * _QUBITS_PER_PREPARATION[problem](m)
     # a float 2^k: past float64 the product reads inf instead of raising OverflowError
     bound = 2.0 ** k * per * metrics.query_bound(epsilon_node, alpha_node)
     if math.isinf(bound):

@@ -187,7 +187,7 @@ def _global_budget(
     global one for a 2^k-th of itself on each node. Each flag is checked
     against its own range before the value it stands for, and a rejection
     names the flag that set the value."""
-    check_split(n, k)
+    _, k = check_split(n, k)
     nodes = 1 << k
     flags = {}
     if epsilon_node is not None:

@@ -11,7 +11,7 @@ sub-oracle, budget and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diqc import DiqcConfig, NodeResult, half_width, run_node
 from .oracle import (
@@ -81,7 +81,7 @@ def aggregate(node_results: list[NodeResult]) -> AggregateResult:
 def node_config(epsilon: float, alpha: float, n: int, k: int) -> DiqcConfig:
     """Check the split of n index bits and the global budget, then give
     each of the 2^k nodes a 2^k-th of the budget."""
-    check_split(n, k)
+    _, k = check_split(n, k)
     if not 0 < epsilon <= 0.01:
         raise ValueError("epsilon must lie in (0, 0.01]")
     if not 0 < alpha < 0.75:
@@ -97,11 +97,28 @@ def run_nodes(
     backend: str = "analytic",
 ) -> AggregateResult:
     """Run one node per sub-oracle, node j seeded with base_seed + j, and
-    aggregate their results."""
-    return aggregate([
-        run_node(sub, config, seed=base_seed + sub.node_id, backend=backend)
-        for sub in subs
-    ])
+    aggregate their results.
+
+    Of the slices with no marked row, only the first of each width m is
+    run. Its P[11] is exactly 0.0 on both backends: sin theta = 0 on the
+    analytic one, and on the statevector one the flag-1 amplitudes of
+    A|0> stay 0.0 through every reflection. numpy's binomial returns 0 at
+    p = 0 without drawing, so that run depends only on (m, config,
+    backend). Every later empty slice of width m gets a copy with its own
+    node id, seed and rounds list.
+    """
+    results, empty = [], {}
+    for sub in subs:
+        seed = base_seed + sub.node_id
+        if not sub.marked_local and sub.m in empty:
+            first = empty[sub.m]
+            res = replace(first, node_id=sub.node_id, seed=seed, rounds=list(first.rounds))
+        else:
+            res = run_node(sub, config, seed=seed, backend=backend)
+            if not sub.marked_local:
+                empty[sub.m] = res
+        results.append(res)
+    return aggregate(results)
 
 
 def run_distributed(

@@ -77,7 +77,7 @@ def gates_controlled_grover(n: int) -> int:
 
 def gates_node_grover(n: int, k: int) -> int:
     """Gate count of one uncontrolled per-node iterate on an (n-k)-bit slice."""
-    m = check_split(n, k)
+    m, _ = check_split(n, k)
     return 2 ** (2 * m + 5) - 2 ** (m + 3)
 
 
@@ -127,7 +127,7 @@ def counting_comparison(n: int, k: int) -> tuple[ResourceReport, ResourceReport]
     Node gate cost covers the depth cap plus one state preparation (the
     preparation costs the same as one iterate).
     """
-    check_split(n, k)
+    m, k = check_split(n, k)
     if n > _COMPARISON_MAX_N:
         raise ValueError(f"n must be at most {_COMPARISON_MAX_N} for the counting comparison, "
                          f"whose node query bound overflows float64 above it, got {n}")
@@ -142,7 +142,7 @@ def counting_comparison(n: int, k: int) -> tuple[ResourceReport, ResourceReport]
     per_q = gates_node_grover(n, k)
     node = ResourceReport(
         context="one distributed node, uncontrolled iterates",
-        qubits=n - k + 2,
+        qubits=m + 2,
         gate_count=(depth_cap + 1) * per_q,
         max_grover_depth=depth_cap,
         query_bound=query_bound(eps_node, 0.05),

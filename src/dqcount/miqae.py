@@ -12,9 +12,9 @@ The odd-K scan, `next_odd_k`, is shared with the node estimator in `diqc`,
 which also uses its rotation-rescue branch; it lives here, beside the
 quadrant tests it is built from, because `diqc` imports this module. It
 tests its first few odd K with the scalar code and the rest in numpy
-chunks that grow 4x, prefilters the rescue branch with a bound that needs
-no trig, and re-checks each rescue candidate with the scalar code, so it
-returns the (K, r) of a scan over one K at a time, bit for bit.
+chunks that grow 4x, where it prefilters the rescue branch with a bound
+that needs no trig and re-checks each candidate with the scalar code, so
+it returns the (K, r) of a scan over one K at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def next_odd_k(
     from `_SCAN_CHUNK_MIN` to `_SCAN_CHUNK_MAX` K. The plain test computes
     x = (2K) theta/pi elementwise, which for K < 2^53 is the same IEEE
     value as the scalar K theta 2/pi (doubling is exact), so it is exact.
-    The rescue test is prefiltered, in both parts, by a necessary
+    The chunks prefilter the rescue test (the head does not) by a necessary
     condition with no trig: with R the quadrant count of K theta_min and
     x_hi = 2K theta_max/pi, `_rescue_weight` accepts K only if
     x_hi - (R+1) < tan(theta_max) pi^2/(8K), plus `_rescue_reach`'s slack.
@@ -176,18 +176,15 @@ def next_odd_k(
     k_floor = q * big_k_current
     sin_lo = math.sin(theta_min)
     sin_hi = math.sin(theta_max)
-    tan_hi = math.tan(theta_max)
     for k in range(big_k, k_floor - 1, -2)[:_SCAN_HEAD]:
         if same_quadrant(k, theta_min, theta_max):
             return k, 1.0
-        if not rescue:
-            continue
-        over = k * theta_max * 2 / math.pi - (quadrant_count(k, theta_min) + 1)
-        if over < _rescue_reach(tan_hi, k, k):
+        if rescue:
             r = _rescue_weight(k, theta_min, sin_lo, sin_hi)
             if r is not None:
                 return k, r
     big_k -= 2 * _SCAN_HEAD
+    tan_hi = math.tan(theta_max)
     size = _SCAN_CHUNK_MIN
     while big_k >= k_floor:
         count = min(size, (big_k - k_floor) // 2 + 1)

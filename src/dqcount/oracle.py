@@ -7,10 +7,10 @@ indices whose top k bits equal j) or by striding (node j owns the indices
 congruent to j mod 2^k, so local index i maps to 2^k * i + j).
 
 `check_split` holds the one rule every split obeys: n and k integers, n
-at least 2, k at least 1 and below n, and n at most MAX_N. The
-decompositions and the two-party builders run it before anything
-computes 2^k. A sub-oracle is just its slice: the width m, its node id
-and its marked local indices.
+at least 2, k at least 1 and below n, and n at most MAX_N. Every site
+that computes 2^k or keeps k uses the k it returns, with m = n - k. A
+sub-oracle is just its slice: the width m, its node id and its marked
+local indices.
 Counts are carried as float64 2^m * a, so the index register is capped at
 MAX_N = 1023 qubits.
 
@@ -134,8 +134,8 @@ def make_oracle(n: int, marked: Iterable[int]) -> OracleSpec:
     return OracleSpec(n=n, marked=marked)
 
 
-def check_split(n: int, k: int) -> int:
-    """Check a split of n index bits over 2^k nodes; return the slice width n-k."""
+def check_split(n: int, k: int) -> tuple[int, int]:
+    """Check a split of n index bits over 2^k nodes; return (n - k, k) as Python ints."""
     n, k = _integer(n, "n"), _integer(k, "k")
     if n < 2:
         raise ValueError(f"n={n} cannot be split over nodes: n must be at least 2")
@@ -143,14 +143,14 @@ def check_split(n: int, k: int) -> int:
         raise ValueError(f"k must lie in [1, {n - 1}] for n={n}, got {k}")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {n}")
-    return n - k
+    return n - k, k
 
 
 def _decompose(oracle: OracleSpec, k: int, prefix: bool) -> list[SubOracle]:
     """Bucket the marked set by node: node j takes local index i of every
     marked index whose node bits (the top k for a prefix split, the bottom
     k for a stride split) read j and whose other m bits read i."""
-    m = check_split(oracle.n, k)
+    m, k = check_split(oracle.n, k)
     node_shift, local_shift = (m, 0) if prefix else (0, k)
     node_mask, local_mask = (1 << k) - 1, (1 << m) - 1
     buckets: list[set[int]] = [set() for _ in range(1 << k)]
@@ -200,7 +200,7 @@ def _paired_suboracle(
     size = len(x)
     if size < 2 or size & (size - 1):
         raise ValueError(f"vector length {size} is not a power of two >= 2")
-    m = check_split(size.bit_length() - 1, k)
+    m, k = check_split(size.bit_length() - 1, k)
     if not 0 <= node_id < (1 << k):
         raise ValueError(f"node_id {node_id} outside [0, {1 << k})")
     # Local index i is global index (i << k) | node_id, so the slice is one

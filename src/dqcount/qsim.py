@@ -173,8 +173,6 @@ def _hadamard_index_register(amp: np.ndarray, m: int) -> None:
 
 def _oracle_flag(amp: np.ndarray, marked_rows: np.ndarray) -> None:
     # X on the flag qubit, controlled on the index being marked.
-    if marked_rows.size == 0:
-        return
     for rot in (0, 1):
         a = (marked_rows << 2) | rot
         b = a | 2

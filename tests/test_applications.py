@@ -1,9 +1,11 @@
 import builtins
 import importlib
+import json
 import math
 import pkgutil
 import random
 
+import numpy as np
 import pytest
 
 import dqcount
@@ -167,6 +169,17 @@ def test_ledger_accounting():
     assert ip.ledger.classical_bits == 64 * 2
     hd = estimate_hamming(x, y, 1, 0.01, 0.05)
     assert hd.ledger.qubits_per_preparation == 6 - 1 + 1
+
+
+def test_a_numpy_k_gives_a_json_serializable_pair_result():
+    """The result keeps the Python int k that `check_split` returned, so k
+    and the ledger's classical bits serialize."""
+    rng = random.Random(8)
+    x, y = bits(rng, 64), bits(rng, 64)
+    result = estimate_hamming(x, y, np.int64(1), 0.01, 0.05)
+    assert type(result.k) is int and type(result.ledger.classical_bits) is int
+    assert json.loads(json.dumps(result.to_dict())) == json.loads(
+        json.dumps(estimate_hamming(x, y, 1, 0.01, 0.05).to_dict()))
 
 
 def test_communication_bound_shapes():

@@ -1,13 +1,23 @@
 import random
 import re
+import warnings
 from dataclasses import fields
+from itertools import combinations
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from dqcount.coordinator import AggregateResult, aggregate, node_config, run_distributed, run_nodes
 from dqcount.diqc import DiqcConfig, NodeResult, run_node
-from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
+from dqcount.oracle import (
+    SubOracle,
+    decompose_prefix,
+    decompose_stride,
+    hamming_suboracle,
+    inner_product_suboracle,
+    make_oracle,
+)
 
 
 def node_result(node_id=0, m=5, t_prime=0, eps=0.001, alpha=0.05, status="success"):
@@ -125,6 +135,48 @@ def test_non_integer_node_counts_raise_value_error():
         run_distributed(oracle, 1.0, 0.002, 0.1)
     with pytest.raises(ValueError, match=r"^n must be an integer, got 6.0$"):
         node_config(0.002, 0.1, 6.0, 1)
+
+
+def test_a_numpy_k_is_shifted_as_the_python_int_check_split_returns():
+    """k = np.int64(64) is 64, so 2^64 nodes get too small a budget; numpy's
+    `1 << k` would wrap to 0 nodes and divide by zero first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^epsilon_node must lie in"):
+            node_config(0.01, 0.1, 100, np.int64(64))
+
+
+def test_a_numpy_k_splits_as_its_python_int():
+    """The decompositions, both pair builders and a distributed run give
+    with np.int64(k) what they give with k."""
+    oracle = make_oracle(8, {3, 40, 41, 200, 255})
+    rng = random.Random(3)
+    x, y = ([rng.randint(0, 1) for _ in range(64)] for _ in range(2))
+    for k in (1, 3):
+        big_k = np.int64(k)
+        for decompose in (decompose_prefix, decompose_stride):
+            assert decompose(oracle, big_k) == decompose(oracle, k)
+        for build in (inner_product_suboracle, hamming_suboracle):
+            for j in range(1 << k):
+                assert build(x, y, big_k, np.int64(j)) == build(x, y, k, j)
+        assert (run_distributed(oracle, big_k, 0.01, 0.1, base_seed=5)
+                == run_distributed(oracle, k, 0.01, 0.1, base_seed=5))
+
+
+@pytest.mark.parametrize("backend", ["analytic", "statevector"])
+@pytest.mark.parametrize("decompose", [decompose_prefix, decompose_stride])
+def test_run_nodes_on_empty_slices_equals_one_run_per_node(decompose, backend):
+    """Of 64 slices of {3, 700, 701}, 61 or 62 are empty and run once per
+    call; every node still equals its own `run_node` at its seed, and no
+    two results share a rounds list."""
+    subs = decompose(make_oracle(10, {3, 700, 701}), 6)
+    assert sum(not sub.marked_local for sub in subs) >= 61
+    config = node_config(0.01, 0.1, 10, 6)
+    agg = run_nodes(subs, config, base_seed=9, backend=backend)
+    assert agg.per_node == [run_node(sub, config, seed=9 + sub.node_id, backend=backend)
+                            for sub in subs]
+    for a, b in combinations(agg.per_node, 2):
+        assert a.rounds is not b.rounds
 
 
 def test_aggregate_matches_node_runs():

@@ -255,8 +255,8 @@ def test_integer_like_widths_and_node_ids_pass_as_ints():
     sub = SubOracle(m=np.uint8(3), node_id=True, marked_local={1})
     assert (oracle.n, sub.m, sub.node_id) == (3, 3, 1)
     assert all(type(v) is int for v in (oracle.n, sub.m, sub.node_id))
-    assert check_split(np.int64(6), True) == 5
-    assert type(check_split(np.int16(6), np.int8(2))) is int
+    assert check_split(np.int64(6), True) == (5, 1)
+    assert all(type(v) is int for v in check_split(np.int16(6), np.int8(2)))
     with pytest.raises(ValueError, match=re.escape("k must lie in [1, 5] for n=6, got 6")):
         check_split(6, np.int64(6))
     with pytest.raises(ValueError, match=re.escape("node_id must be non-negative, got -1")):

@@ -92,7 +92,13 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     failed = [("count-failed-node",
                ["count", "--n", "6", "--marked", ",".join(map(str, range(20))), "--k", "1",
                 "--epsilon", "0.01", "--alpha", "0.05", "--seed", "94", "--trace"], "", 1)]
-    return [(*run, 0) for run in runs] + failed
+    # three marked indices over 64 nodes: all but two (prefix) or three
+    # (stride) slices are empty, on each backend
+    empty = [(f"count-empty-{scheme}-{backend}",
+              ["count", "--n", "10", "--marked", "3,700,701", "--k", "6", "--reps", "2",
+               "--scheme", scheme, "--backend", backend, "--trace"], "", 0)
+             for scheme, backend in (("prefix", "analytic"), ("stride", "statevector"))]
+    return [(*run, 0) for run in runs] + failed + empty
 
 
 def hashes() -> list[str]:
