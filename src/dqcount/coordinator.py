@@ -19,6 +19,7 @@ from .oracle import (
     STRIDE,
     OracleSpec,
     SubOracle,
+    _integer,
     check_split,
     decompose_prefix,
     decompose_stride,
@@ -107,6 +108,7 @@ def run_nodes(
     backend). Every later empty slice of width m gets a copy with its own
     node id, seed and rounds list.
     """
+    base_seed = _integer(base_seed, "base_seed")
     results, empty = [], {}
     for sub in subs:
         seed = base_seed + sub.node_id

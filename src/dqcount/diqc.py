@@ -47,7 +47,7 @@ from .miqae import (
     quadrant_count,
     run_totals,
 )
-from .oracle import SubOracle
+from .oracle import SubOracle, _integer
 from .qsim import BACKENDS, AnalyticSampler, Sampler
 
 __all__ = [
@@ -198,6 +198,7 @@ def post_process(
     away from zero, and the interval is [abar -/+ half] clamped to [0, 1],
     on amplitude scale. Every node's report is made here.
     """
+    m = _integer(m, "m")
     if m < 0:
         raise ValueError("register width must be non-negative")
     if not rounds:

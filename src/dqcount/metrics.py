@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .oracle import check_split
+from .oracle import _integer, check_split
 
 __all__ = [
     "SHOT_CAP_CONSTANT",
@@ -70,6 +70,7 @@ def query_bound(epsilon_node: float, alpha_node: float) -> float:
 
 def gates_controlled_grover(n: int) -> int:
     """Gate count of one controlled Grover iterate on an n-bit search register."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     return 2 * 4 ** (n + 1) - 2 ** (n + 2)
@@ -83,6 +84,7 @@ def gates_node_grover(n: int, k: int) -> int:
 
 def gates_counting_circuit(n: int, m: int) -> int:
     """Gate count of the phase-estimation counting circuit with m readout qubits."""
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 1 or m < 1:
         raise ValueError("register sizes must be positive")
     return (2 ** m - 1) * gates_controlled_grover(n) + n + (m * m + m) // 2
@@ -101,7 +103,8 @@ def centralized_cost_dominates(n: int, k: int) -> bool:
     reports, against (2^(2n-2k+5) - 2^(n-k+3)) (3*2^(n-3)*pi + 1/2), the latter
     evaluated with a rational upper bound on pi so `True` is a proof.
     """
-    check_split(n, k)
+    m, k = check_split(n, k)
+    n = m + k
     lhs = _centralized_gates(n)
     rhs = gates_node_grover(n, k) * (Fraction(3 * 2 ** n, 8) * _PI_UPPER + Fraction(1, 2))
     return lhs > rhs
@@ -128,6 +131,7 @@ def counting_comparison(n: int, k: int) -> tuple[ResourceReport, ResourceReport]
     preparation costs the same as one iterate).
     """
     m, k = check_split(n, k)
+    n = m + k
     if n > _COMPARISON_MAX_N:
         raise ValueError(f"n must be at most {_COMPARISON_MAX_N} for the counting comparison, "
                          f"whose node query bound overflows float64 above it, got {n}")

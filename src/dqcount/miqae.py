@@ -26,6 +26,7 @@ from typing import Union
 import numpy as np
 
 from . import metrics
+from .oracle import _integer
 from .qsim import AnalyticSampler, Sampler
 
 __all__ = [
@@ -236,6 +237,8 @@ class MiqaeConfig:
             raise ValueError(f"epsilon must be at least {EPSILON_FLOOR:g}")
         if not ALPHA_FLOOR <= self.alpha < 1:
             raise ValueError(f"alpha must lie in [{ALPHA_FLOOR:g}, 1)")
+        object.__setattr__(self, "shots_per_batch",
+                           _integer(self.shots_per_batch, "shots_per_batch"))
         if self.shots_per_batch < 1:
             raise ValueError("shots_per_batch must be positive")
 

@@ -182,6 +182,21 @@ def test_a_numpy_k_gives_a_json_serializable_pair_result():
         json.dumps(estimate_hamming(x, y, 1, 0.01, 0.05).to_dict()))
 
 
+def test_a_numpy_base_seed_gives_a_json_serializable_pair_result():
+    """Node seeds are Python ints, so the per-node dump serializes."""
+    rng = random.Random(8)
+    x, y = bits(rng, 64), bits(rng, 64)
+    result = estimate_hamming(x, y, 1, 0.01, 0.05, base_seed=np.int64(3))
+    assert [type(res.seed) for res in result.per_node] == [int, int]
+    assert json.loads(json.dumps(result.to_dict(include_nodes=True))) == json.loads(
+        json.dumps(estimate_hamming(x, y, 1, 0.01, 0.05, base_seed=3).to_dict(True)))
+
+
+def test_a_float_base_seed_raises_value_error():
+    with pytest.raises(ValueError, match=r"^base_seed must be an integer, got 1.5$"):
+        estimate_hamming([0, 1, 1, 0], [1, 1, 0, 0], 1, 0.01, 0.05, base_seed=1.5)
+
+
 def test_communication_bound_shapes():
     bound = communication_bound(INNER_PRODUCT, 6, 1, 0.001, 0.05)
     assert bound > 0

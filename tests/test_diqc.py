@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -364,6 +365,14 @@ def test_post_process_without_qualifying_round_reports_the_last():
     # the wide round is simply skipped when a narrow one exists
     c, _, _ = post_process(wide + [round_from_amplitudes(0.3, 0.301)], 0.001, 5)
     assert c == pytest.approx(32 * 0.3005, abs=1e-9)
+
+
+def test_post_process_shifts_a_numpy_width_as_its_int():
+    """np.int64(70) is 70, so 1 << m does not wrap to 0."""
+    rounds = [round_from_amplitudes(0.3, 0.301)]
+    got = post_process(rounds, 0.01, np.int64(70))
+    assert got == post_process(rounds, 0.01, 70)
+    assert got[0] == pytest.approx(2 ** 70 * 0.3005) and type(got[1]) is int
 
 
 @pytest.mark.parametrize("seed, a_low, a_high, c", [

@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from dqcount import metrics
@@ -91,3 +93,25 @@ def test_counting_comparison_report():
     assert central.max_grover_depth == 64
     assert node.max_grover_depth == (metrics.k_max_cap(1 / (3 * 2 ** 6)) - 1) // 2
     assert node.query_bound is not None and node.query_bound > 0
+
+
+@pytest.mark.parametrize("func, args", [
+    (metrics.counting_comparison, (6, 1)),
+    (metrics.counting_comparison, (70, 1)),
+    (metrics.centralized_cost_dominates, (70, 1)),
+    (metrics.gates_controlled_grover, (40,)),
+    (metrics.gates_counting_circuit, (30, 31)),
+])
+def test_numpy_ints_count_as_their_python_ints(func, args):
+    """np.int64 register sizes give the Python-int result, in value and
+    type: no wrapped shift or power, no numpy warning or overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = func(*map(np.int64, args))
+    want = func(*args)
+
+    def types(result):  # a report pair's field types, or a number's type
+        values = [v for r in result for v in vars(r).values()] if type(result) is tuple else [result]
+        return list(map(type, values))
+
+    assert got == want and types(got) == types(want)

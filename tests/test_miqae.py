@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from dqcount.miqae import (
     run_for_amplitude,
     run_miqae,
 )
+from dqcount.qsim import AnalyticSampler
 
 import exact_quadrant
 import scalar_scan
@@ -280,6 +282,22 @@ def test_config_validation():
     MiqaeConfig(epsilon=0.01, alpha=ALPHA_FLOOR)  # the floor is inclusive
     with pytest.raises(ValueError):
         MiqaeConfig(epsilon=0.01, alpha=0.05, shots_per_batch=0)
+
+
+def test_fractional_shots_per_batch_raise_value_error():
+    with pytest.raises(ValueError, match=r"^shots_per_batch must be an integer, got 2.5$"):
+        MiqaeConfig(epsilon=0.01, alpha=0.05, shots_per_batch=2.5)
+
+
+def test_a_numpy_shots_per_batch_runs_as_its_int():
+    """The run's totals are the Python ints of the int batch's run."""
+    def run(batch):
+        return run_miqae(MiqaeConfig(0.01, 0.05, shots_per_batch=batch),
+                         AnalyticSampler.from_amplitude(0.3, 1))
+    got, want = run(np.int64(50)), run(50)
+    assert got == want
+    assert all(type(getattr(got, name)) is int for name in (
+        "oracle_calls", "oracle_calls_physical", "total_shots", "max_big_k"))
 
 
 def test_alpha_floor_keeps_first_round_caps_finite():

@@ -1,0 +1,261 @@
+"""Time each layer of a run, one line per case.
+
+    python3 tools/layer_cost.py
+
+Imports dqcount from the `src` directory of the checkout this file sits in
+and uses only its public API. The cases are:
+
+* ns per shot of `sample_round(power, r, shots)`, DIQC's one draw per
+  round, at the (power, r) the sampler kept from the call before, for
+  `AnalyticSampler` and a 14-qubit `StatevectorSampler`;
+* the bare numpy draw a shot ends in, at that round's P[11]. These three
+  time numpy, not dqcount: ns per `rng.binomial(1, p)` call with `p` a
+  Python float and a 0-d float64 array (as the samplers keep it), and ns
+  per shot of one `rng.binomial(1, p, size=shots).sum()`;
+* us per `apply_Q` iterate at each width of `ITERATE_QUBITS`, on buffers
+  made once; us per `hamming_suboracle` build of node 0 of a 2^13-bit
+  pair at k 1; us per fresh `StatevectorSampler` on that sub-oracle, its
+  set-up plus one A|0>;
+* for each epsilon of `EPSILONS`, the layers of seeded
+  `diqc.run_amplitude` and `miqae.run_for_amplitude` solves at the
+  amplitudes of `AMPLITUDES`. The tool records every odd-K search they
+  make, by rebinding `diqc.find_next_k` (DIQC's binding of the scan) and
+  `miqae.next_odd_k` (the scan MIQAE's `find_next_k` calls), and replays
+  them against the unwrapped scan: us per search by estimator and by how
+  many odd K the scan visits, from the first K it tries down to the K it
+  returns, or down to q*K_current when it finds none. It replays DIQC's
+  interval update, `chernoff_interval` then `gamma_from_interval`, on
+  those solves' rounds at the run's alpha, whose value the cost does not
+  depend on (us per round), and `diqc.post_process` on their rounds (us
+  per node run).
+
+CSV and JSON writing is not timed. Each figure is the best of `REPEATS`
+timed loops, taken in turns with the other cases' loops. The run takes a
+few seconds. Its figures are wall-clock times of the host it runs on, so
+it is no part of `tools/hash_suite.py`.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import platform
+import sys
+from itertools import islice
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import dqcount.diqc as diqc  # noqa: E402
+import dqcount.metrics as metrics  # noqa: E402
+import dqcount.miqae as miqae  # noqa: E402
+from dqcount.oracle import decompose_prefix, hamming_suboracle, make_oracle  # noqa: E402
+from dqcount.qsim import (  # noqa: E402
+    AnalyticSampler,
+    StatevectorSampler,
+    StateVector,
+    apply_A,
+    apply_Q,
+)
+
+REPEATS = 40
+SHOTS = 20_000
+POWER, R = 5, 0.9  # a mid-run DIQC round: K = 11 at a rescued rotation weight
+SAMPLER_QUBITS = 14
+ITERATE_QUBITS = (6, 10, 14, 18)
+PAIR_BITS = 1 << 13  # the benchmark's pair width; k = 1 leaves 14 qubits per node
+EPSILONS = (1e-3, 1e-5, 1e-7)
+# Mid-points of 32 equal slices of [0, 1), so small and large angles both occur.
+AMPLITUDES = tuple((i + 0.5) / 32 for i in range(32))
+ALPHA = 0.05
+# Buckets of visited K, as (label, largest count in the bucket).
+BUCKETS = (("1-6", 6), ("7-64", 64), ("65-1024", 1024), (">1024", math.inf))
+
+
+def _sub_oracle(qubits: int):
+    """Node 0 of a prefix split whose slice needs `qubits` qubits, with
+    every seventh index marked."""
+    n = qubits - 1  # m = n - 1 index qubits on node 0, plus flag and rotation
+    return decompose_prefix(make_oracle(n, range(0, 1 << n, 7)), 1)[0]
+
+
+def round_loop(sampler):
+    sampler.sample_round(POWER, R, 1)  # the first shot at (POWER, R) computes P[11]
+    return lambda count: sampler.sample_round(POWER, R, count)
+
+
+def numpy_shot_loop(p):
+    draw = np.random.default_rng(0).binomial
+
+    def loop(count):
+        for _ in range(count):
+            draw(1, p)
+
+    return loop
+
+
+def numpy_round_loop(p: float):
+    draw = np.random.default_rng(0).binomial
+    return lambda count: int(draw(1, p, size=count).sum())
+
+
+def iterate_loop(qubits: int):
+    sub = _sub_oracle(qubits)
+    prepared = apply_A(StateVector.zero(qubits), sub, R)
+    state = prepared.copy()
+    scratch = np.empty_like(state.amplitudes)
+
+    def loop(count):
+        for _ in range(count):
+            apply_Q(state, prepared, scratch)
+
+    return loop
+
+
+def _pair(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, PAIR_BITS).tolist(), rng.integers(0, 2, PAIR_BITS).tolist()
+
+
+def build_loop(x, y):
+    def loop(count):
+        for _ in range(count):
+            hamming_suboracle(x, y, 1, 0)
+
+    return loop
+
+
+def fresh_sampler_loop(sub):
+    def loop(count):
+        for _ in range(count):
+            StatevectorSampler(sub, 0).probability(0, R)
+
+    return loop
+
+
+def replay(func, calls: list):
+    """A loop that makes the first `count` of the (args, kwargs) calls."""
+    def loop(count):
+        for args, kwargs in islice(calls, count):
+            func(*args, **kwargs)
+    return loop
+
+
+def interval_loop(rounds: list):
+    def loop(count):
+        for rd in islice(rounds, count):
+            a_min, a_max = miqae.chernoff_interval(rd.a_hat, rd.pooled_shots, ALPHA)
+            miqae.gamma_from_interval(a_min, a_max, rd.quadrant)
+    return loop
+
+
+def visited(args: tuple, kwargs: dict, result: tuple) -> int:
+    """Odd K the downward scan visits for one search."""
+    theta_min, theta_max, q, big_k_current = args[:4]
+    start = metrics.k_max_cap((theta_max - theta_min) / 2)
+    cap = kwargs.get("big_k_cap")
+    if cap is not None:
+        start = min(start, cap - 1 - cap % 2)  # the largest odd K below the cap
+    found_k, found_r = result
+    if found_r is not None:
+        return (start - found_k) // 2 + 1
+    return max(0, (start - q * big_k_current) // 2 + 1)
+
+
+def record(epsilon: float) -> tuple[dict[str, list], list]:
+    """The (args, kwargs, result) of every K search of one epsilon's
+    solves, by estimator, and the DIQC solves' results."""
+    scan, diqc_scan = miqae.next_odd_k, diqc.find_next_k
+    calls: dict[str, list] = {"diqc": [], "miqae": []}
+
+    def recorder(name, func):
+        def wrapped(*args, **kwargs):
+            result = func(*args, **kwargs)
+            calls[name].append((args, kwargs, result))
+            return result
+        return wrapped
+
+    diqc.find_next_k = recorder("diqc", diqc_scan)
+    miqae.next_odd_k = recorder("miqae", scan)
+    solves = []
+    try:
+        for seed, amplitude in enumerate(AMPLITUDES):
+            solves.append(diqc.run_amplitude(amplitude, diqc.DiqcConfig(epsilon, ALPHA),
+                                             seed=seed))
+            miqae.run_for_amplitude(amplitude, miqae.MiqaeConfig(epsilon, ALPHA), seed=seed)
+    finally:
+        diqc.find_next_k, miqae.next_odd_k = diqc_scan, scan
+    return calls, solves
+
+
+def solve_cases(epsilon: float) -> list:
+    """The cases replayed from one epsilon's solves: one K-search case per
+    (estimator, bucket) and per estimator, then the interval update and
+    `post_process`."""
+    calls, solves = record(epsilon)
+    cases = []
+    for name, searches in calls.items():
+        groups: dict[str, list] = {label: [] for label, _ in BUCKETS}
+        for args, kwargs, result in searches:
+            count = visited(args, kwargs, result)
+            groups[next(label for label, top in BUCKETS if count <= top)].append((args, kwargs))
+        groups["all"] = [(args, kwargs) for args, kwargs, _ in searches]
+        cases += [(f"{name} K search {epsilon:.0e} {label}, {len(group)} searches",
+                   replay(miqae.next_odd_k, group), len(group), "us/search", 1e-6)
+                  for label, group in groups.items() if group]
+    rounds = [rd for res in solves for rd in res.rounds]
+    cases += [
+        (f"interval update {epsilon:.0e}, {len(rounds)} rounds", interval_loop(rounds),
+         len(rounds), "us/round", 1e-6),
+        (f"post_process {epsilon:.0e}, {len(solves)} runs",
+         replay(diqc.post_process, [((res.rounds, epsilon, 0), {}) for res in solves]),
+         len(solves), "us/run", 1e-6),
+    ]
+    return cases
+
+
+def main() -> None:
+    sub = _sub_oracle(SAMPLER_QUBITS)
+    x, y = _pair()
+    pair_sub = hamming_suboracle(x, y, 1, 0)
+    p = AnalyticSampler.from_sub_oracle(sub, 0).probability(POWER, R)
+    # (label, loop, steps per timed loop, unit, seconds per unit)
+    cases = [
+        ("sample_round analytic", round_loop(AnalyticSampler.from_sub_oracle(sub, 0)),
+         SHOTS, "ns/shot", 1e-9),
+        (f"sample_round statevector {SAMPLER_QUBITS:2d} qubits",
+         round_loop(StatevectorSampler(sub, 0)), SHOTS, "ns/shot", 1e-9),
+        ("numpy binomial(1, p), float p", numpy_shot_loop(p), SHOTS, "ns/call", 1e-9),
+        ("numpy binomial(1, p), 0-d array p", numpy_shot_loop(np.array(p)),
+         SHOTS, "ns/call", 1e-9),
+        ("numpy binomial(1, p, size=n).sum()", numpy_round_loop(p), SHOTS, "ns/shot", 1e-9),
+    ]
+    cases += [(f"apply_Q {qubits:2d} qubits", iterate_loop(qubits),
+               max(10, (1 << 18) >> qubits), "us/iterate", 1e-6) for qubits in ITERATE_QUBITS]
+    cases += [
+        ("hamming_suboracle 2^13 bits, k 1", build_loop(x, y), 10, "us/build", 1e-6),
+        (f"fresh statevector {pair_sub.m + 2:2d} qubits, A|0>",
+         fresh_sampler_loop(pair_sub), 10, "us/build", 1e-6),
+    ]
+    for epsilon in EPSILONS:
+        cases += solve_cases(epsilon)
+    # The cases take turns, so each one's best is drawn from the whole run
+    # and a slow stretch of the host does not land on one case alone.
+    best = [math.inf] * len(cases)
+    for _ in range(REPEATS):
+        for i, (_, loop, steps, _, _) in enumerate(cases):
+            start = perf_counter()
+            loop(steps)
+            best[i] = min(best[i], (perf_counter() - start) / steps)
+    print(f"# python {platform.python_version()}, numpy {np.__version__}, "
+          f"{platform.machine()}, {os.cpu_count()} CPUs; best of {REPEATS}")
+    for (label, _, _, unit, scale), seconds in zip(cases, best):
+        print(f"{label:44s}{seconds / scale:9.2f} {unit}")
+
+
+if __name__ == "__main__":
+    main()
