@@ -316,6 +316,7 @@ def run_node(
     make_sampler = BACKENDS.get(backend)
     if make_sampler is None:
         raise ValueError(f"unknown backend {backend!r}")
+    seed = _integer(seed, "seed")
     if sampler is None:
         sampler = make_sampler(sub, seed)
     return _estimate(sampler, sub.m, config, seed, sub.node_id)
@@ -328,6 +329,7 @@ def run_amplitude(
     sampler: Union[Sampler, None] = None,
 ) -> NodeResult:
     """Single-node estimation of a bare amplitude (m = 0, count scale 1)."""
+    seed = _integer(seed, "seed")
     if sampler is None:
         sampler = AnalyticSampler.from_amplitude(amplitude, seed)
     return _estimate(sampler, 0, config, seed, 0)

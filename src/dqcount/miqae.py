@@ -11,10 +11,10 @@ narrower than 2*epsilon.
 The odd-K scan, `next_odd_k`, is shared with the node estimator in `diqc`,
 which also uses its rotation-rescue branch; it lives here, beside the
 quadrant tests it is built from, because `diqc` imports this module. It
-tests its first few odd K with the scalar code and the rest in numpy
-chunks that grow 4x, where it prefilters the rescue branch with a bound
-that needs no trig and re-checks each candidate with the scalar code, so
-it returns the (K, r) of a scan over one K at a time, bit for bit.
+tests odd K in numpy chunks of one size, prefilters the rescue branch
+with a bound that needs no trig and re-checks each candidate with the
+scalar code, so it returns the (K, r) of a scan over one K at a time,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -63,14 +63,11 @@ EPSILON_FLOOR = 1e-7
 # alpha_i is at least 6.4e-8 alpha, which at this floor is 6.4e-308.
 ALPHA_FLOOR = 1e-300
 
-# `next_odd_k` tests its first _SCAN_HEAD odd K one at a time, then the
-# rest in numpy chunks that grow 4x from _SCAN_CHUNK_MIN to _SCAN_CHUNK_MAX
-# K. A chunk holds 2K for its K, its largest 2K plus a prefix of these
-# steps. Read-only: the module keeps no mutable state.
-_SCAN_HEAD = 6
-_SCAN_CHUNK_MIN = 256
-_SCAN_CHUNK_MAX = 4096
-_SCAN_STEPS = np.arange(0.0, -4.0 * _SCAN_CHUNK_MAX, -4.0)
+# `next_odd_k` tests odd K in numpy chunks of _SCAN_CHUNK K, from the
+# first K it tries. A chunk holds 2K for its K, its largest 2K plus a
+# prefix of these steps. Read-only: the module keeps no mutable state.
+_SCAN_CHUNK = 1024
+_SCAN_STEPS = np.arange(0.0, -4.0 * _SCAN_CHUNK, -4.0)
 _SCAN_STEPS.flags.writeable = False
 
 # Slack of `_rescue_reach`: the relative error allowed between the float
@@ -148,15 +145,14 @@ def next_odd_k(
     `big_k_cap` optionally starts the scan at the largest odd K strictly
     below it, so the returned K stays under the run's depth cap.
 
-    The first `_SCAN_HEAD` K are tested with the scalar code; most
-    searches end there. The rest are tested in numpy chunks that grow 4x
-    from `_SCAN_CHUNK_MIN` to `_SCAN_CHUNK_MAX` K. The plain test computes
-    x = (2K) theta/pi elementwise, which for K < 2^53 is the same IEEE
-    value as the scalar K theta 2/pi (doubling is exact), so it is exact.
-    The chunks prefilter the rescue test (the head does not) by a necessary
-    condition with no trig: with R the quadrant count of K theta_min and
-    x_hi = 2K theta_max/pi, `_rescue_weight` accepts K only if
-    x_hi - (R+1) < tan(theta_max) pi^2/(8K), plus `_rescue_reach`'s slack.
+    K are tested in numpy chunks of `_SCAN_CHUNK` K, from the first K
+    tried. The plain test computes x = (2K) theta/pi elementwise, which
+    for K < 2^53 is the same IEEE value as the scalar K theta 2/pi
+    (doubling is exact), so it is exact. The rescue test is prefiltered
+    by a necessary condition with no trig: with R the quadrant count of
+    K theta_min and x_hi = 2K theta_max/pi, `_rescue_weight` accepts K
+    only if x_hi - (R+1) < tan(theta_max) pi^2/(8K), plus
+    `_rescue_reach`'s slack.
     For d = theta_max - (R+1)pi/(2K) and theta_max < pi/2, r > cos^2(pi/2K)
     forces sin d < tan(theta_max) (1 - cos(pi/2K)) <= tan(theta_max)
     pi^2/(8K^2); as d <= (pi/2) sin d on [0, pi/2), x_hi - (R+1) = (2K/pi) d
@@ -177,18 +173,9 @@ def next_odd_k(
     k_floor = q * big_k_current
     sin_lo = math.sin(theta_min)
     sin_hi = math.sin(theta_max)
-    for k in range(big_k, k_floor - 1, -2)[:_SCAN_HEAD]:
-        if same_quadrant(k, theta_min, theta_max):
-            return k, 1.0
-        if rescue:
-            r = _rescue_weight(k, theta_min, sin_lo, sin_hi)
-            if r is not None:
-                return k, r
-    big_k -= 2 * _SCAN_HEAD
     tan_hi = math.tan(theta_max)
-    size = _SCAN_CHUNK_MIN
     while big_k >= k_floor:
-        count = min(size, (big_k - k_floor) // 2 + 1)
+        count = min(_SCAN_CHUNK, (big_k - k_floor) // 2 + 1)
         two_ks = 2 * big_k + _SCAN_STEPS[:count]
         edges = two_ks * theta_min  # R + 1, the quadrant edge above theta_min
         edges /= math.pi
@@ -214,7 +201,6 @@ def next_odd_k(
         if first < count:
             return big_k - 2 * first, 1.0
         big_k -= 2 * count
-        size = min(4 * size, _SCAN_CHUNK_MAX)
     return big_k_current, None
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -15,36 +16,12 @@ from dqcount.diqc import (
     run_amplitude,
     run_node,
 )
-from dqcount.miqae import QUADRANT_SLACK
 from dqcount.oracle import decompose_prefix, make_oracle
 from dqcount.qsim import AnalyticSampler
 
 import scalar_scan
 from batched import Batched, batched_backends
 from exact_sampler import ExactSampler
-
-
-def scan_oracle(theta_min, theta_max, q, big_k_current, rescue):
-    """Independent descending scan replicating the search conditions."""
-    start = 2 * int(math.pi / (4 * (theta_max - theta_min)) - 0.5) + 1
-    sin_lo, sin_hi = math.sin(theta_min), math.sin(theta_max)
-    for big_k in range(start, q * big_k_current - 1, -2):
-        lo_q = math.floor(2 * big_k * theta_min / math.pi + QUADRANT_SLACK)
-        hi_q = math.ceil(2 * big_k * theta_max / math.pi - QUADRANT_SLACK) - 1
-        if lo_q == hi_q:
-            return big_k, 1.0
-        if not rescue:
-            continue
-        r = math.sin((lo_q + 1) * math.pi / (2 * big_k)) ** 2 / sin_hi ** 2
-        if r <= max(math.sin(math.pi / 2 * (1 - 1 / big_k)) ** 2, 0.75):
-            continue
-        s_lo = math.asin(min(1.0, math.sqrt(r) * sin_lo))
-        s_hi = math.asin(min(1.0, math.sqrt(r) * sin_hi))
-        if math.floor(2 * big_k * s_lo / math.pi + QUADRANT_SLACK) == math.ceil(
-            2 * big_k * s_hi / math.pi - QUADRANT_SLACK
-        ) - 1:
-            return big_k, r
-    return big_k_current, None
 
 
 def make_round(a_low_angle, a_high_angle, big_k=1):
@@ -62,7 +39,7 @@ def round_from_amplitudes(a_lo, a_hi, **kw):
 def test_find_next_k_plain_example():
     result = find_next_k(0.1, 0.11, q=2, big_k_current=1, rescue=True)
     assert result == (127, 1.0)
-    assert result == scan_oracle(0.1, 0.11, 2, 1, True)
+    assert result == scalar_scan.next_odd_k(0.1, 0.11, 2, 1, True)
     # quadrant check at the returned K
     assert math.floor(2 * 127 * 0.1 / math.pi) == 8
     assert math.ceil(2 * 127 * 0.11 / math.pi) - 1 == 8
@@ -82,14 +59,14 @@ def test_find_next_k_rescue_branch():
     theta_min = theta_max - 0.06
     assert math.floor(2 * 25 * theta_min / math.pi) == 3
     big_k, r = find_next_k(theta_min, theta_max, q=2, big_k_current=1, rescue=True)
-    assert (big_k, r) == scan_oracle(theta_min, theta_max, 2, 1, True)
+    assert (big_k, r) == scalar_scan.next_odd_k(theta_min, theta_max, 2, 1, True)
     assert big_k == 25
     assert r is not None and 0.75 < r < 1.0
     expected_r = math.sin(edge) ** 2 / math.sin(theta_max) ** 2
     assert r == pytest.approx(expected_r, rel=1e-12)
     # with rescue off the rescue branch is skipped
     plain = find_next_k(theta_min, theta_max, q=2, big_k_current=1, rescue=False)
-    assert plain == scan_oracle(theta_min, theta_max, 2, 1, False)
+    assert plain == scalar_scan.next_odd_k(theta_min, theta_max, 2, 1, False)
     assert plain[1] in (None, 1.0)
 
 
@@ -120,22 +97,6 @@ def test_find_next_k_returns_odd_k_under_every_cap():
                 assert r is None or big_k < cap
 
 
-@given(
-    lo=st.floats(min_value=0.0, max_value=1.4),
-    width=st.floats(min_value=5e-4, max_value=0.6),
-    q=st.sampled_from((2, 3)),
-    big_k_current=st.sampled_from((1, 3, 5, 9, 15)),
-    rescue=st.booleans(),
-)
-def test_find_next_k_matches_scan_oracle(lo, width, q, big_k_current, rescue):
-    hi = min(lo + width, math.pi / 2)
-    if hi <= lo:
-        return
-    assert find_next_k(lo, hi, q, big_k_current, rescue) == scan_oracle(
-        lo, hi, q, big_k_current, rescue
-    )
-
-
 def same_scan_result(got, want) -> bool:
     """(K, r) pairs equal, r bit for bit."""
     return got[0] == want[0] and (
@@ -157,8 +118,8 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
 
     monkeypatch.setattr(diqc_mod, "find_next_k", recorded)
     config = DiqcConfig(epsilon_node=1e-7, alpha_node=0.05)
-    # 41 searches: 30 go past the scalar head and 12 past the first chunk;
-    # at amplitude 0.5, seed 0, a rescue weight clears its bound by only
+    # 41 searches: 10 go past the first chunk and 5 past the second; at
+    # amplitude 0.5, seed 0, a rescue weight clears its bound by only
     # 5e-14 relative
     for amplitude, seed in ((0.015625, 0), (0.3, 0), (0.5, 0), (0.9, 0), (0.9, 1), (0.9, 2)):
         run_amplitude(amplitude, config, seed=seed)
@@ -264,12 +225,8 @@ def test_rescue_prefilter_admits_every_rescued_k_seeded_sweep():
 
 def scan_seams():
     """Scan positions (0 for the first K tried) beside each seam of the scan:
-    the end of the scalar head and the ends of its first four chunks."""
-    seam, size, seams = miqae._SCAN_HEAD, miqae._SCAN_CHUNK_MIN, []
-    for _ in range(5):
-        seams.append(seam)
-        seam += size
-        size = min(4 * size, miqae._SCAN_CHUNK_MAX)
+    the ends of its first five chunks."""
+    seams = range(miqae._SCAN_CHUNK, 6 * miqae._SCAN_CHUNK, miqae._SCAN_CHUNK)
     return [s + d for s in seams for d in (-1, 0, 1)]
 
 
@@ -420,6 +377,22 @@ def test_run_node_single_marked_element():
         "c", "t_prime", "status", "oracle_calls", "oracle_calls_physical",
         "total_shots", "max_big_k",
     ]
+
+
+def test_a_numpy_seed_runs_as_its_int():
+    """The result keeps the Python int seed, so it serializes; a float seed
+    is a one-line ValueError."""
+    sub = decompose_prefix(make_oracle(6, {38, 8, 16}), 1)[1]
+    config = DiqcConfig(0.01, 0.05)
+    node = run_node(sub, config, seed=np.int64(3))
+    assert node == run_node(sub, config, seed=3) and type(node.seed) is int
+    json.dumps(node.to_dict())
+    bare = run_amplitude(0.3, config, seed=np.int64(3))
+    assert bare == run_amplitude(0.3, config, seed=3) and type(bare.seed) is int
+    for run in (lambda seed: run_node(sub, config, seed=seed),
+                lambda seed: run_amplitude(0.3, config, seed=seed)):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5$"):
+            run(1.5)
 
 
 def test_run_node_statevector_backend_consistent():

@@ -8,6 +8,7 @@ from dqcount import metrics
 from dqcount.miqae import (
     ALPHA_FLOOR,
     EPSILON_FLOOR,
+    QUADRANT_SLACK,
     MiqaeConfig,
     chernoff_interval,
     find_next_k,
@@ -120,8 +121,8 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
     monkeypatch.setattr(miqae_mod, "next_odd_k", recorded_scan)
     monkeypatch.setattr(miqae_mod, "find_next_k", recorded_search)
     config = MiqaeConfig(epsilon=1e-7, alpha=0.05)
-    # 107 searches: 41 go past the scalar head, 16 past the first chunk,
-    # and 59 find no K
+    # 107 searches: 11 go past the first chunk, 7 past the second, and 59
+    # find no K
     for amplitude, seed in ((0.015625, 0), (0.3, 0), (0.5, 2), (0.9, 0)):
         run_for_amplitude(amplitude, config, seed=seed)
     assert len(scans) == len(searches) == 107
@@ -132,15 +133,24 @@ def test_find_next_k_matches_scalar_scan_on_recorded_deep_eps_calls(monkeypatch)
 
 
 def test_quadrant_decisions_of_deep_eps_runs_match_exact_arithmetic(monkeypatch):
-    """Every `quadrant_count` and `same_quadrant` decision of seeded DIQC
-    and MIQAE runs at the epsilon floor, where K reaches the millions and
-    the float error of 2K theta/pi nears QUADRANT_SLACK, is the one exact
-    arithmetic makes."""
+    """Every quadrant decision of seeded DIQC and MIQAE runs at the epsilon
+    floor, where K reaches the millions and the float error of 2K theta/pi
+    nears QUADRANT_SLACK, is the one exact arithmetic makes.
+
+    The scalar `quadrant_count` and `same_quadrant` calls are recorded and
+    each is decided exactly. The K scan decides in numpy chunks, so every
+    K of every recorded search, from its first K down to the one it
+    returns (or to q K_current), is screened in float as the chunks
+    compute it: floor(2K theta_min/pi + slack) and
+    ceil(2K theta_max/pi - slack). A rounding within `band` of an integer
+    is decided exactly, as a count and as a pair; every other one lies
+    farther from its edge than the float error can reach."""
     import dqcount.diqc as diqc_mod
     import dqcount.miqae as miqae_mod
 
-    counts, pairs = [], []
+    counts, pairs, searches = [], [], []
     quadrant_count, same_quadrant = miqae_mod.quadrant_count, miqae_mod.same_quadrant
+    scan, diqc_scan = miqae_mod.next_odd_k, diqc_mod.find_next_k
 
     def recorded_count(*args):
         counts.append((args, quadrant_count(*args)))
@@ -150,16 +160,54 @@ def test_quadrant_decisions_of_deep_eps_runs_match_exact_arithmetic(monkeypatch)
         pairs.append((args, same_quadrant(*args)))
         return pairs[-1][1]
 
+    def recorded_search(func):
+        def wrapped(*args, **kwargs):
+            searches.append((args, kwargs, func(*args, **kwargs)))
+            return searches[-1][2]
+        return wrapped
+
     for module in (miqae_mod, diqc_mod):
         monkeypatch.setattr(module, "quadrant_count", recorded_count)
     monkeypatch.setattr(miqae_mod, "same_quadrant", recorded_pair)
+    monkeypatch.setattr(miqae_mod, "next_odd_k", recorded_search(scan))
+    monkeypatch.setattr(diqc_mod, "find_next_k", recorded_search(diqc_scan))
     for amplitude in (0.015625, 0.3, 0.5, 0.9):
         for seed in (0, 1, 2):
             diqc_mod.run_amplitude(amplitude, diqc_mod.DiqcConfig(1e-7, 0.05), seed=seed)
             run_for_amplitude(amplitude, MiqaeConfig(1e-7, 0.05), seed=seed)
-    # K reaches 7,424,135; 71 counts are at K above 3.93e6, where the float
-    # error can pass half the slack, and 38 lie within 2e-9 of an edge
-    assert (len(counts), len(pairs)) == (1943, 1311)
+    assert (len(searches), len(counts), len(pairs)) == (410, 273, 12)
+
+    band = 1e-7
+    screened, top_k = 0, 0
+    for (theta_min, theta_max, q, big_k_current, *_), kwargs, (found, r) in searches:
+        big_k = metrics.k_max_cap((theta_max - theta_min) / 2)
+        cap = kwargs.get("big_k_cap")
+        if cap is not None:
+            big_k = min(big_k, cap - 1 - cap % 2)
+        last = found if r is not None else q * big_k_current
+        ks = np.arange(big_k, last - 1, -2)
+        two_ks = 2.0 * ks
+        low = two_ks * theta_min / math.pi + QUADRANT_SLACK
+        high = two_ks * theta_max / math.pi - QUADRANT_SLACK
+        near_low = abs(low - np.rint(low)) <= band
+        near = near_low | (abs(high - np.rint(high)) <= band)
+        for i in np.flatnonzero(near).tolist():
+            k, floor = int(ks[i]), math.floor(low[i])
+            if near_low[i]:
+                counts.append(((k, theta_min), floor))
+            pairs.append(((k, theta_min, theta_max), floor == math.ceil(high[i]) - 1))
+        screened += len(ks)
+        top_k = max(top_k, big_k)
+    # K reaches 7,424,135. 2,121,869 K are screened, and the roundings of
+    # 17 of them lie within the band: 8 counts and 17 pairs join the
+    # recorded ones.
+    assert (screened, top_k) == (2121869, 7424135)
+    assert (len(counts), len(pairs)) == (281, 29)
+    # fl(2K theta)/fl(pi) is within 3u x of 2K theta/pi, with u = 2^-53
+    # (two roundings, and fl(pi) is within u of pi relative), and adding the
+    # slack rounds once more, within u (x + 1); x <= K. A rounding farther
+    # than the band from every integer therefore falls as the exact one.
+    assert 4 * 2.0 ** -53 * (top_k + 1) < band
     # pi rounds to math.pi from both ends of the reference's bracket
     assert float(exact_quadrant._PI_LOW) == float(exact_quadrant._PI_HIGH) == math.pi
     for args, got in counts:
@@ -191,11 +239,11 @@ def test_scan_chunk_steps_are_read_only():
     """The 2K steps every chunk of the scan slices are shared by all calls."""
     import dqcount.miqae as miqae_mod
 
-    assert len(miqae_mod._SCAN_STEPS) == miqae_mod._SCAN_CHUNK_MAX
+    assert len(miqae_mod._SCAN_STEPS) == miqae_mod._SCAN_CHUNK
     with pytest.raises(ValueError):
         miqae_mod._SCAN_STEPS[0] = 1.0
     with pytest.raises(ValueError):
-        miqae_mod._SCAN_STEPS[:miqae_mod._SCAN_CHUNK_MIN] += 1.0
+        miqae_mod._SCAN_STEPS[:miqae_mod._SCAN_CHUNK // 4] += 1.0
 
 
 def test_run_with_exact_zero_amplitude():

@@ -23,7 +23,8 @@ and uses only its public API. The cases are:
   `miqae.next_odd_k` (the scan MIQAE's `find_next_k` calls), and replays
   them against the unwrapped scan: us per search by estimator and by how
   many odd K the scan visits, from the first K it tries down to the K it
-  returns, or down to q*K_current when it finds none. It replays DIQC's
+  returns, or down to q*K_current when it finds none, in the buckets of
+  `BUCKETS`, cut at the scan's chunk of 1024 K. It replays DIQC's
   interval update, `chernoff_interval` then `gamma_from_interval`, on
   those solves' rounds at the run's alpha, whose value the cost does not
   depend on (us per round), and `diqc.post_process` on their rounds (us
@@ -72,8 +73,10 @@ EPSILONS = (1e-3, 1e-5, 1e-7)
 # Mid-points of 32 equal slices of [0, 1), so small and large angles both occur.
 AMPLITUDES = tuple((i + 0.5) / 32 for i in range(32))
 ALPHA = 0.05
-# Buckets of visited K, as (label, largest count in the bucket).
-BUCKETS = (("1-6", 6), ("7-64", 64), ("65-1024", 1024), (">1024", math.inf))
+# Buckets of visited K, as (label, largest count in the bucket). The scan
+# tests K in numpy chunks of 1024, so the last bucket holds the searches
+# that run past their first chunk.
+BUCKETS = (("1-64", 64), ("65-1024", 1024), (">1024", math.inf))
 
 
 def _sub_oracle(qubits: int):
