@@ -154,6 +154,9 @@ def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
         width = None
     else:
         marked, width = load_marked_set(args.oracle_file)
+    if width is not None and args.n not in (None, width):
+        raise ValueError(f"--n {args.n} differs from the width {width} of "
+                         f"the bit strings in {args.oracle_file}")
     n = args.n if args.n is not None else width
     if n is None:
         parser.error("need --n (or a bit-string oracle file that implies it)")
@@ -316,6 +319,8 @@ def _cmd_pair(args, parser, which: str) -> int:
         parser.error("need --x and --y")
     x = _load_vector(args.x)
     y = _load_vector(args.y)
+    if len(x) != len(y):  # before the budget, which reads x's width
+        raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
     # the width the vectors are zero-padded to, so the budget is checked as count's is
     _global_budget(padded_width(len(x)), args.k, args.epsilon, args.alpha)
     runner = estimate_inner_product if which == INNER_PRODUCT else estimate_hamming

@@ -6,7 +6,8 @@ from dqcount.qsim import prob11
 
 
 class ExactSampler:
-    """Returns round(p * shots) for the closed-form p of a fixed angle."""
+    """Returns round(p * shots) for the closed-form p of a fixed angle, for a
+    MIQAE `sample` and a DIQC `sample_round` alike."""
 
     def __init__(self, theta: float):
         if not 0 <= theta <= math.pi / 2:
@@ -22,3 +23,5 @@ class ExactSampler:
 
     def sample(self, grover_power: int, r: float, shots: int) -> int:
         return round(self.probability(grover_power, r) * shots)
+
+    sample_round = sample  # a DIQC round is one draw of all its shots

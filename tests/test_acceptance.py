@@ -26,7 +26,7 @@ from dqcount.miqae import MiqaeConfig, run_for_amplitude
 from dqcount.oracle import decompose_prefix, make_oracle
 from dqcount.qsim import AnalyticSampler
 
-from batched import Batched, batched_backends
+from vector_rounds import VectorRounds, vector_backends
 
 COVERAGE_AMPLITUDES = (0.0, 1 / 64, 1 / 8, 0.5, 1.0)
 COVERAGE_RUNS = 500
@@ -55,7 +55,7 @@ def coverage_runs():
     config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05)
 
     def run(amp, seed):
-        sampler = Batched(AnalyticSampler.from_amplitude(amp, seed), 100)
+        sampler = VectorRounds(AnalyticSampler.from_amplitude(amp, seed))
         return run_amplitude(amp, config, seed=seed, sampler=sampler)
 
     return {
@@ -67,11 +67,12 @@ def coverage_runs():
 @pytest.fixture(scope="module")
 def aggregate_trials():
     """1,000 runs of the global budget (0.01, 0.05) over 4 prefix nodes,
-    as `run_distributed` splits it, drawing 100 shots per sampler call."""
+    as `run_distributed` splits it. Each round is one numpy draw of the
+    count the program's per-shot draws give (`tests/vector_rounds.py`)."""
     rng = np.random.default_rng(2024)
     config = DiqcConfig(epsilon_node=0.01 / 4, alpha_node=0.05 / 4)
     trials = []
-    with batched_backends(100):
+    with vector_backends():
         for _ in range(20):
             t = int(rng.integers(0, 257))
             marked = frozenset(map(int, rng.choice(256, size=t, replace=False)))

@@ -371,6 +371,16 @@ _VALUE_STDERR = {
     "count --n 6 --marked 1 --epsilon-node 0.001 --alpha 5":
         "error: --alpha must lie in (0, 3/4), got 5\n",
 }
+# later rows, spliced after the config-file rows so that every earlier
+# parameter id keeps its input. bits.txt, in the working directory of
+# the test, holds the 2-bit strings 10 and 11.
+_LATER_STDERR = {
+    "count --n 6 --oracle-file bits.txt":
+        "error: --n 6 differs from the width 2 of the bit strings in bits.txt\n",
+    # the lengths are compared before x's width is checked against the split
+    "hamming --x 01 --y 0110": "error: vector lengths differ: 2 != 4\n",
+    "hamming --x 0110 --y 01": "error: vector lengths differ: 4 != 2\n",
+}
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -397,9 +407,12 @@ _VALUE_STDERR = {
     (["count", "--n", "6", "--marked", "1"], [6, 1]),
     (["count", "--marked", "1"], None),  # no --n
     (["hamming", "--x", "0101"], None),  # no --y
+    *[(line.split(), None) for line in _LATER_STDERR],
 ])
-def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, argv, config):
-    expected_err = {**_STDERR, **_VALUE_STDERR}.get(" ".join(argv))
+def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, config):
+    expected_err = {**_STDERR, **_VALUE_STDERR, **_LATER_STDERR}.get(" ".join(argv))
+    (tmp_path / "bits.txt").write_text("10\n11\n")
+    monkeypatch.chdir(tmp_path)
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dqcount import checks, metrics, miqae
+from dqcount.coordinator import run_nodes
 from dqcount.diqc import (
     DiqcConfig,
     RoundRecord,
@@ -17,11 +18,11 @@ from dqcount.diqc import (
     run_node,
 )
 from dqcount.oracle import decompose_prefix, make_oracle
-from dqcount.qsim import AnalyticSampler
+from dqcount.qsim import AnalyticSampler, StatevectorSampler
 
 import scalar_scan
-from batched import Batched, batched_backends
 from exact_sampler import ExactSampler
+from vector_rounds import VectorRounds, vector_backends
 
 
 def make_round(a_low_angle, a_high_angle, big_k=1):
@@ -356,7 +357,7 @@ def test_rounding_stays_within_two_thirds():
 def test_run_node_empty_sub_oracle():
     sub = decompose_prefix(make_oracle(4, set()), 1)[0]
     config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05)
-    result = run_node(sub, config, sampler=Batched(ExactSampler.from_amplitude(0.0), 100))
+    result = run_node(sub, config, sampler=ExactSampler.from_amplitude(0.0))
     assert result.succeeded
     assert result.c == pytest.approx(0.0, abs=0.1)
     assert result.t_prime == 0
@@ -399,9 +400,8 @@ def test_run_node_statevector_backend_consistent():
     oracle = make_oracle(5, {3, 17})
     sub = decompose_prefix(oracle, 1)[0]
     config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05)
-    with batched_backends(100):
-        sv = run_node(sub, config, seed=3, backend="statevector")
-        an = run_node(sub, config, seed=3, backend="analytic")
+    sv = run_node(sub, config, seed=3, backend="statevector")
+    an = run_node(sub, config, seed=3, backend="analytic")
     assert sv.t_prime == an.t_prime == sub.t_local
     with pytest.raises(ValueError, match="^unknown backend 'tensor-network'$"):
         run_node(sub, config, backend="tensor-network")
@@ -418,9 +418,6 @@ def test_trace_invariants_and_query_bound():
     k_cap = metrics.k_max_cap(config.epsilon_node)
     bound = metrics.query_bound(config.epsilon_node, config.alpha_node)
     results = [run_node(sub, config, seed=seed) for seed in range(8) for sub in subs]
-    # 100 shots per draw also covers a round's partial last batch
-    with batched_backends(100):
-        results += [run_node(sub, config, seed=seed) for seed in range(8) for sub in subs]
     for result in results:
         rounds = result.rounds
         assert result.a_high - result.a_low <= 3 * config.epsilon_node + 1e-12
@@ -464,10 +461,12 @@ class RecordingSampler(AnalyticSampler):
         return super().sample(grover_power, r, shots)
 
 
-def test_round_draws_full_batches_then_one_partial():
-    """A round is one `sample_round(power, r, n_cap)` at its (power, r).
-    The default `sample_round` makes n_cap `sample(power, r, 1)` calls;
-    the tests' `Batched` makes full batches, then one partial call."""
+def test_a_round_is_per_shot_draws_and_vector_rounds_run_as_the_program():
+    """A round is one `sample_round(power, r, n_cap)` at its (power, r),
+    made of n_cap `sample(power, r, 1)` calls. The acceptance fixtures draw
+    each round in one numpy call instead (`tests/vector_rounds.py`), and
+    those runs equal the program's own field for field: on the analytic
+    backend, on the statevector backend and through `run_nodes`."""
     amplitude, seed = 0.3, 4
     config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
     recorder = RecordingSampler(amplitude, seed)
@@ -477,24 +476,22 @@ def test_round_draws_full_batches_then_one_partial():
     assert recorder.calls == [
         (power, r, 1) for power, r, shots in recorder.rounds for _ in range(shots)
     ]
-    partial_rounds = 0
-    for batch in (7, 100, result.rounds[0].shots + 1):
-        recorder = RecordingSampler(amplitude, seed)
-        batched = run_amplitude(amplitude, config, seed=seed, sampler=Batched(recorder, batch))
-        plain = Batched(AnalyticSampler.from_amplitude(amplitude, seed), batch)
-        assert batched == run_amplitude(amplitude, config, seed=seed, sampler=plain)
-        assert recorder.rounds == []
-        calls = iter(recorder.calls)
-        for rd in batched.rounds:
-            full, rest = divmod(rd.shots, batch)
-            expected = [batch] * full + ([rest] if rest else [])
-            drawn = [next(calls) for _ in expected]
-            assert [shots for _, _, shots in drawn] == expected
-            assert sum(shots for _, _, shots in drawn) == rd.shots
-            assert {(power, r) for power, r, _ in drawn} == {((rd.big_k - 1) // 2, rd.r)}
-            partial_rounds += rest > 0
-        assert next(calls, None) is None
-    assert partial_rounds > 0
+    config = DiqcConfig(epsilon_node=0.005, alpha_node=0.05)
+    for amplitude in (0.0, 1 / 64, 0.3, 0.5, 1.0):
+        for seed in range(2):
+            vector = VectorRounds(AnalyticSampler.from_amplitude(amplitude, seed))
+            assert (run_amplitude(amplitude, config, seed=seed, sampler=vector)
+                    == run_amplitude(amplitude, config, seed=seed))
+    subs = decompose_prefix(make_oracle(5, {3, 17, 18}), 1)
+    for seed in range(2):
+        for sub in subs:
+            vector = VectorRounds(StatevectorSampler(sub, seed))
+            assert (run_node(sub, config, vector, seed)
+                    == run_node(sub, config, seed=seed, backend="statevector"))
+    subs = decompose_prefix(make_oracle(6, {3, 8, 16, 38, 50}), 2)
+    plain = run_nodes(subs, config, base_seed=7)
+    with vector_backends():
+        assert run_nodes(subs, config, base_seed=7) == plain
 
 
 def test_stall_grants_one_retry_then_fails(monkeypatch):
@@ -505,7 +502,7 @@ def test_stall_grants_one_retry_then_fails(monkeypatch):
         diqc_mod, "find_next_k", lambda *args, **kw: (args[3], None)
     )
     config = DiqcConfig(epsilon_node=0.01, alpha_node=0.05)
-    result = run_amplitude(0.3, config, sampler=Batched(ExactSampler.from_amplitude(0.3), 100))
+    result = run_amplitude(0.3, config, sampler=ExactSampler.from_amplitude(0.3))
     assert result.status == "failed"
     assert len(result.rounds) == 2
     assert result.rounds[0].big_k == result.rounds[1].big_k == 1
@@ -531,7 +528,7 @@ def test_retry_budget_belongs_to_one_k(monkeypatch):
     answers = iter([(1, None), (3, 1.0), (3, None), (3, None)])
     monkeypatch.setattr(diqc_mod, "find_next_k", lambda *args, **kw: next(answers))
     config = DiqcConfig(epsilon_node=0.001, alpha_node=0.05)
-    result = run_amplitude(0.3, config, sampler=Batched(ExactSampler.from_amplitude(0.3), 100))
+    result = run_amplitude(0.3, config, sampler=ExactSampler.from_amplitude(0.3))
     assert [rd.big_k for rd in result.rounds] == [1, 1, 3, 3]
     assert result.status == "failed"
 
@@ -603,18 +600,20 @@ def test_rescued_rounds_stay_under_the_bound_of_the_round_that_chose_r():
 
 
 @pytest.mark.parametrize("amplitude, seed", [
-    (0.12088995980580641, 42), (0.058785116206491295, 168), (0.1042749980146136, 236),
+    (0.04368854538304634, 142), (0.05010126827248811, 931), (0.09442854309054267, 103),
 ])
 def test_stalled_run_reports_its_last_round_when_width_over_3_rounds_down(
     monkeypatch, amplitude, seed
 ):
     # last-round widths w with 3 * (w / 3) < w in float64: the run still
-    # returns a failed result over that round's interval instead of raising
+    # returns a failed result over that round's interval instead of raising.
+    # The first three such pairs of a scan with the search forced empty:
+    # rng = random.Random(0), then per try amplitude = rng.uniform(0, 0.2)
+    # and seed = rng.randrange(1000); they are tries 8, 11 and 17.
     import dqcount.diqc as diqc_mod
 
     monkeypatch.setattr(diqc_mod, "find_next_k", lambda *args, **kw: (args[3], None))
-    sampler = Batched(AnalyticSampler.from_amplitude(amplitude, seed), 1000)
-    result = run_amplitude(amplitude, DiqcConfig(0.01, 0.05), seed=seed, sampler=sampler)
+    result = run_amplitude(amplitude, DiqcConfig(0.01, 0.05), seed=seed)
     last = result.rounds[-1]
     width = a_width(last.theta_min, last.theta_max)
     assert 3 * (width / 3) < width
@@ -641,11 +640,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiqcConfig(epsilon_node=0.005, alpha_node=5e-324)
     DiqcConfig(epsilon_node=0.005, alpha_node=1e-300)  # the alpha floor is inclusive
-
-
-def test_angle_slack_grid():
-    report = checks.check_angle_slack()
-    assert report["passed"], report
 
 
 def test_k_growth_in_budget_regime():

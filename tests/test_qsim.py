@@ -24,7 +24,6 @@ from dqcount.qsim import (
     prob11_statevector,
 )
 
-from batched import Batched
 from exact_sampler import ExactSampler
 
 
@@ -399,16 +398,15 @@ class CountTypes:
 
 
 def test_sample_returns_a_python_int():
-    """Both samplers return a plain int at every (power, r, shots) DIQC and
-    MIQAE pass, and at p = 0 and p = 1, and `probability` a plain float. A
-    numpy integer would make a_hat an np.float64, whose repr would change
+    """Both samplers' DIQC rounds and MIQAE passes keep a float a_hat, every
+    count MIQAE draws is a plain int, as are `sample` and `sample_round` at
+    p = 0 and p = 1, and `probability` is a plain float. A numpy integer would make a_hat an np.float64, whose repr would change
     the bytes of runs.csv and trace.csv."""
     sub = sub_for(4, 3)
     for sampler in (AnalyticSampler.from_sub_oracle(sub, 3), StatevectorSampler(sub, 3)):
+        node = run_node(sub, DiqcConfig(0.005, 0.05), sampler)
+        assert {type(rd.a_hat) for rd in node.rounds} == {float}
         counter = CountTypes(sampler)
-        for batch in (1, 7):
-            node = run_node(sub, DiqcConfig(0.005, 0.05), Batched(counter, batch))
-            assert {type(rd.a_hat) for rd in node.rounds} == {float}
         baseline = run_miqae(MiqaeConfig(0.005, 0.05), counter)
         assert {type(rd.a_hat) for rd in baseline.rounds} == {float}
         assert counter.types == {int}

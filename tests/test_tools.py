@@ -20,7 +20,7 @@ def _run_layer_cost(monkeypatch, capsys):
     monkeypatch.setattr(tool, "REPEATS", 1)
     monkeypatch.setattr(tool, "SHOTS", 200)
     monkeypatch.setattr(tool, "ITERATE_QUBITS", (6,))
-    monkeypatch.setattr(tool, "EPSILONS", (1e-3,))
+    monkeypatch.setattr(tool, "EPSILONS", (1e-3, 1e-7))
     monkeypatch.setattr(tool, "AMPLITUDES", (0.3, 0.9))
     tool.main()
     header, *lines = capsys.readouterr().out.splitlines()
@@ -46,19 +46,30 @@ def test_shot_cost_prints_one_line_per_case(monkeypatch, capsys):
 
 def test_k_search_cost_prints_one_line_per_group(monkeypatch, capsys):
     tool, rows = _run_layer_cost(monkeypatch, capsys)
-    buckets = [label for label, _ in tool.BUCKETS] + ["all"]
-    for name in ("diqc", "miqae"):
-        mine = [label.split() for label, _, unit in rows[8:]
-                if label.startswith(f"{name} K search 1e-03 ") and unit == "us/search"]
-        assert [words[4] for words in mine][-1] == "all,"
-        assert all(words[4].rstrip(",") in buckets and words[6] == "searches" for words in mine)
-        searches = [int(words[5]) for words in mine]
-        assert sum(searches[:-1]) == searches[-1] > 0
-    solves = [diqc.run_amplitude(a, diqc.DiqcConfig(1e-3, tool.ALPHA), seed=seed)
-              for seed, a in enumerate(tool.AMPLITUDES)]
-    rounds = sum(len(res.rounds) for res in solves)
-    assert [(label, unit) for label, _, unit in rows[-2:]] == [
-        (f"interval update 1e-03, {rounds} rounds", "us/round"),
-        ("post_process 1e-03, 2 runs", "us/run"),
-    ]
-    assert len(rows) == 8 + sum(1 for label, _, _ in rows if " K search " in label) + 2
+    buckets = [label for label, _ in tool.BUCKETS]
+    filled = []
+    for epsilon in tool.EPSILONS:
+        for name in ("diqc", "miqae"):
+            mine = [label.split() for label, _, unit in rows[8:]
+                    if label.startswith(f"{name} K search {epsilon:.0e} ") and unit == "us/search"]
+            assert all(words[6] == "searches" for words in mine)
+            labels = [words[4].rstrip(",") for words in mine]
+            searches = [int(words[5]) for words in mine]
+            # the buckets that hold searches, in order, then "all" when two or more do
+            has_all = labels[-1] == "all"
+            if has_all:
+                labels.pop()
+                assert searches.pop() == sum(searches)
+            assert has_all == (len(labels) > 1)
+            assert labels == [label for label in buckets if label in labels]
+            assert min(searches) > 0
+            filled.append(len(labels))
+    assert min(filled) == 1 and max(filled) > 1  # both shapes are printed
+    solve_rows = []
+    for epsilon in tool.EPSILONS:
+        solves = [diqc.run_amplitude(a, diqc.DiqcConfig(epsilon, tool.ALPHA), seed=seed)
+                  for seed, a in enumerate(tool.AMPLITUDES)]
+        rounds = sum(len(res.rounds) for res in solves)
+        solve_rows += [(f"interval update {epsilon:.0e}, {rounds} rounds", "us/round"),
+                       (f"post_process {epsilon:.0e}, 2 runs", "us/run")]
+    assert [(label, unit) for label, _, unit in rows if " K search " not in label][8:] == solve_rows

@@ -24,14 +24,18 @@ and uses only its public API. The cases are:
   them against the unwrapped scan: us per search by estimator and by how
   many odd K the scan visits, from the first K it tries down to the K it
   returns, or down to q*K_current when it finds none, in the buckets of
-  `BUCKETS`, cut at the scan's chunk of 1024 K. It replays DIQC's
+  `BUCKETS`, cut at the scan's chunk of 1024 K, and over all of an
+  estimator's searches when they fill two or more buckets. It replays DIQC's
   interval update, `chernoff_interval` then `gamma_from_interval`, on
   those solves' rounds at the run's alpha, whose value the cost does not
   depend on (us per round), and `diqc.post_process` on their rounds (us
   per node run).
 
 CSV and JSON writing is not timed. Each figure is the best of `REPEATS`
-timed loops, taken in turns with the other cases' loops. The run takes a
+timed loops, taken in turns with the other cases' loops. A figure still
+depends on where its case sits in that order: one group of searches timed
+at two places read about 20% apart, so the tool does not tell apart cases
+that differ by less. The run takes a
 few seconds. Its figures are wall-clock times of the host it runs on, so
 it is no part of `tools/hash_suite.py`.
 """
@@ -197,8 +201,8 @@ def record(epsilon: float) -> tuple[dict[str, list], list]:
 
 def solve_cases(epsilon: float) -> list:
     """The cases replayed from one epsilon's solves: one K-search case per
-    (estimator, bucket) and per estimator, then the interval update and
-    `post_process`."""
+    (estimator, bucket that holds searches), and per estimator when two or
+    more buckets do, then the interval update and `post_process`."""
     calls, solves = record(epsilon)
     cases = []
     for name, searches in calls.items():
@@ -206,10 +210,12 @@ def solve_cases(epsilon: float) -> list:
         for args, kwargs, result in searches:
             count = visited(args, kwargs, result)
             groups[next(label for label, top in BUCKETS if count <= top)].append((args, kwargs))
-        groups["all"] = [(args, kwargs) for args, kwargs, _ in searches]
+        groups = {label: group for label, group in groups.items() if group}
+        if len(groups) > 1:  # a lone bucket already holds every search
+            groups["all"] = [(args, kwargs) for args, kwargs, _ in searches]
         cases += [(f"{name} K search {epsilon:.0e} {label}, {len(group)} searches",
                    replay(miqae.next_odd_k, group), len(group), "us/search", 1e-6)
-                  for label, group in groups.items() if group]
+                  for label, group in groups.items()]
     rounds = [rd for res in solves for rd in res.rounds]
     cases += [
         (f"interval update {epsilon:.0e}, {len(rounds)} rounds", interval_loop(rounds),
