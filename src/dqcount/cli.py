@@ -134,6 +134,8 @@ def _config_argv(args, parser, argv: list[str]) -> list[str]:
         attr = key.replace("-", "_")
         if attr not in settable:
             parser.error(f"config file sets unknown option {key!r}")
+        if value is None:
+            parser.error(f"config file sets option {key!r} to null")
         flag = "--" + attr.replace("_", "-")
         if isinstance(getattr(args, attr), bool) and isinstance(value, bool):
             tokens += [flag] if value else []  # on/off switch
@@ -184,12 +186,13 @@ def _global_budget(
     alpha: Union[float, None],
     epsilon_node: Union[float, None] = None,
     alpha_node: Union[float, None] = None,
-) -> tuple[float, float]:
-    """Global (epsilon, alpha), checked by `node_config`, the budget rule
-    the runs apply. A per-node value stands for 2^k times itself, and a
-    global one for a 2^k-th of itself on each node. Each flag is checked
-    against its own range before the value it stands for, and a rejection
-    names the flag that set the value."""
+) -> tuple[int, float, float]:
+    """The k that `check_split` hands out, and the global (epsilon, alpha)
+    checked by `node_config`, the budget rule the runs apply. A per-node
+    value stands for 2^k times itself, and a global one for a 2^k-th of
+    itself on each node. Each flag is checked against its own range before
+    the value it stands for, and a rejection names the flag that set the
+    value."""
     _, k = check_split(n, k)
     nodes = 1 << k
     flags = {}
@@ -215,7 +218,7 @@ def _global_budget(
              epsilon_node=0.01 if epsilon_node is None else epsilon_node,
              alpha_node=0.05 if alpha_node is None else alpha_node)
     _checked(node_config, flags, epsilon=epsilon, alpha=alpha, n=n, k=k)
-    return epsilon, alpha
+    return k, epsilon, alpha
 
 
 def _node_means(aggs: list[AggregateResult], j: int) -> dict:
@@ -244,15 +247,15 @@ def _cmd_count(args, parser) -> int:
         parser.error("--epsilon and --epsilon-node are mutually exclusive")
     if args.alpha is not None and args.alpha_node is not None:
         parser.error("--alpha and --alpha-node are mutually exclusive")
-    epsilon, alpha = _global_budget(n, args.k, args.epsilon, args.alpha,
-                                    args.epsilon_node, args.alpha_node)
-    nodes = 1 << args.k
+    k, epsilon, alpha = _global_budget(n, args.k, args.epsilon, args.alpha,
+                                       args.epsilon_node, args.alpha_node)
+    nodes = 1 << k
     out = Path(args.out)
 
     aggs = [
         run_distributed(
             oracle,
-            args.k,
+            k,
             epsilon,
             alpha,
             scheme=args.scheme,
@@ -275,7 +278,7 @@ def _cmd_count(args, parser) -> int:
     summary = {
         "config": {
             "n": n,
-            "k": args.k,
+            "k": k,
             "marked": sorted(marked),
             "epsilon": epsilon,
             "alpha": alpha,
@@ -286,7 +289,7 @@ def _cmd_count(args, parser) -> int:
             "reps": args.reps,
             "seed": args.seed,
         },
-        "qubits_per_node": n - args.k + 2,
+        "qubits_per_node": n - k + 2,
         "per_node": [_node_means(aggs, j) for j in range(nodes)],
         "t_prime_counts": {str(t): c for t, c in sorted(t_counts.items())},
         "failed_reps": failed_reps,
@@ -322,9 +325,9 @@ def _cmd_pair(args, parser, which: str) -> int:
     if len(x) != len(y):  # before the budget, which reads x's width
         raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
     # the width the vectors are zero-padded to, so the budget is checked as count's is
-    _global_budget(padded_width(len(x)), args.k, args.epsilon, args.alpha)
+    k, _, _ = _global_budget(padded_width(len(x)), args.k, args.epsilon, args.alpha)
     runner = estimate_inner_product if which == INNER_PRODUCT else estimate_hamming
-    result = runner(x, y, args.k, args.epsilon, args.alpha,
+    result = runner(x, y, k, args.epsilon, args.alpha,
                     base_seed=args.seed, backend=args.backend)
     if which == INNER_PRODUCT:
         exact = sum(a & b for a, b in zip(x, y)) / (1 << result.n)
@@ -340,7 +343,7 @@ def _cmd_pair(args, parser, which: str) -> int:
     payload["config"] = {
         "epsilon": args.epsilon,
         "alpha": args.alpha,
-        "k": args.k,
+        "k": k,
         "seed": args.seed,
         "backend": args.backend,
     }
@@ -394,9 +397,8 @@ def _cmd_compare(args, parser) -> int:
 
 def _cmd_bench(args, parser) -> int:
     n = args.n
-    k = args.k
     epsilon_node, alpha_node = args.epsilon_node, args.alpha_node
-    _global_budget(n, k, None, None, epsilon_node=epsilon_node, alpha_node=alpha_node)
+    k, _, _ = _global_budget(n, args.k, None, None, epsilon_node, alpha_node)
     central, node = metrics.counting_comparison(n, k)
     payload = {
         "n": n,

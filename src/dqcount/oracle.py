@@ -23,7 +23,6 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -208,21 +207,21 @@ def _paired_suboracle(
     # entry once between them.
     stride = 1 << k
     xs, ys = x[node_id::stride], y[node_id::stride]
-    # Two list or tuple slices of Python ints, bools or numpy integers, each
-    # 0 or 1, take the pair bit on their bytes. Everything else (numpy
-    # arrays, numpy bools, floats, other entries) takes the checked path,
-    # the one source of the two error messages.
+    # Every slice reaches the one pair-bit line as one uint8 per entry. Two
+    # list or tuple slices of 0/1 ints, bools or numpy integers get there
+    # through their bytes. Any other slice is checked first, the one source
+    # of the two 0/1 messages, then converted by numpy, where only a bool or
+    # integer dtype is a bit: 1.0 passes the 0/1 check but is not one.
     xb, yb = _bit_bytes(xs), _bit_bytes(ys)
-    if xb is not None and yb is not None:
-        marked = frozenset(np.flatnonzero(pair_bit(xb, yb)).tolist())
-    else:
+    if xb is None or yb is None:
         _check_bits(xs, "x")
         _check_bits(ys, "y")
-        bits = map(pair_bit, xs, ys)
-        try:
-            marked = frozenset(compress(range(1 << m), bits))
-        except TypeError:  # a float such as 1.0 passes the 0/1 check but has no & or ^
-            raise ValueError("x and y must contain only integer 0/1 entries") from None
+        # numpy reads a bytes object as one string, so it goes in as a memoryview
+        xa, ya = (np.asarray(memoryview(s) if isinstance(s, bytes) else s) for s in (xs, ys))
+        if xa.dtype.kind not in "biu" or ya.dtype.kind not in "biu":
+            raise ValueError("x and y must contain only integer 0/1 entries")
+        xb, yb = xa.astype(np.uint8), ya.astype(np.uint8)
+    marked = frozenset(np.flatnonzero(pair_bit(xb, yb)).tolist())
     return SubOracle(m=m, node_id=node_id, marked_local=marked)
 
 

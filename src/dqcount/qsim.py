@@ -12,10 +12,12 @@ iterates yields outcome 11 with probability
 
 `prob11` evaluates this closed form; both analytic samplers draw from it,
 and it is the default backend for the estimation loops. The dense
-statevector backend exists to prove the two agree. `apply_A` and
-`apply_A_dagger` run the preparation A gate by gate (Hadamards, oracle,
-rotation). The backend writes A|0> directly: every index row holds
-2^(-m/2) sqrt(1-r) at rotation bit 0 and 2^(-m/2) sqrt(r) at rotation bit 1,
+statevector backend exists to prove the two agree; it reads a sub-oracle
+only through its row mask, one bool per index row, True where the row is
+marked. `apply_A` and `apply_A_dagger` run the preparation A gate by gate
+(Hadamards, an oracle that flips the flag of the masked rows, rotation).
+The backend writes A|0> directly: every index row holds 2^(-m/2)
+sqrt(1-r) at rotation bit 0 and 2^(-m/2) sqrt(r) at rotation bit 1,
 under flag 1 for a marked index and flag 0 otherwise, with 2^(-m/2)
 multiplied up from 1/sqrt(2) in the order the Hadamards apply it. So A|0>
 equals `apply_A` on |0> bit for bit, and the tests compare the two. Because
@@ -51,14 +53,14 @@ method its estimator calls.
 
 `StatevectorSampler` keeps one running state: A|0> for the kept r, the
 state after the kept power, a scratch vector each iterate writes its
-multiple of A|0> into, and a row mask, one bool per index row that is True
-where the row is marked, built once after the width check. A|0> copies
-each index row's four (flag, rot) amplitudes from a two-row table, the
-row its mask entry picks, so a rebuild walks no marked set. A request at
-the same r and a power at or above the kept one advances the state in
-place by the difference; a new r rebuilds A|0>, and a lower power restarts
-from A|0>. So a live sampler holds three 2^(m+2) float64 vectors and a
-2^m-byte mask and shares nothing, and an iterate allocates nothing.
+multiple of A|0> into, and the row mask, built once after the width
+check; it keeps no sub-oracle. `_prepare` reads m and A|0> from the mask,
+copying each index row's four (flag, rot) amplitudes from a two-row
+table, the row its mask entry picks. A request at the same r and a power
+at or above the kept one advances the state in place by the difference;
+a new r rebuilds A|0>, and a lower power restarts from A|0>. So a live
+sampler holds three 2^(m+2) float64 vectors and a 2^m-byte mask and
+shares nothing, and an iterate allocates nothing.
 `prob11_statevector` reads a fresh sampler and is the reference the tests
 compare a long-lived one against.
 
@@ -171,12 +173,11 @@ def _hadamard_index_register(amp: np.ndarray, m: int) -> None:
         v[:, 1, :] = (lo - hi) * _INV_SQRT2
 
 
-def _oracle_flag(amp: np.ndarray, marked_rows: np.ndarray) -> None:
-    # X on the flag qubit, controlled on the index being marked.
-    for rot in (0, 1):
-        a = (marked_rows << 2) | rot
-        b = a | 2
-        amp[a], amp[b] = amp[b].copy(), amp[a].copy()
+def _oracle_flag(amp: np.ndarray, marked_mask: np.ndarray) -> None:
+    # X on the flag qubit, controlled on the index being marked: each marked
+    # row's (flag, rot) columns 00, 01 trade places with 10, 11.
+    rows = amp.reshape(-1, 4)
+    rows[marked_mask] = rows[marked_mask][:, [2, 3, 0, 1]]
 
 
 def _rotate_q0(amp: np.ndarray, r: float, dagger: bool = False) -> None:
@@ -199,10 +200,6 @@ def _reflect_good(amp: np.ndarray) -> None:
     np.negative(block, out=block)
 
 
-def _marked_rows(sub: SubOracle) -> np.ndarray:
-    return np.fromiter(sub.marked_local, dtype=np.int64, count=sub.t_local)
-
-
 def _check_width(state: StateVector, sub: SubOracle) -> None:
     if state.num_qubits != sub.m + 2:
         raise ValueError(
@@ -221,7 +218,7 @@ def apply_A(state: StateVector, sub: SubOracle, r: float) -> StateVector:
     _check_r(r)
     amp = state.amplitudes
     _hadamard_index_register(amp, sub.m)
-    _oracle_flag(amp, _marked_rows(sub))
+    _oracle_flag(amp, _marked_mask(sub))
     _rotate_q0(amp, r)
     return state
 
@@ -231,7 +228,7 @@ def apply_A_dagger(state: StateVector, sub: SubOracle, r: float) -> StateVector:
     _check_r(r)
     amp = state.amplitudes
     _rotate_q0(amp, r, dagger=True)
-    _oracle_flag(amp, _marked_rows(sub))
+    _oracle_flag(amp, _marked_mask(sub))
     _hadamard_index_register(amp, sub.m)
     return state
 
@@ -264,23 +261,24 @@ def apply_Q(
 def _marked_mask(sub: SubOracle) -> np.ndarray:
     """One bool per index row, True where the row is marked."""
     mask = np.zeros(1 << sub.m, dtype=bool)
-    mask[_marked_rows(sub)] = True
+    mask[np.fromiter(sub.marked_local, dtype=np.int64, count=sub.t_local)] = True
     return mask
 
 
-def _prepare(sub: SubOracle, r: float, marked_mask: np.ndarray) -> StateVector:
-    """A|0> written in closed form from `_marked_mask(sub)`; the same bits
-    as `apply_A(StateVector.zero(m + 2), sub, r)`."""
+def _prepare(marked_mask: np.ndarray, r: float) -> StateVector:
+    """A|0> written in closed form from a sub-oracle's `_marked_mask`; the
+    same bits as `apply_A(StateVector.zero(m + 2), sub, r)`."""
     _check_r(r)
+    m = marked_mask.size.bit_length() - 1
     h = 1.0
-    for _ in range(sub.m):  # 2^(-m/2), one factor per Hadamard, rounded as the gates round it
+    for _ in range(m):  # 2^(-m/2), one factor per Hadamard, rounded as the gates round it
         h *= _INV_SQRT2
     w0, w1 = math.sqrt(1.0 - r) * h, math.sqrt(r) * h
     # Columns (flag, rot) = 00, 01, 10, 11; each index row copies the
     # unmarked or the marked one, picked by its mask entry.
     table = np.array(((w0, w1, 0.0, 0.0), (0.0, 0.0, w0, w1)))
     rows = np.take(table, marked_mask, axis=0)
-    return StateVector(sub.m + 2, rows.reshape(-1))
+    return StateVector(m + 2, rows.reshape(-1))
 
 
 def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
@@ -356,13 +354,12 @@ class StatevectorSampler(Sampler):
 
     Keeps the state of its last request (see the module docstring), so a
     run whose powers rise at one r pays each iterate once. The sub-oracle's
-    marked rows become a bool row mask once, when the sampler is made, and
-    every A|0> it builds is written from that mask.
+    marked rows become a bool row mask once, when the sampler is made; it
+    keeps the mask, not the sub-oracle, and writes every A|0> from it.
     """
 
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
         super().__init__(rng)
-        self.sub = sub
         self._state = StateVector.zero(sub.m + 2)
         self._scratch = np.empty_like(self._state.amplitudes)
         self._marked_mask = _marked_mask(sub)  # after the width check StateVector.zero makes
@@ -376,7 +373,7 @@ class StatevectorSampler(Sampler):
         new_r = r != self._r
         if new_r:
             # Looked up per build, so a wrapper on `qsim._prepare` counts builds.
-            self._prepared = _prepare(self.sub, r, self._marked_mask)
+            self._prepared = _prepare(self._marked_mask, r)
         power = self._power
         if new_r or grover_power < power:
             np.copyto(self._state.amplitudes, self._prepared.amplitudes)

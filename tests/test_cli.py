@@ -408,6 +408,10 @@ _LATER_STDERR = {
     (["count", "--marked", "1"], None),  # no --n
     (["hamming", "--x", "0101"], None),  # no --y
     *[(line.split(), None) for line in _LATER_STDERR],
+    # a JSON null is no value: it would reach argparse as the string "None"
+    (["hamming", "--x", "0110", "--y", "0101"], {"out": None}),
+    (["count", "--n", "6", "--marked", "1"], {"out": None}),
+    (["count", "--n", "6", "--marked", "1"], {"k": None}),
 ])
 def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, config):
     expected_err = {**_STDERR, **_VALUE_STDERR, **_LATER_STDERR}.get(" ".join(argv))
@@ -437,6 +441,9 @@ def test_invalid_inputs_exit_2_without_traceback(tmp_path, capsys, monkeypatch, 
         assert err.endswith({str: "error: cannot read config file: Expecting property name "
                                   "enclosed in double quotes: line 1 column 2 (char 1)\n",
                              list: "error: config file must hold a JSON object\n"}[type(config)])
+    if isinstance(config, dict) and None in config.values():
+        key, = config
+        assert err.endswith(f"error: config file sets option {key!r} to null\n")
 
 
 @pytest.mark.parametrize("argv, config, message", [

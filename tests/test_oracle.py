@@ -101,15 +101,22 @@ def test_inner_product_suboracle_matches_brute_force():
 
 
 def test_paired_suboracles_match_brute_force_on_every_node():
-    """Lists, tuples and numpy arrays (whose bytes() is their raw buffer,
-    not one byte per entry) all mark the brute-force set."""
+    """Lists, tuples, numpy bool, uint8 and int64 arrays (whose bytes() is
+    their raw buffer, not one byte per entry), lists mixing numpy bools
+    with ints, and bytes objects all mark the brute-force set, as both
+    vectors or as one of them beside a plain list."""
     import random
 
     rng = random.Random(13)
     x = [rng.randint(0, 1) for _ in range(64)]
     y = [rng.randint(0, 1) for _ in range(64)]
-    inputs = [(x, y), (tuple(x), tuple(y))]
-    inputs += [(np.array(x, dtype=d), np.array(y, dtype=d)) for d in (np.int64, np.uint8, bool)]
+
+    def forms(v):
+        return [tuple(v), *(np.array(v, dtype=d) for d in (np.int64, np.uint8, bool)),
+                [np.True_ if b else 0 for b in v], bytes(v)]
+
+    inputs = [(x, y), *zip(forms(x), forms(y))]
+    inputs += [(f, y) for f in forms(x)] + [(x, f) for f in forms(y)]
     for build, keep in (
         (inner_product_suboracle, lambda a, b: a == b == 1),
         (hamming_suboracle, lambda a, b: a != b),
@@ -145,6 +152,14 @@ def test_paired_suboracle_errors():
         inner_product_suboracle([1, 0, 1], [1, 0, 1], 1, 0)
     with pytest.raises(ValueError):
         hamming_suboracle([2, 0], [1, 0], 1, 0)
+    # only a bool or integer dtype holds bits, even when the objects are ints
+    with pytest.raises(ValueError, match="x and y must contain only integer 0/1"):
+        hamming_suboracle(np.array([1, 0, 1, 1], dtype=object), [0, 1, 1, 0], 1, 0)
+    # a range of 0/1 entries is at most two long, below the smallest split,
+    # so a range gets the message its list gets
+    for x in (range(4), [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="^x must contain only 0/1 entries$"):
+            hamming_suboracle(x, [0, 1, 0, 1], 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -180,11 +195,12 @@ def test_paired_suboracle_entries_are_checked_once_over_the_nodes(entry):
 
 @pytest.mark.parametrize("entry", [1.0, 0.0, np.float64(1.0)])
 def test_paired_suboracle_rejects_float_bits(entry):
-    """A float equals a bit but has no & or ^: a ValueError, not a TypeError."""
+    """A float equals a bit but is not an integer: a ValueError, not a
+    TypeError, in a list or as a float64 array."""
     x = [1, 0, 1, 0]
     bad = [entry, 0, 1, 0]
     for build in (inner_product_suboracle, hamming_suboracle):
-        for pair in ((bad, x), (x, bad)):
+        for pair in ((bad, x), (x, bad), (np.array(bad), x), (x, np.array(bad))):
             with pytest.raises(ValueError, match="x and y must contain only integer 0/1"):
                 build(*pair, 1, 0)
 

@@ -284,9 +284,9 @@ def test_one_vectorized_draw_reproduces_the_per_shot_stream(label, make, power, 
 
 
 def count_work(monkeypatch) -> dict:
-    """Count the marked-row builds (`_marked_rows`), A|0> builds
+    """Count the row-mask builds (`_marked_mask`), A|0> builds
     (`_prepare`) and iterates (`apply_Q`) qsim runs."""
-    counts = {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
+    counts = {"_marked_mask": 0, "_prepare": 0, "apply_Q": 0}
     for name in counts:
         original = getattr(qsim, name)
 
@@ -311,7 +311,7 @@ def test_samplers_agree_and_cache(monkeypatch):
     # a repeated (power, r) does no new work
     counts = count_work(monkeypatch)
     assert sv.probability(3, 1.0) == pytest.approx(analytic.probability(3, 1.0), abs=1e-10)
-    assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
+    assert counts == {"_marked_mask": 0, "_prepare": 0, "apply_Q": 0}
     # and the closed form runs once for a probability and the shots after it
     closed_forms = []
     monkeypatch.setattr(qsim, "prob11", lambda *args: closed_forms.append(args) or prob11(*args))
@@ -342,16 +342,16 @@ def test_statevector_sampler_steps_match_fresh_builds(monkeypatch):
             counts = count_work(monkeypatch)
             for power in (1, 3, 7):
                 sampler.probability(power, 0.8)
-            assert counts == {"_marked_rows": 0, "_prepare": 1, "apply_Q": 7}
+            assert counts == {"_marked_mask": 0, "_prepare": 1, "apply_Q": 7}
 
             # a failed request raises and leaves the kept state as it was
             for power, r in ((-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (8, float("nan"))):
                 with pytest.raises(ValueError):
                     sampler.probability(power, r)
             expected = [prob11_statevector(sub, 0.8, power) for power in (7, 8)]
-            counts.update(_marked_rows=0, _prepare=0, apply_Q=0)
+            counts.update(_marked_mask=0, _prepare=0, apply_Q=0)
             assert [sampler.probability(power, 0.8) for power in (7, 8)] == expected
-            assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 1}
+            assert counts == {"_marked_mask": 0, "_prepare": 0, "apply_Q": 1}
             monkeypatch.undo()
 
 
@@ -376,9 +376,9 @@ def test_rejected_statevector_sample_leaves_the_kept_state(monkeypatch):
     assert kept._state.amplitudes.tobytes() == amplitudes
     counts = count_work(monkeypatch)
     assert kept.sample(2, 0.8, 1000) == want[1]
-    assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 0}
+    assert counts == {"_marked_mask": 0, "_prepare": 0, "apply_Q": 0}
     assert kept.sample(3, 0.8, 1000) == want[2]
-    assert counts == {"_marked_rows": 0, "_prepare": 0, "apply_Q": 1}
+    assert counts == {"_marked_mask": 0, "_prepare": 0, "apply_Q": 1}
 
 
 class CountTypes:
@@ -430,20 +430,22 @@ def test_prepare_writes_the_gate_level_prepared_state():
         for sub in (*(sub_for(m, t) for t in (0, 1, 1 << m)), every_third):
             for r in (1.0, 0.8, 0.3):
                 gates = apply_A(StateVector.zero(m + 2), sub, r)
-                prepared = qsim._prepare(sub, r, qsim._marked_mask(sub))
+                prepared = qsim._prepare(qsim._marked_mask(sub), r)
                 assert prepared.amplitudes.tobytes() == gates.amplitudes.tobytes()
 
 
 def test_statevector_sampler_builds_its_marked_rows_once(monkeypatch):
     """However many r values a sampler reads, its sub-oracle's marked rows
-    are built once, when it is made."""
+    become a row mask once, when it is made, and the sampler keeps the
+    mask, not the sub-oracle."""
     counts = count_work(monkeypatch)
     sampler = StatevectorSampler(sub_for(5, 9))
-    assert counts == {"_marked_rows": 1, "_prepare": 0, "apply_Q": 0}
+    assert counts == {"_marked_mask": 1, "_prepare": 0, "apply_Q": 0}
+    assert not hasattr(sampler, "sub")
     for r in (0.3, 0.8, 1.0, 0.3, 0.55):
         for power in (0, 2, 1):  # 2 iterates, then a restart and 1
             sampler.probability(power, r)
-    assert counts == {"_marked_rows": 1, "_prepare": 5, "apply_Q": 15}
+    assert counts == {"_marked_mask": 1, "_prepare": 5, "apply_Q": 15}
 
 
 def test_statevector_backend_runs_on_real_amplitudes():
@@ -452,7 +454,7 @@ def test_statevector_backend_runs_on_real_amplitudes():
     sub = sub_for(4, 5)
     assert StateVector.zero(6).amplitudes.dtype == np.float64
     assert StateVector(6, np.ones(64, dtype=np.float32)).amplitudes.dtype == np.float64
-    assert qsim._prepare(sub, 0.7, qsim._marked_mask(sub)).amplitudes.dtype == np.float64
+    assert qsim._prepare(qsim._marked_mask(sub), 0.7).amplitudes.dtype == np.float64
     sampler = StatevectorSampler(sub)
     sampler.probability(3, 0.7)
     for vec in (sampler._state.amplitudes, sampler._prepared.amplitudes, sampler._scratch):
