@@ -19,11 +19,12 @@ command produces byte-identical output for identical (config, seed). The
 bench and the pair commands check each budget flag against its own range,
 then the budget with `coordinator.node_config`, and name the flag that set
 a rejected value. The node estimator draws each round with one sampler
-call, so no command has a batch flag for it. The count summary is
-read from the per-repetition AggregateResults. `main` parses with one
-parser per process (`build_parser` is cached), so in-process calls do not
-rebuild it. Exit codes: 0 success, 1 estimation failure or a reader that
-closed stdout early, 2 usage or domain error.
+call, so no command has a batch flag for it. `count` folds each
+repetition into its rows and per-node sums as the repetition finishes,
+then drops it. `main` parses with one parser per process (`build_parser`
+is cached), so in-process calls do not rebuild it. Exit codes: 0 success,
+1 estimation failure or a reader that closed stdout early, 2 usage or
+domain error.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .applications import (
     estimate_inner_product,
     padded_width,
 )
-from .coordinator import AggregateResult, node_config, run_distributed
-from .diqc import DiqcConfig, run_amplitude, sum_in_order
+from .coordinator import node_config, run_distributed
+from .diqc import DiqcConfig, run_amplitude
 from .miqae import MiqaeConfig, run_for_amplitude
 from .oracle import PREFIX, STRIDE, check_split, load_bit_vector, load_marked_set, make_oracle
 from .qsim import BACKENDS, AnalyticSampler
@@ -83,6 +84,17 @@ _TRACE_COLUMNS = (
     ("a_min", "a_min"), ("a_max", "a_max"), ("theta_min", "theta_min"),
     ("theta_max", "theta_max"),
 )
+
+
+# summary.json: each node's means over the reps, as key: NodeResult -> value.
+_NODE_MEANS = {
+    "mean_c": lambda res: res.c,
+    "mean_t_prime": lambda res: res.t_prime,
+    "mean_oracle_calls": lambda res: res.oracle_calls,
+    "mean_max_big_k": lambda res: res.max_big_k,
+    "mean_depth": lambda res: (res.max_big_k - 1) // 2,
+    "mean_total_shots": lambda res: res.total_shots,
+}
 
 
 def _cells(record, columns) -> list:
@@ -221,25 +233,6 @@ def _global_budget(
     return k, epsilon, alpha
 
 
-def _node_means(aggs: list[AggregateResult], j: int) -> dict:
-    """Node j's means over the repetitions, each summed in rep order."""
-    results = [agg.per_node[j] for agg in aggs]
-
-    def mean(values) -> float:
-        return sum_in_order(values) / len(results)
-
-    return {
-        "node_id": j,
-        "mean_c": mean(res.c for res in results),
-        "mean_t_prime": mean(res.t_prime for res in results),
-        "mean_oracle_calls": mean(res.oracle_calls for res in results),
-        "mean_max_big_k": mean(res.max_big_k for res in results),
-        "mean_depth": mean((res.max_big_k - 1) // 2 for res in results),
-        "mean_total_shots": mean(res.total_shots for res in results),
-        "successes": sum(res.succeeded for res in results),
-    }
-
-
 def _cmd_count(args, parser) -> int:
     n, marked = _resolve_marked(args, parser)
     oracle = make_oracle(n, marked)
@@ -252,29 +245,32 @@ def _cmd_count(args, parser) -> int:
     nodes = 1 << k
     out = Path(args.out)
 
-    aggs = [
-        run_distributed(
-            oracle,
-            k,
-            epsilon,
-            alpha,
-            scheme=args.scheme,
-            base_seed=args.seed + rep * nodes,
-            backend=args.backend,
-        )
-        for rep in range(args.reps)
-    ]
+    # Each rep is folded in as it ends: its rows, and each node's running
+    # sums, added in rep order as `sum_in_order` does.
+    per_node = [{"node_id": j, "successes": 0, **dict.fromkeys(_NODE_MEANS, 0.0)}
+                for j in range(nodes)]
     rows: list[list] = []
     trace_rows: list[list] = []
-    for rep, agg in enumerate(aggs):
-        for res in agg.per_node:
+    t_counts: Counter = Counter()
+    failed_reps = 0
+    for rep in range(args.reps):
+        agg = run_distributed(oracle, k, epsilon, alpha, scheme=args.scheme,
+                              base_seed=args.seed + rep * nodes, backend=args.backend)
+        for res, sums in zip(agg.per_node, per_node):
             rows.append([rep, *_cells(res, _RUN_COLUMNS)])
             if args.trace:
                 trace_rows += ([rep, res.node_id, i, *_cells(rd, _TRACE_COLUMNS)]
                                for i, rd in enumerate(res.rounds, 1))
-    t_counts = Counter(agg.t_prime for agg in aggs)
-    failed_reps = sum(not agg.succeeded for agg in aggs)
-    first = aggs[0].per_node[0]
+            for key, read in _NODE_MEANS.items():
+                sums[key] += read(res)
+            sums["successes"] += res.succeeded
+        t_counts[agg.t_prime] += 1
+        failed_reps += not agg.succeeded
+    for sums in per_node:
+        for key in _NODE_MEANS:
+            sums[key] /= args.reps
+    # the budget and the guarantee are the same in every rep
+    last = agg.per_node[0]
     summary = {
         "config": {
             "n": n,
@@ -282,19 +278,19 @@ def _cmd_count(args, parser) -> int:
             "marked": sorted(marked),
             "epsilon": epsilon,
             "alpha": alpha,
-            "epsilon_node": first.epsilon_node,
-            "alpha_node": first.alpha_node,
+            "epsilon_node": last.epsilon_node,
+            "alpha_node": last.alpha_node,
             "scheme": args.scheme,
             "backend": args.backend,
             "reps": args.reps,
             "seed": args.seed,
         },
         "qubits_per_node": n - k + 2,
-        "per_node": [_node_means(aggs, j) for j in range(nodes)],
+        "per_node": per_node,
         "t_prime_counts": {str(t): c for t, c in sorted(t_counts.items())},
         "failed_reps": failed_reps,
-        "error_bound": aggs[-1].error_bound,
-        "confidence": aggs[-1].confidence,
+        "error_bound": agg.error_bound,
+        "confidence": agg.confidence,
     }
     _write_csv(out / "runs.csv", ["rep", *(name for name, _ in _RUN_COLUMNS)], rows)
     _write_json(out / "summary.json", summary)

@@ -43,9 +43,10 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     expected exit code).
 
     The first run is the README `count` command at 20 repetitions. Every
-    run exits 0 but `count-failed-node`, whose node 0 (amplitude 20/32 at
-    epsilon_node 0.005) fails before any round qualifies, so the command
-    exits 1 and the node reports its last round.
+    run exits 0 but `count-failed-node` and `count-failed-reps`. In the
+    first, node 0 (amplitude 20/32 at epsilon_node 0.005) fails before any
+    round qualifies, so the command exits 1 and the node reports its last
+    round. The second repeats it over three reps.
     """
     x, y = _bits(42), _bits(43)
     runs = [
@@ -98,7 +99,10 @@ def suite() -> list[tuple[str, list[str], str, int]]:
               ["count", "--n", "10", "--marked", "3,700,701", "--k", "6", "--reps", "2",
                "--scheme", scheme, "--backend", backend, "--trace"], "", 0)
              for scheme, backend in (("prefix", "analytic"), ("stride", "statevector"))]
-    return [(*run, 0) for run in runs] + failed + empty
+    # count-failed-node over three reps: node 0 fails in rep 0 only, so
+    # the summary folds a failed rep in with two good ones
+    failed_reps = [("count-failed-reps", failed[0][1] + ["--reps", "3"], "", 1)]
+    return [(*run, 0) for run in runs] + failed + empty + failed_reps
 
 
 def hashes() -> list[str]:

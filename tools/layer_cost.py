@@ -32,11 +32,13 @@ and uses only its public API. The cases are:
   per node run).
 
 CSV and JSON writing is not timed. Each figure is the best of `REPEATS`
-timed loops, taken in turns with the other cases' loops. A figure still
-depends on where its case sits in that order: one group of searches timed
-at two places read about 20% apart, so the tool does not tell apart cases
-that differ by less. The run takes a
-few seconds. Its figures are wall-clock times of the host it runs on, so
+timed loops, taken in turns with the other cases' loops, each pass
+starting one case later. A figure still depends on the case before it,
+which the turns do not change. Six groups of searches, each timed twice
+in one run, once right after the 18-qubit iterate, read 1-13% apart,
+against 2-18% when every pass started at the first case. So the tool does
+not tell apart cases that differ by less than about 15%. The run takes a few
+seconds. Its figures are wall-clock times of the host it runs on, so
 it is no part of `tools/hash_suite.py`.
 """
 
@@ -253,10 +255,12 @@ def main() -> None:
     for epsilon in EPSILONS:
         cases += solve_cases(epsilon)
     # The cases take turns, so each one's best is drawn from the whole run
-    # and a slow stretch of the host does not land on one case alone.
+    # and a slow stretch of the host does not land on one case alone. Each
+    # pass starts one case later, so no case always runs at the same place.
     best = [math.inf] * len(cases)
-    for _ in range(REPEATS):
-        for i, (_, loop, steps, _, _) in enumerate(cases):
+    for first in range(REPEATS):
+        for i in (j % len(cases) for j in range(first, first + len(cases))):
+            _, loop, steps, _, _ = cases[i]
             start = perf_counter()
             loop(steps)
             best[i] = min(best[i], (perf_counter() - start) / steps)
