@@ -207,39 +207,34 @@ def _global_budget(
     value."""
     _, k = check_split(n, k)
     nodes = 1 << k
-    flags = {}
-    if epsilon_node is not None:
-        epsilon = epsilon_node * nodes
-        flags["epsilon"] = (f"--epsilon-node times 2^{k} nodes", epsilon)
-        flags["epsilon_node"] = ("--epsilon-node", epsilon_node)
-    else:
-        epsilon = _COUNT_EPSILON if epsilon is None else epsilon
-        flags["epsilon"] = ("--epsilon", epsilon)
-        flags["epsilon_node"] = (f"--epsilon over 2^{k} nodes", epsilon / nodes)
-    if alpha_node is not None:
-        alpha = alpha_node * nodes
-        flags["alpha"] = (f"--alpha-node times 2^{k} nodes", alpha)
-        flags["alpha_node"] = ("--alpha-node", alpha_node)
-    else:
-        alpha = _COUNT_ALPHA if alpha is None else alpha
-        flags["alpha"] = ("--alpha", alpha)
-        flags["alpha_node"] = (f"--alpha over 2^{k} nodes", alpha / nodes)
-    # the per-node flags on their own scale (an unset one at a value in
-    # range), then node_config: the global pair, then its 2^k-th
-    _checked(DiqcConfig, flags,
-             epsilon_node=0.01 if epsilon_node is None else epsilon_node,
-             alpha_node=0.05 if alpha_node is None else alpha_node)
-    _checked(node_config, flags, epsilon=epsilon, alpha=alpha, n=n, k=k)
-    return k, epsilon, alpha
+    flags, budget, node_fields = {}, {}, {}
+    # per name: global value, per-node value, default, in-range stand-in for the latter
+    for name, value, node_value, default, in_range in (
+            ("epsilon", epsilon, epsilon_node, _COUNT_EPSILON, 0.01),
+            ("alpha", alpha, alpha_node, _COUNT_ALPHA, 0.05)):
+        if node_value is not None:
+            value = node_value * nodes
+            flags[name] = (f"--{name}-node times 2^{k} nodes", value)
+            flags[f"{name}_node"] = (f"--{name}-node", node_value)
+        else:
+            value = default if value is None else value
+            flags[name] = (f"--{name}", value)
+            flags[f"{name}_node"] = (f"--{name} over 2^{k} nodes", value / nodes)
+        budget[name] = value
+        node_fields[f"{name}_node"] = in_range if node_value is None else node_value
+    # the per-node flags on their own scale, then node_config: the global
+    # pair, then its 2^k-th
+    _checked(DiqcConfig, flags, **node_fields)
+    _checked(node_config, flags, **budget, n=n, k=k)
+    return k, budget["epsilon"], budget["alpha"]
 
 
 def _cmd_count(args, parser) -> int:
     n, marked = _resolve_marked(args, parser)
     oracle = make_oracle(n, marked)
-    if args.epsilon is not None and args.epsilon_node is not None:
-        parser.error("--epsilon and --epsilon-node are mutually exclusive")
-    if args.alpha is not None and args.alpha_node is not None:
-        parser.error("--alpha and --alpha-node are mutually exclusive")
+    for name in ("epsilon", "alpha"):
+        if getattr(args, name) is not None and getattr(args, f"{name}_node") is not None:
+            parser.error(f"--{name} and --{name}-node are mutually exclusive")
     k, epsilon, alpha = _global_budget(n, args.k, args.epsilon, args.alpha,
                                        args.epsilon_node, args.alpha_node)
     nodes = 1 << k

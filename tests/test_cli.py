@@ -294,23 +294,33 @@ def test_compare_command(tmp_path):
 
 def test_compare_command_runs_each_estimator_at_its_config_default(tmp_path):
     """Without --shots-per-batch, compare-miqae's rows are those of
-    DiqcConfig(eps, alpha) and MiqaeConfig(eps, alpha) at their defaults."""
-    out = tmp_path / "cmp"
-    assert main(["compare-miqae", "--epsilons", "0.005", "--reps", "3",
-                 "--seed", "4", "--out", str(out)]) == 0
-    expected = []
-    for name, runs in (
-        ("diqc", [run_amplitude(1 / 64, DiqcConfig(0.005, 0.05), seed=4 + rep)
-                  for rep in range(3)]),
-        ("miqae", [run_for_amplitude(1 / 64, MiqaeConfig(0.005, 0.05), seed=4 + rep)
-                   for rep in range(3)]),
-    ):
-        good = [res for res in runs if res.succeeded]
-        pool = good or runs
-        means = [sum(getattr(res, field) for res in pool) / len(pool)
-                 for field in ("max_big_k", "oracle_calls", "total_shots")]
-        expected.append(",".join([repr(0.005), name, str(len(good)), *map(repr, means)]))
-    assert read(out / "sweep.csv").decode().splitlines()[1:] == expected
+    DiqcConfig(eps, alpha) and MiqaeConfig(eps, alpha) at their defaults:
+    successes, then the means over the good runs, or over every run when
+    none succeeded. The hash suite's two runs at amplitude 0.63 have one
+    good DIQC run of two and none of one."""
+    suite = {run: argv for run, argv, _, _ in load_hash_suite().suite()}
+    for argv, diqc_successes in (
+            (["compare-miqae", "--epsilons", "0.005", "--reps", "3", "--seed", "4"], 3),
+            (suite["compare-miqae-one-failed"], 1),
+            (suite["compare-miqae-all-failed"], 0)):
+        out = tmp_path / str(diqc_successes)
+        assert main(argv + ["--out", str(out)]) == 0
+        args = build_parser().parse_args(argv)
+        eps, reps = float(args.epsilons), range(args.reps)
+        expected = []
+        for name, runs in (
+            ("diqc", [run_amplitude(args.amplitude, DiqcConfig(eps, args.alpha),
+                                    seed=args.seed + rep) for rep in reps]),
+            ("miqae", [run_for_amplitude(args.amplitude, MiqaeConfig(eps, args.alpha),
+                                         seed=args.seed + rep) for rep in reps]),
+        ):
+            good = [res for res in runs if res.succeeded]
+            pool = good or runs
+            means = [sum(getattr(res, field) for res in pool) / len(pool)
+                     for field in ("max_big_k", "oracle_calls", "total_shots")]
+            expected.append(",".join([repr(eps), name, str(len(good)), *map(repr, means)]))
+        assert read(out / "sweep.csv").decode().splitlines()[1:] == expected
+        assert expected[0].split(",")[2] == str(diqc_successes)
 
 
 def test_compare_command_rejects_empty_sweep(tmp_path):

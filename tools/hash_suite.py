@@ -102,7 +102,13 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     # count-failed-node over three reps: node 0 fails in rep 0 only, so
     # the summary folds a failed rep in with two good ones
     failed_reps = [("count-failed-reps", failed[0][1] + ["--reps", "3"], "", 1)]
-    return [(*run, 0) for run in runs] + failed + empty + failed_reps
+    # both ways compare-miqae averages: over DIQC's one good run of two,
+    # and over every run when its only run fails
+    compare_failed = [(f"compare-miqae-{name}-failed",
+                       ["compare-miqae", "--amplitude", "0.63", "--epsilons", "0.01",
+                        "--alpha", "0.05", "--reps", reps, "--seed", seed], "", 0)
+                      for name, reps, seed in (("one", "2", "630005"), ("all", "1", "630006"))]
+    return [(*run, 0) for run in runs] + failed + empty + failed_reps + compare_failed
 
 
 def hashes() -> list[str]:

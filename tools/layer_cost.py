@@ -34,11 +34,11 @@ and uses only its public API. The cases are:
 CSV and JSON writing is not timed. Each figure is the best of `REPEATS`
 timed loops, taken in turns with the other cases' loops, each pass
 starting one case later. A figure still depends on the case before it,
-which the turns do not change. Six groups of searches, each timed twice
-in one run, once right after the 18-qubit iterate, read 1-13% apart,
-against 2-18% when every pass started at the first case. So the tool does
-not tell apart cases that differ by less than about 15%. The run takes a few
-seconds. Its figures are wall-clock times of the host it runs on, so
+which the turns do not change. With every search group timed twice in one
+run (its copy appended to the case list), the two copies read up to 4-16%
+apart over twelve runs, most often on the group that follows the
+fresh-sampler build. So the tool does not tell apart cases that differ by
+less than about 15%. The run takes a few seconds. Its figures are wall-clock times of the host it runs on, so
 it is no part of `tools/hash_suite.py`.
 """
 
