@@ -82,10 +82,6 @@ class OracleSpec:
         _check_members(self.marked, 1 << self.n, "marked")
 
     @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    @property
     def t(self) -> int:
         """Ground-truth number of marked elements."""
         return len(self.marked)

@@ -52,11 +52,11 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     runs = [
         ("count-readme", ["count", "--n", "6", "--marked", "38,8,16", "--k", "1",
                           "--epsilon-node", "0.001", "--alpha-node", "0.05",
-                          "--reps", "20", "--seed", "0", "--trace"], ""),
+                          "--reps", "20", "--seed", "0", "--trace"], "", 0),
         ("count-stride-sv", ["count", "--n", "6", "--marked", "38,8,16", "--k", "2",
                              "--scheme", "stride", "--backend", "statevector",
                              "--epsilon", "0.004", "--alpha", "0.1", "--reps", "3",
-                             "--seed", "4", "--trace"], ""),
+                             "--seed", "4", "--trace"], "", 0),
     ]
     # both splits of one 51-member set over 8 nodes
     marked = ",".join(map(str, range(3, 256, 5)))
@@ -64,51 +64,51 @@ def suite() -> list[tuple[str, list[str], str, int]]:
         runs.append((f"count-{scheme}-k3",
                      ["count", "--n", "8", "--marked", marked, "--k", "3", "--scheme", scheme,
                       "--epsilon-node", "0.001", "--alpha-node", "0.01", "--reps", "2",
-                      "--seed", "7", "--trace"], ""))
+                      "--seed", "7", "--trace"], "", 0))
     for command, k, seed in (("inner-product", "1", "1"), ("hamming", "2", "2")):
         for backend in ("analytic", "statevector"):
             runs.append((f"{command}-{backend}",
                          [command, "--x", x, "--y", y, "--k", k, "--seed", seed,
                           "--backend", backend],
-                         "result.json"))
+                         "result.json", 0))
     # a compensated sum of these node counts (Python >= 3.12's sum()) moves
     # the estimate's last bit
     runs.append(("hamming-analytic-seed3",
-                 ["hamming", "--x", x, "--y", y, "--k", "2", "--seed", "3"], "result.json"))
+                 ["hamming", "--x", x, "--y", y, "--k", "2", "--seed", "3"], "result.json", 0))
     # 100-bit vectors, zero-padded to 128 before the stride split
     runs.append(("hamming-statevector-padded",
                  ["hamming", "--x", _bits(44, 100), "--y", _bits(45, 100), "--k", "1",
-                  "--seed", "5", "--backend", "statevector"], "result.json"))
+                  "--seed", "5", "--backend", "statevector"], "result.json", 0))
     runs += [
-        ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], ""),
-        ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json"),
-        ("prop-check", ["prop-check", "--seed", "0"], "prop.json"),
+        ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], "", 0),
+        ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json", 0),
+        ("prop-check", ["prop-check", "--seed", "0"], "prop.json", 0),
     ]
     # epsilon at its floor: K reaches millions, and at these amplitudes most
     # DIQC runs take the rotation-rescue branch of the odd-K scan
     for amplitude, reps, batch in (("0.5", "5", "100"), ("0.9", "10", "1")):
         runs.append((f"compare-miqae-deep-a{amplitude}",
                      ["compare-miqae", "--epsilons", "1e-7", "--amplitude", amplitude,
-                      "--reps", reps, "--shots-per-batch", batch], ""))
-    failed = [("count-failed-node",
-               ["count", "--n", "6", "--marked", ",".join(map(str, range(20))), "--k", "1",
-                "--epsilon", "0.01", "--alpha", "0.05", "--seed", "94", "--trace"], "", 1)]
+                      "--reps", reps, "--shots-per-batch", batch], "", 0))
+    failed_node = ["count", "--n", "6", "--marked", ",".join(map(str, range(20))), "--k", "1",
+                   "--epsilon", "0.01", "--alpha", "0.05", "--seed", "94", "--trace"]
+    runs.append(("count-failed-node", failed_node, "", 1))
     # three marked indices over 64 nodes: all but two (prefix) or three
     # (stride) slices are empty, on each backend
-    empty = [(f"count-empty-{scheme}-{backend}",
+    runs += [(f"count-empty-{scheme}-{backend}",
               ["count", "--n", "10", "--marked", "3,700,701", "--k", "6", "--reps", "2",
                "--scheme", scheme, "--backend", backend, "--trace"], "", 0)
              for scheme, backend in (("prefix", "analytic"), ("stride", "statevector"))]
     # count-failed-node over three reps: node 0 fails in rep 0 only, so
     # the summary folds a failed rep in with two good ones
-    failed_reps = [("count-failed-reps", failed[0][1] + ["--reps", "3"], "", 1)]
+    runs.append(("count-failed-reps", failed_node + ["--reps", "3"], "", 1))
     # both ways compare-miqae averages: over DIQC's one good run of two,
     # and over every run when its only run fails
-    compare_failed = [(f"compare-miqae-{name}-failed",
-                       ["compare-miqae", "--amplitude", "0.63", "--epsilons", "0.01",
-                        "--alpha", "0.05", "--reps", reps, "--seed", seed], "", 0)
-                      for name, reps, seed in (("one", "2", "630005"), ("all", "1", "630006"))]
-    return [(*run, 0) for run in runs] + failed + empty + failed_reps + compare_failed
+    runs += [(f"compare-miqae-{name}-failed",
+              ["compare-miqae", "--amplitude", "0.63", "--epsilons", "0.01",
+               "--alpha", "0.05", "--reps", reps, "--seed", seed], "", 0)
+             for name, reps, seed in (("one", "2", "630005"), ("all", "1", "630006"))]
+    return runs
 
 
 def hashes() -> list[str]:

@@ -1,4 +1,4 @@
-"""Time each layer of a run, one line per case.
+"""Time each layer of a run, one line per layer.
 
     python3 tools/layer_cost.py
 
@@ -7,7 +7,8 @@ and uses only its public API. The cases are:
 
 * ns per shot of `sample_round(power, r, shots)`, DIQC's one draw per
   round, at the (power, r) the sampler kept from the call before, for
-  `AnalyticSampler` and a 14-qubit `StatevectorSampler`;
+  `AnalyticSampler`. Both backends inherit this draw, so one row times
+  it; the statevector cost by qubit count is the `apply_Q` rows';
 * the bare numpy draw a shot ends in, at that round's P[11]. These three
   time numpy, not dqcount: ns per `rng.binomial(1, p)` call with `p` a
   Python float and a 0-d float64 array (as the samplers keep it), and ns
@@ -16,30 +17,26 @@ and uses only its public API. The cases are:
   made once; us per `hamming_suboracle` build of node 0 of a 2^13-bit
   pair at k 1; us per fresh `StatevectorSampler` on that sub-oracle, its
   set-up plus one A|0>;
-* for each epsilon of `EPSILONS`, the layers of seeded
-  `diqc.run_amplitude` and `miqae.run_for_amplitude` solves at the
-  amplitudes of `AMPLITUDES`. The tool records every odd-K search they
-  make, by rebinding `diqc.find_next_k` (DIQC's binding of the scan) and
-  `miqae.next_odd_k` (the scan MIQAE's `find_next_k` calls), and replays
-  them against the unwrapped scan: us per search by estimator and by how
-  many odd K the scan visits, from the first K it tries down to the K it
-  returns, or down to q*K_current when it finds none, in the buckets of
-  `BUCKETS`, cut at the scan's chunk of 1024 K, and over all of an
-  estimator's searches when they fill two or more buckets. It replays DIQC's
-  interval update, `chernoff_interval` then `gamma_from_interval`, on
-  those solves' rounds at the run's alpha, whose value the cost does not
-  depend on (us per round), and `diqc.post_process` on their rounds (us
-  per node run).
+* the layers of seeded `diqc.run_amplitude` and `miqae.run_for_amplitude`
+  solves at the amplitudes of `AMPLITUDES` and each epsilon of
+  `EPSILONS`. The tool records every odd-K search they make, by rebinding
+  `diqc.find_next_k` (DIQC's binding of the scan) and `miqae.next_odd_k`
+  (the scan MIQAE's `find_next_k` calls), and replays them against the
+  unwrapped scan: us per search, one row per (epsilon, estimator). One
+  row replays DIQC's interval update, `chernoff_interval` then
+  `gamma_from_interval`, on the rounds of the DIQC solves of every epsilon
+  at the run's alpha (us per round), and one row `diqc.post_process` on
+  those runs (us per node run).
 
 CSV and JSON writing is not timed. Each figure is the best of `REPEATS`
 timed loops, taken in turns with the other cases' loops, each pass
 starting one case later. A figure still depends on the case before it,
-which the turns do not change. With every search group timed twice in one
-run (its copy appended to the case list), the two copies read up to 4-16%
-apart over twelve runs, most often on the group that follows the
+which the turns do not change. With every K-search row timed twice in one
+run (its copy appended to the case list), the widest pair of copies read
+5.5-15.2% apart over ten runs, eight times on the row that follows the
 fresh-sampler build. So the tool does not tell apart cases that differ by
-less than about 15%. The run takes a few seconds. Its figures are wall-clock times of the host it runs on, so
-it is no part of `tools/hash_suite.py`.
+less than about 15%. The run takes about 4 s. Its figures are wall-clock
+times of the host it runs on, so it is no part of `tools/hash_suite.py`.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import dqcount.diqc as diqc  # noqa: E402
-import dqcount.metrics as metrics  # noqa: E402
 import dqcount.miqae as miqae  # noqa: E402
 from dqcount.oracle import decompose_prefix, hamming_suboracle, make_oracle  # noqa: E402
 from dqcount.qsim import (  # noqa: E402
@@ -72,17 +68,13 @@ from dqcount.qsim import (  # noqa: E402
 REPEATS = 40
 SHOTS = 20_000
 POWER, R = 5, 0.9  # a mid-run DIQC round: K = 11 at a rescued rotation weight
-SAMPLER_QUBITS = 14
+SAMPLER_QUBITS = 14  # qubits of the sub-oracle whose amplitude the analytic sampler draws at
 ITERATE_QUBITS = (6, 10, 14, 18)
 PAIR_BITS = 1 << 13  # the benchmark's pair width; k = 1 leaves 14 qubits per node
 EPSILONS = (1e-3, 1e-5, 1e-7)
 # Mid-points of 32 equal slices of [0, 1), so small and large angles both occur.
 AMPLITUDES = tuple((i + 0.5) / 32 for i in range(32))
 ALPHA = 0.05
-# Buckets of visited K, as (label, largest count in the bucket). The scan
-# tests K in numpy chunks of 1024, so the last bucket holds the searches
-# that run past their first chunk.
-BUCKETS = (("1-64", 64), ("65-1024", 1024), (">1024", math.inf))
 
 
 def _sub_oracle(qubits: int):
@@ -162,30 +154,16 @@ def interval_loop(rounds: list):
     return loop
 
 
-def visited(args: tuple, kwargs: dict, result: tuple) -> int:
-    """Odd K the downward scan visits for one search."""
-    theta_min, theta_max, q, big_k_current = args[:4]
-    start = metrics.k_max_cap((theta_max - theta_min) / 2)
-    cap = kwargs.get("big_k_cap")
-    if cap is not None:
-        start = min(start, cap - 1 - cap % 2)  # the largest odd K below the cap
-    found_k, found_r = result
-    if found_r is not None:
-        return (start - found_k) // 2 + 1
-    return max(0, (start - q * big_k_current) // 2 + 1)
-
-
 def record(epsilon: float) -> tuple[dict[str, list], list]:
-    """The (args, kwargs, result) of every K search of one epsilon's
-    solves, by estimator, and the DIQC solves' results."""
+    """The (args, kwargs) of every K search of one epsilon's solves, by
+    estimator, and the DIQC solves' results."""
     scan, diqc_scan = miqae.next_odd_k, diqc.find_next_k
     calls: dict[str, list] = {"diqc": [], "miqae": []}
 
     def recorder(name, func):
         def wrapped(*args, **kwargs):
-            result = func(*args, **kwargs)
-            calls[name].append((args, kwargs, result))
-            return result
+            calls[name].append((args, kwargs))
+            return func(*args, **kwargs)
         return wrapped
 
     diqc.find_next_k = recorder("diqc", diqc_scan)
@@ -201,32 +179,24 @@ def record(epsilon: float) -> tuple[dict[str, list], list]:
     return calls, solves
 
 
-def solve_cases(epsilon: float) -> list:
-    """The cases replayed from one epsilon's solves: one K-search case per
-    (estimator, bucket that holds searches), and per estimator when two or
-    more buckets do, then the interval update and `post_process`."""
-    calls, solves = record(epsilon)
-    cases = []
-    for name, searches in calls.items():
-        groups: dict[str, list] = {label: [] for label, _ in BUCKETS}
-        for args, kwargs, result in searches:
-            count = visited(args, kwargs, result)
-            groups[next(label for label, top in BUCKETS if count <= top)].append((args, kwargs))
-        groups = {label: group for label, group in groups.items() if group}
-        if len(groups) > 1:  # a lone bucket already holds every search
-            groups["all"] = [(args, kwargs) for args, kwargs, _ in searches]
-        cases += [(f"{name} K search {epsilon:.0e} {label}, {len(group)} searches",
-                   replay(miqae.next_odd_k, group), len(group), "us/search", 1e-6)
-                  for label, group in groups.items()]
-    rounds = [rd for res in solves for rd in res.rounds]
-    cases += [
-        (f"interval update {epsilon:.0e}, {len(rounds)} rounds", interval_loop(rounds),
+def solve_cases() -> list:
+    """The cases replayed from the solves at every epsilon: one K-search
+    case per (epsilon, estimator), then the interval update over all their
+    DIQC rounds and `post_process` over all their DIQC runs."""
+    cases, rounds, runs = [], [], []
+    for epsilon in EPSILONS:
+        calls, solves = record(epsilon)
+        cases += [(f"{name} K search {epsilon:.0e}, {len(searches)} searches",
+                   replay(miqae.next_odd_k, searches), len(searches), "us/search", 1e-6)
+                  for name, searches in calls.items()]
+        rounds += [rd for res in solves for rd in res.rounds]
+        runs += [((res.rounds, epsilon, 0), {}) for res in solves]
+    return cases + [
+        (f"interval update, {len(rounds)} rounds", interval_loop(rounds),
          len(rounds), "us/round", 1e-6),
-        (f"post_process {epsilon:.0e}, {len(solves)} runs",
-         replay(diqc.post_process, [((res.rounds, epsilon, 0), {}) for res in solves]),
-         len(solves), "us/run", 1e-6),
+        (f"post_process, {len(runs)} runs", replay(diqc.post_process, runs),
+         len(runs), "us/run", 1e-6),
     ]
-    return cases
 
 
 def main() -> None:
@@ -238,8 +208,6 @@ def main() -> None:
     cases = [
         ("sample_round analytic", round_loop(AnalyticSampler.from_sub_oracle(sub, 0)),
          SHOTS, "ns/shot", 1e-9),
-        (f"sample_round statevector {SAMPLER_QUBITS:2d} qubits",
-         round_loop(StatevectorSampler(sub, 0)), SHOTS, "ns/shot", 1e-9),
         ("numpy binomial(1, p), float p", numpy_shot_loop(p), SHOTS, "ns/call", 1e-9),
         ("numpy binomial(1, p), 0-d array p", numpy_shot_loop(np.array(p)),
          SHOTS, "ns/call", 1e-9),
@@ -252,8 +220,7 @@ def main() -> None:
         (f"fresh statevector {pair_sub.m + 2:2d} qubits, A|0>",
          fresh_sampler_loop(pair_sub), 10, "us/build", 1e-6),
     ]
-    for epsilon in EPSILONS:
-        cases += solve_cases(epsilon)
+    cases += solve_cases()
     # The cases take turns, so each one's best is drawn from the whole run
     # and a slow stretch of the host does not land on one case alone. Each
     # pass starts one case later, so no case always runs at the same place.
