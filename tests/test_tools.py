@@ -13,7 +13,7 @@ def _load_tool(name: str):
     return module
 
 
-def test_layer_cost_prints_one_line_per_layer(monkeypatch, capsys):
+def _run_layer_cost(monkeypatch, capsys):
     tool = _load_tool("layer_cost")
     monkeypatch.setattr(tool, "REPEATS", 1)
     monkeypatch.setattr(tool, "SHOTS", 200)
@@ -25,7 +25,12 @@ def test_layer_cost_prints_one_line_per_layer(monkeypatch, capsys):
     assert header.startswith("# python ") and header.endswith("best of 1")
     rows = [line.rsplit(None, 2) for line in lines]
     assert all(float(value) > 0 for _, value, _ in rows)
-    expected = [
+    return tool, rows
+
+
+def test_shot_cost_prints_one_line_per_case(monkeypatch, capsys):
+    _, rows = _run_layer_cost(monkeypatch, capsys)
+    assert [(label, unit) for label, _, unit in rows[:7]] == [
         ("sample_round analytic", "ns/shot"),
         ("numpy binomial(1, p), float p", "ns/call"),
         ("numpy binomial(1, p), 0-d array p", "ns/call"),
@@ -34,6 +39,12 @@ def test_layer_cost_prints_one_line_per_layer(monkeypatch, capsys):
         ("hamming_suboracle 2^13 bits, k 1", "us/build"),
         ("fresh statevector 14 qubits, A|0>", "us/build"),
     ]
+
+
+def test_k_search_cost_prints_one_line_per_group(monkeypatch, capsys):
+    # one K-search row per (epsilon, estimator), then the pooled solve rows
+    tool, rows = _run_layer_cost(monkeypatch, capsys)
+    expected = []
     rounds = runs = 0
     for epsilon in tool.EPSILONS:
         calls, solves = tool.record(epsilon)
@@ -43,4 +54,4 @@ def test_layer_cost_prints_one_line_per_layer(monkeypatch, capsys):
         runs += len(solves)
     expected += [(f"interval update, {rounds} rounds", "us/round"),
                  (f"post_process, {runs} runs", "us/run")]
-    assert [(label, unit) for label, _, unit in rows] == expected
+    assert [(label, unit) for label, _, unit in rows[7:]] == expected
