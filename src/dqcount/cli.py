@@ -22,9 +22,11 @@ a rejected value. The node estimator draws each round with one sampler
 call, so no command has a batch flag for it. `count` folds each
 repetition into its rows and per-node sums as the repetition finishes,
 then drops it. `main` parses with one parser per process (`build_parser`
-is cached), so in-process calls do not rebuild it. Exit codes: 0 success,
-1 estimation failure or a reader that closed stdout early, 2 usage or
-domain error.
+is cached), so in-process calls do not rebuild it. Every rejection,
+argparse's own included, is a ValueError or OSError that `main` prints as
+one `error: ...` line; usage is under --help. Exit codes: 0 success, 1
+estimation failure or a reader that closed stdout early, 2 usage or domain
+error.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     print(f"wrote {path}")
 
 
-def _config_argv(args, parser, argv: list[str]) -> list[str]:
+def _config_argv(args, argv: list[str]) -> list[str]:
     """Splice the JSON config file's settings in as flags after the command.
 
     The settings land ahead of the command line's own flags, so they go
@@ -137,17 +139,17 @@ def _config_argv(args, parser, argv: list[str]) -> list[str]:
         with open(args.config, "r", encoding="ascii") as fh:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(payload, dict):
-        parser.error("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     settable = set(vars(args)) - {"command", "config"}
     tokens = []
     for key, value in payload.items():
         attr = key.replace("-", "_")
         if attr not in settable:
-            parser.error(f"config file sets unknown option {key!r}")
+            raise ValueError(f"config file sets unknown option {key!r}")
         if value is None:
-            parser.error(f"config file sets option {key!r} to null")
+            raise ValueError(f"config file sets option {key!r} to null")
         flag = "--" + attr.replace("_", "-")
         if isinstance(getattr(args, attr), bool) and isinstance(value, bool):
             tokens += [flag] if value else []  # on/off switch
@@ -156,9 +158,9 @@ def _config_argv(args, parser, argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
-def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
+def _resolve_marked(args) -> tuple[int, frozenset[int]]:
     if args.marked is None and args.oracle_file is None:
-        parser.error("need --marked or --oracle-file")
+        raise ValueError("need --marked or --oracle-file")
     if args.marked is not None:
         text = str(args.marked)
         try:
@@ -173,7 +175,7 @@ def _resolve_marked(args, parser) -> tuple[int, frozenset[int]]:
                          f"the bit strings in {args.oracle_file}")
     n = args.n if args.n is not None else width
     if n is None:
-        parser.error("need --n (or a bit-string oracle file that implies it)")
+        raise ValueError("need --n (or a bit-string oracle file that implies it)")
     return int(n), marked
 
 
@@ -229,12 +231,12 @@ def _global_budget(
     return k, budget["epsilon"], budget["alpha"]
 
 
-def _cmd_count(args, parser) -> int:
-    n, marked = _resolve_marked(args, parser)
+def _cmd_count(args) -> int:
+    n, marked = _resolve_marked(args)
     oracle = make_oracle(n, marked)
     for name in ("epsilon", "alpha"):
         if getattr(args, name) is not None and getattr(args, f"{name}_node") is not None:
-            parser.error(f"--{name} and --{name}-node are mutually exclusive")
+            raise ValueError(f"--{name} and --{name}-node are mutually exclusive")
     k, epsilon, alpha = _global_budget(n, args.k, args.epsilon, args.alpha,
                                        args.epsilon_node, args.alpha_node)
     nodes = 1 << k
@@ -298,7 +300,7 @@ def _cmd_count(args, parser) -> int:
 
 def _load_vector(arg: str):
     try:
-        is_file = Path(arg).exists()
+        is_file = Path(arg).is_file()  # '' reads as '.', a directory
     except OSError:  # e.g. an inline vector longer than a file name may be
         is_file = False
     if is_file:
@@ -308,9 +310,10 @@ def _load_vector(arg: str):
     raise ValueError(f"{arg!r} is neither a file nor a 0/1 string")
 
 
-def _cmd_pair(args, parser, which: str) -> int:
+def _cmd_pair(args) -> int:
     if args.x is None or args.y is None:
-        parser.error("need --x and --y")
+        raise ValueError("need --x and --y")
+    which = INNER_PRODUCT if args.command == "inner-product" else HAMMING
     x = _load_vector(args.x)
     y = _load_vector(args.y)
     if len(x) != len(y):  # before the budget, which reads x's width
@@ -352,14 +355,14 @@ def _compare_configs(args, eps: float) -> tuple[DiqcConfig, MiqaeConfig]:
                                  shots_per_batch=args.shots_per_batch)
 
 
-def _cmd_compare(args, parser) -> int:
+def _cmd_compare(args) -> int:
     try:
         sweep = [float(tok) for tok in args.epsilons.split(",") if tok]
     except ValueError:
         raise ValueError(
             f"--epsilons must be comma-separated numbers, got {args.epsilons!r}") from None
     if not sweep:
-        parser.error("empty epsilon sweep")
+        raise ValueError("empty epsilon sweep")
     configs = [(eps, *_compare_configs(args, eps)) for eps in sweep]
     _checked(AnalyticSampler.from_amplitude, {"amplitude": ("--amplitude", args.amplitude)},
              amplitude=args.amplitude)
@@ -386,7 +389,7 @@ def _cmd_compare(args, parser) -> int:
     return 0
 
 
-def _cmd_bench(args, parser) -> int:
+def _cmd_bench(args) -> int:
     n = args.n
     epsilon_node, alpha_node = args.epsilon_node, args.alpha_node
     k, _, _ = _global_budget(n, args.k, None, None, epsilon_node, alpha_node)
@@ -411,13 +414,23 @@ def _cmd_bench(args, parser) -> int:
     return 0
 
 
-def _cmd_prop_check(args, parser) -> int:
+def _cmd_prop_check(args) -> int:
     reports = checks.run_all(seed=args.seed)
     for rep in reports:
         print(f"{'PASS' if rep['passed'] else 'FAIL'}  {rep['name']} ({rep['cases']} cases)")
     if args.out is not None:
         _write_json(args.out, {"suites": reports})
     return 0 if all(rep["passed"] for rep in reports) else 1
+
+
+_COMMANDS = {
+    "count": _cmd_count,
+    "inner-product": _cmd_pair,
+    "hamming": _cmd_pair,
+    "compare-miqae": _cmd_compare,
+    "bench": _cmd_bench,
+    "prop-check": _cmd_prop_check,
+}
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -458,11 +471,20 @@ def _add_estimation(sub: argparse.ArgumentParser, epsilon: float, alpha: float) 
                      help=f"global significance level (default {alpha:g})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that `main`
+    reports them as it reports every other rejection. Its subparsers are
+    made of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one: parsing reads it and changes nothing in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqcount",
         description="Distributed approximate-counting experiment driver",
     )
@@ -524,19 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Union[Sequence[str], None] = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        args = parser.parse_args(_config_argv(args, parser, argv))
-    command = {
-        "count": _cmd_count,
-        "inner-product": lambda args, parser: _cmd_pair(args, parser, INNER_PRODUCT),
-        "hamming": lambda args, parser: _cmd_pair(args, parser, HAMMING),
-        "compare-miqae": _cmd_compare,
-        "bench": _cmd_bench,
-        "prop-check": _cmd_prop_check,
-    }[args.command]
     try:
-        code = command(args, parser)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(_config_argv(args, argv))
+        code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
     except BrokenPipeError:
         # The reader is gone: point stdout at devnull so the flush at

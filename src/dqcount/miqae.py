@@ -395,7 +395,9 @@ def run_miqae(
 def run_for_amplitude(
     amplitude: float,
     config: MiqaeConfig,
-    seed: Union[int, np.random.Generator] = 0,
+    seed: int = 0,
 ) -> MiqaeResult:
-    """Convenience wrapper: estimate a known amplitude with a seeded sampler."""
+    """Convenience wrapper: estimate a known amplitude with a seeded sampler.
+    The seed is an integer, as `diqc.run_amplitude`'s is."""
+    seed = _integer(seed, "seed")
     return run_miqae(config, AnalyticSampler.from_amplitude(amplitude, seed))

@@ -348,6 +348,18 @@ def test_a_numpy_shots_per_batch_runs_as_its_int():
         "oracle_calls", "oracle_calls_physical", "total_shots", "max_big_k"))
 
 
+def test_run_for_amplitude_takes_an_integer_seed():
+    """A numpy integer seed runs as its int. None, which would draw from OS
+    entropy, and a float or string seed are a one-line ValueError."""
+    config = MiqaeConfig(0.01, 0.05)
+    assert run_for_amplitude(0.3, config, seed=np.int64(3)) == run_for_amplitude(
+        0.3, config, seed=3)
+    for seed in (None, 1.5, "3", np.float64(3.0)):
+        with pytest.raises(ValueError) as exc:
+            run_for_amplitude(0.3, config, seed=seed)
+        assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
+
 def test_alpha_floor_keeps_first_round_caps_finite():
     # the smallest first-round significance of each estimator, at both floors
     miqae_first = (2 * ALPHA_FLOOR / 3) / (math.pi / (4 * EPSILON_FLOOR))
