@@ -41,8 +41,6 @@ from .qsim import (
     AnalyticSampler,
     StatevectorSampler,
     StateVector,
-    apply_A,
-    apply_A_dagger,
     apply_Q,
     prob11,
     prob11_statevector,

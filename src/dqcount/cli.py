@@ -11,7 +11,6 @@ Subcommands:
                  --shots-per-batch sets MIQAE's shots between interval
                  updates (default MiqaeConfig's, 100)
   bench          closed-form resource report for a problem size
-  prop-check     run the built-in property suites
 
 Every command but bench (which is closed-form) takes --seed, and every
 command produces byte-identical output for identical (config, seed). The
@@ -41,7 +40,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence, Union
 
-from . import checks, metrics
+from . import metrics
 from .applications import (
     HAMMING,
     INNER_PRODUCT,
@@ -414,22 +413,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_prop_check(args) -> int:
-    reports = checks.run_all(seed=args.seed)
-    for rep in reports:
-        print(f"{'PASS' if rep['passed'] else 'FAIL'}  {rep['name']} ({rep['cases']} cases)")
-    if args.out is not None:
-        _write_json(args.out, {"suites": reports})
-    return 0 if all(rep["passed"] for rep in reports) else 1
-
-
 _COMMANDS = {
     "count": _cmd_count,
     "inner-product": _cmd_pair,
     "hamming": _cmd_pair,
     "compare-miqae": _cmd_compare,
     "bench": _cmd_bench,
-    "prop-check": _cmd_prop_check,
 }
 
 
@@ -536,9 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--epsilon-node", type=float, default=0.001)
     p.add_argument("--alpha-node", type=float, default=0.05)
-
-    p = subs.add_parser("prop-check", help="run the built-in property suites")
-    _add_common(p)
 
     return parser
 

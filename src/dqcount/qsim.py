@@ -14,24 +14,25 @@ iterates yields outcome 11 with probability
 and it is the default backend for the estimation loops. The dense
 statevector backend exists to prove the two agree; it reads a sub-oracle
 only through its row mask, one bool per index row, True where the row is
-marked. `apply_A` and `apply_A_dagger` run the preparation A gate by gate
-(Hadamards, an oracle that flips the flag of the masked rows, rotation).
-The backend writes A|0> directly: every index row holds 2^(-m/2)
-sqrt(1-r) at rotation bit 0 and 2^(-m/2) sqrt(r) at rotation bit 1,
-under flag 1 for a marked index and flag 0 otherwise, with 2^(-m/2)
-multiplied up from 1/sqrt(2) in the order the Hadamards apply it. So A|0>
-equals `apply_A` on |0> bit for bit, and the tests compare the two. Because
-A is unitary, A U_0 A^dagger = I - 2|psi><psi| with psi = A|0>, so each
-iterate is the reflection about |11> followed by the reflection about that
-prepared state: O(2^(m+2)) per iterate instead of re-running A^dagger and
-A gate by gate (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055).
+marked. It writes A|0> directly instead of running A gate by gate
+(Hadamards, an oracle that flips the flag of the masked rows, rotation):
+every index row holds 2^(-m/2) sqrt(1-r) at rotation bit 0 and 2^(-m/2)
+sqrt(r) at rotation bit 1, under flag 1 for a marked index and flag 0
+otherwise, with 2^(-m/2) multiplied up from 1/sqrt(2) in the order the
+Hadamards apply it. The gate-level circuit lives in the test helper
+`tests/properties.py`; A|0> equals its `apply_A` on |0> bit for bit, and
+the tests compare the two. Because A is unitary, A U_0 A^dagger =
+I - 2|psi><psi| with psi = A|0>, so each iterate is the reflection about
+|11> followed by the reflection about that prepared state: O(2^(m+2)) per
+iterate instead of re-running A^dagger and A gate by gate (Brassard, Hoyer,
+Mosca, Tapp, quant-ph/0005055).
 
 Every gate of this circuit is a real matrix: the Hadamards, the oracle's X,
 the Ry rotation on the rotation qubit, and both reflections. So from |0>
 every amplitude stays real, and the backend stores float64 amplitudes: that
 is exact, not an approximation, and an iterate moves half the bytes of a
 complex128 one. A `StateVector` built from complex amplitudes stays
-complex128, and the gates apply to it unchanged.
+complex128, and `apply_Q` applies to it unchanged.
 
 `Sampler`, the base class of both backends, holds their per-call rules.
 It binds `np.random.default_rng(rng)` and its `binomial` once, and keeps
@@ -83,8 +84,6 @@ __all__ = [
     "StateVector",
     "prob11",
     "prob11_statevector",
-    "apply_A",
-    "apply_A_dagger",
     "apply_Q",
     "Sampler",
     "AnalyticSampler",
@@ -164,73 +163,14 @@ class StateVector:
         return float(_vdot(block, block).real)
 
 
-def _hadamard_index_register(amp: np.ndarray, m: int) -> None:
-    for bit in range(m):
-        v = amp.reshape(1 << (m - 1 - bit), 2, 1 << (bit + 2))
-        lo = v[:, 0, :].copy()
-        hi = v[:, 1, :]
-        v[:, 0, :] = (lo + hi) * _INV_SQRT2
-        v[:, 1, :] = (lo - hi) * _INV_SQRT2
-
-
-def _oracle_flag(amp: np.ndarray, marked_mask: np.ndarray) -> None:
-    # X on the flag qubit, controlled on the index being marked: each marked
-    # row's (flag, rot) columns 00, 01 trade places with 10, 11.
-    rows = amp.reshape(-1, 4)
-    rows[marked_mask] = rows[marked_mask][:, [2, 3, 0, 1]]
-
-
-def _rotate_q0(amp: np.ndarray, r: float, dagger: bool = False) -> None:
-    """(lo, hi) -> (c lo - s hi, s lo + c hi) on the rotation qubit."""
-    c = math.sqrt(1.0 - r)
-    s = -math.sqrt(r) if dagger else math.sqrt(r)
-    v = amp.reshape(-1, 2)
-    lo = v[:, 0].copy()
-    hi = v[:, 1].copy()
-    v[:, 0] = c * lo - s * hi
-    v[:, 1] = s * lo + c * hi
-
-
-def _reflect_zero(amp: np.ndarray) -> None:
-    amp[0] = -amp[0]
-
-
 def _reflect_good(amp: np.ndarray) -> None:
     block = amp[3::4]
     np.negative(block, out=block)
 
 
-def _check_width(state: StateVector, sub: SubOracle) -> None:
-    if state.num_qubits != sub.m + 2:
-        raise ValueError(
-            f"state has {state.num_qubits} qubits, sub-oracle needs {sub.m + 2}"
-        )
-
-
 def _check_r(r: float) -> None:
     if not 0 < r <= 1:
         raise ValueError("rotation parameter must lie in (0, 1]")
-
-
-def apply_A(state: StateVector, sub: SubOracle, r: float) -> StateVector:
-    """Hadamards on the index register, oracle into the flag, rotation on q0."""
-    _check_width(state, sub)
-    _check_r(r)
-    amp = state.amplitudes
-    _hadamard_index_register(amp, sub.m)
-    _oracle_flag(amp, _marked_mask(sub))
-    _rotate_q0(amp, r)
-    return state
-
-
-def apply_A_dagger(state: StateVector, sub: SubOracle, r: float) -> StateVector:
-    _check_width(state, sub)
-    _check_r(r)
-    amp = state.amplitudes
-    _rotate_q0(amp, r, dagger=True)
-    _oracle_flag(amp, _marked_mask(sub))
-    _hadamard_index_register(amp, sub.m)
-    return state
 
 
 def apply_Q(
@@ -267,7 +207,8 @@ def _marked_mask(sub: SubOracle) -> np.ndarray:
 
 def _prepare(marked_mask: np.ndarray, r: float) -> StateVector:
     """A|0> written in closed form from a sub-oracle's `_marked_mask`; the
-    same bits as `apply_A(StateVector.zero(m + 2), sub, r)`."""
+    same bits as the gate-level `apply_A(StateVector.zero(m + 2), sub, r)`
+    of `tests/properties.py`."""
     _check_r(r)
     m = marked_mask.size.bit_length() - 1
     h = 1.0

@@ -1,37 +1,33 @@
-"""Self-contained property suites behind the `prop-check` command.
+"""The gate-level circuit and the property suites of the acceptance tests.
 
-Each check returns a dict with at least `name`, `passed`, and enough detail
-to see how close the run came to its tolerance. The suites are pure and
-seeded, so a report is reproducible from its configuration.
+`apply_A` and `apply_A_dagger` run the preparation A gate by gate
+(Hadamards on the index register, an oracle that flips the flag of the
+marked rows, the rotation), and `_gate_level_Q` runs the iterate with
+them. They are the reference that the tests compare `qsim._prepare` and
+`qsim.apply_Q` against.
+
+Each `check_*` suite returns a dict with at least `name`, `passed` and
+`cases`, and enough detail to see how close the run came to its
+tolerance. The suites are pure and seeded, so a report is reproducible
+from its arguments. Acceptance criteria 1 and 6 run all five.
 """
-
-from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from . import metrics
-from .diqc import find_next_k, sum_in_order
-from .oracle import SubOracle
-from .qsim import (
+from dqcount import metrics
+from dqcount.diqc import find_next_k, sum_in_order
+from dqcount.oracle import SubOracle
+from dqcount.qsim import (
+    _INV_SQRT2,
     AnalyticSampler,
     StatevectorSampler,
     StateVector,
+    _check_r,
+    _marked_mask,
     _reflect_good,
-    _reflect_zero,
-    apply_A,
-    apply_A_dagger,
 )
-
-__all__ = [
-    "check_backend_equivalence",
-    "check_angle_slack",
-    "check_k_growth",
-    "check_budget_sums",
-    "check_gate_cost_comparison",
-    "run_all",
-]
 
 # The fixed grids of the suites every caller runs at one size: the weights r
 # and the highest power of the backend-equivalence grid and its error bound,
@@ -45,6 +41,65 @@ _SLACK_R_STEPS = 10
 _SLACK_THETA_STEPS = 1000
 _COST_N_RANGE = range(4, 31)
 _COST_K_VALUES = (1, 2)
+
+
+def _hadamard_index_register(amp: np.ndarray, m: int) -> None:
+    for bit in range(m):
+        v = amp.reshape(1 << (m - 1 - bit), 2, 1 << (bit + 2))
+        lo = v[:, 0, :].copy()
+        hi = v[:, 1, :]
+        v[:, 0, :] = (lo + hi) * _INV_SQRT2
+        v[:, 1, :] = (lo - hi) * _INV_SQRT2
+
+
+def _oracle_flag(amp: np.ndarray, marked_mask: np.ndarray) -> None:
+    # X on the flag qubit, controlled on the index being marked: each marked
+    # row's (flag, rot) columns 00, 01 trade places with 10, 11.
+    rows = amp.reshape(-1, 4)
+    rows[marked_mask] = rows[marked_mask][:, [2, 3, 0, 1]]
+
+
+def _rotate_q0(amp: np.ndarray, r: float, dagger: bool = False) -> None:
+    """(lo, hi) -> (c lo - s hi, s lo + c hi) on the rotation qubit."""
+    c = math.sqrt(1.0 - r)
+    s = -math.sqrt(r) if dagger else math.sqrt(r)
+    v = amp.reshape(-1, 2)
+    lo = v[:, 0].copy()
+    hi = v[:, 1].copy()
+    v[:, 0] = c * lo - s * hi
+    v[:, 1] = s * lo + c * hi
+
+
+def _reflect_zero(amp: np.ndarray) -> None:
+    amp[0] = -amp[0]
+
+
+def _check_width(state: StateVector, sub: SubOracle) -> None:
+    if state.num_qubits != sub.m + 2:
+        raise ValueError(
+            f"state has {state.num_qubits} qubits, sub-oracle needs {sub.m + 2}"
+        )
+
+
+def apply_A(state: StateVector, sub: SubOracle, r: float) -> StateVector:
+    """Hadamards on the index register, oracle into the flag, rotation on q0."""
+    _check_width(state, sub)
+    _check_r(r)
+    amp = state.amplitudes
+    _hadamard_index_register(amp, sub.m)
+    _oracle_flag(amp, _marked_mask(sub))
+    _rotate_q0(amp, r)
+    return state
+
+
+def apply_A_dagger(state: StateVector, sub: SubOracle, r: float) -> StateVector:
+    _check_width(state, sub)
+    _check_r(r)
+    amp = state.amplitudes
+    _rotate_q0(amp, r, dagger=True)
+    _oracle_flag(amp, _marked_mask(sub))
+    _hadamard_index_register(amp, sub.m)
+    return state
 
 
 def _gate_level_Q(state: StateVector, sub: SubOracle, r: float) -> None:
@@ -199,14 +254,3 @@ def check_gate_cost_comparison() -> dict:
         "cases": len(_COST_N_RANGE) * len(_COST_K_VALUES),
         "failures": failing,
     }
-
-
-def run_all(seed: int = 0) -> list[dict]:
-    """Run every suite, the equivalence grid at its default size (m <= 4)."""
-    return [
-        check_backend_equivalence(),
-        check_angle_slack(),
-        check_k_growth(seed=seed),
-        check_budget_sums(seed=seed),
-        check_gate_cost_comparison(),
-    ]

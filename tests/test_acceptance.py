@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dqcount import checks, metrics
+from dqcount import metrics
 from dqcount.applications import (
     HAMMING,
     INNER_PRODUCT,
@@ -26,6 +26,7 @@ from dqcount.miqae import MiqaeConfig, run_for_amplitude
 from dqcount.oracle import decompose_prefix, make_oracle
 from dqcount.qsim import AnalyticSampler
 
+import properties
 from vector_rounds import VectorRounds, vector_backends
 
 COVERAGE_AMPLITUDES = (0.0, 1 / 64, 1 / 8, 0.5, 1.0)
@@ -85,7 +86,7 @@ def aggregate_trials():
 
 def test_criterion_1_backend_equivalence():
     start = time.perf_counter()
-    report = checks.check_backend_equivalence(max_m=6)
+    report = properties.check_backend_equivalence(max_m=6)
     elapsed = time.perf_counter() - start
     assert report["passed"], report
     assert elapsed < 60.0
@@ -182,10 +183,10 @@ def test_criterion_5_hard_resource_bounds(table3_runs, coverage_runs):
 def test_criterion_6_analytic_properties():
     start = time.perf_counter()
     reports = [
-        checks.check_angle_slack(),
-        checks.check_k_growth(trials=400, seed=6),
-        checks.check_budget_sums(trials=400, seed=6),
-        checks.check_gate_cost_comparison(),
+        properties.check_angle_slack(),
+        properties.check_k_growth(trials=400, seed=6),
+        properties.check_budget_sums(trials=400, seed=6),
+        properties.check_gate_cost_comparison(),
     ]
     elapsed = time.perf_counter() - start
     for report in reports:

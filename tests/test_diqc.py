@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dqcount import checks, metrics, miqae
+from dqcount import metrics, miqae
 from dqcount.coordinator import run_nodes
 from dqcount.diqc import (
     DiqcConfig,
@@ -20,6 +20,7 @@ from dqcount.diqc import (
 from dqcount.oracle import decompose_prefix, make_oracle
 from dqcount.qsim import AnalyticSampler, StatevectorSampler
 
+import properties
 import scalar_scan
 from exact_sampler import ExactSampler
 from vector_rounds import VectorRounds, vector_backends
@@ -643,7 +644,7 @@ def test_config_validation():
 
 
 def test_k_growth_in_budget_regime():
-    report = checks.check_k_growth(trials=300, seed=1)
+    report = properties.check_k_growth(trials=300, seed=1)
     assert report["passed"], report
 
 
@@ -666,5 +667,5 @@ def test_budget_sum_inequality(q, t, data):
 
 
 def test_budget_sums_check():
-    report = checks.check_budget_sums(trials=200, seed=2)
+    report = properties.check_budget_sums(trials=200, seed=2)
     assert report["passed"], report

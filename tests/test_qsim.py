@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dqcount import qsim
-from dqcount.checks import _gate_level_Q
 from dqcount.diqc import DiqcConfig, run_node
 from dqcount.miqae import MiqaeConfig, run_miqae
 from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
@@ -17,14 +16,13 @@ from dqcount.qsim import (
     AnalyticSampler,
     StatevectorSampler,
     StateVector,
-    apply_A,
-    apply_A_dagger,
     apply_Q,
     prob11,
     prob11_statevector,
 )
 
 from exact_sampler import ExactSampler
+from properties import _gate_level_Q, apply_A, apply_A_dagger
 
 
 def sub_for(m: int, t: int) -> SubOracle:

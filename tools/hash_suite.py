@@ -82,7 +82,6 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     runs += [
         ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], "", 0),
         ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json", 0),
-        ("prop-check", ["prop-check", "--seed", "0"], "prop.json", 0),
     ]
     # epsilon at its floor: K reaches millions, and at these amplitudes most
     # DIQC runs take the rotation-rescue branch of the odd-K scan

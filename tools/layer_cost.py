@@ -3,7 +3,8 @@
     python3 tools/layer_cost.py
 
 Imports dqcount from the `src` directory of the checkout this file sits in
-and uses only its public API. The cases are:
+and uses its public API, plus `qsim._prepare` for the A|0> of the iterate
+rows. The cases are:
 
 * ns per shot of `sample_round(power, r, shots)`, DIQC's one draw per
   round, at the (power, r) the sampler kept from the call before, for
@@ -56,14 +57,9 @@ import numpy as np  # noqa: E402
 
 import dqcount.diqc as diqc  # noqa: E402
 import dqcount.miqae as miqae  # noqa: E402
+import dqcount.qsim as qsim  # noqa: E402
 from dqcount.oracle import decompose_prefix, hamming_suboracle, make_oracle  # noqa: E402
-from dqcount.qsim import (  # noqa: E402
-    AnalyticSampler,
-    StatevectorSampler,
-    StateVector,
-    apply_A,
-    apply_Q,
-)
+from dqcount.qsim import AnalyticSampler, StatevectorSampler, apply_Q  # noqa: E402
 
 REPEATS = 40
 SHOTS = 20_000
@@ -106,7 +102,7 @@ def numpy_round_loop(p: float):
 
 def iterate_loop(qubits: int):
     sub = _sub_oracle(qubits)
-    prepared = apply_A(StateVector.zero(qubits), sub, R)
+    prepared = qsim._prepare(qsim._marked_mask(sub), R)
     state = prepared.copy()
     scratch = np.empty_like(state.amplitudes)
 
