@@ -40,7 +40,6 @@ from .oracle import (
 from .qsim import (
     AnalyticSampler,
     StatevectorSampler,
-    StateVector,
     apply_Q,
     prob11,
     prob11_statevector,

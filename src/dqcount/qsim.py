@@ -29,13 +29,15 @@ Mosca, Tapp, quant-ph/0005055).
 
 Every gate of this circuit is a real matrix: the Hadamards, the oracle's X,
 the Ry rotation on the rotation qubit, and both reflections. So from |0>
-every amplitude stays real, and the backend stores float64 amplitudes: that
-is exact, not an approximation, and an iterate moves half the bytes of a
-complex128 one. A `StateVector` built from complex amplitudes stays
-complex128, and `apply_Q` applies to it unchanged.
+every amplitude stays real, and the backend steps plain float64 arrays:
+that is exact, not an approximation, and an iterate moves half the bytes
+of a complex128 one.
 
 `Sampler`, the base class of both backends, holds their per-call rules.
-It binds `np.random.default_rng(rng)` and its `binomial` once, and keeps
+It draws from a `Generator` as given, or from `np.random.default_rng`
+of an integer seed that `oracle._integer` checks, so None, a float or a
+string is a one-line ValueError. It binds the generator's `binomial`
+once, and keeps
 the (power, r) of its last accepted request with its P[11]: `probability`
 and `sample` call the backend's `_advance(power, r)` only when either
 changed, and keep the new pair only once `_advance` returns, so a rejected
@@ -52,16 +54,17 @@ maps each backend name to the builder of its seeded sampler. A stand-in
 (the tests' `ExactSampler`, a wrapper that records calls) needs only the
 method its estimator calls.
 
-`StatevectorSampler` keeps one running state: A|0> for the kept r, the
-state after the kept power, a scratch vector each iterate writes its
-multiple of A|0> into, and the row mask, built once after the width
-check; it keeps no sub-oracle. `_prepare` reads m and A|0> from the mask,
-copying each index row's four (flag, rot) amplitudes from a two-row
-table, the row its mask entry picks. A request at the same r and a power
-at or above the kept one advances the state in place by the difference;
-a new r rebuilds A|0>, and a lower power restarts from A|0>. So a live
-sampler holds three 2^(m+2) float64 vectors and a 2^m-byte mask and
-shares nothing, and an iterate allocates nothing.
+`StatevectorSampler` checks its width against `STATEVECTOR_QUBIT_LIMIT`
+before it allocates anything, then keeps one running state: A|0> for the
+kept r, the state after the kept power, a scratch array each iterate
+writes its multiple of A|0> into, and the row mask; it keeps no
+sub-oracle. `_prepare` reads m and A|0> from the mask, copying each index
+row's four (flag, rot) amplitudes from a two-row table, the row its mask
+entry picks. A request at the same r and a power at or above the kept one
+advances the state in place by the difference; a new r rebuilds A|0>, and
+a lower power restarts from A|0>. So a live sampler holds three 2^(m+2)
+float64 arrays and a 2^m-entry bool mask and shares nothing, and an
+iterate allocates nothing.
 `prob11_statevector` reads a fresh sampler and is the reference the tests
 compare a long-lived one against.
 
@@ -77,11 +80,10 @@ from typing import Union
 
 import numpy as np
 
-from .oracle import SubOracle
+from .oracle import SubOracle, _integer
 
 __all__ = [
     "STATEVECTOR_QUBIT_LIMIT",
-    "StateVector",
     "prob11",
     "prob11_statevector",
     "apply_Q",
@@ -122,45 +124,10 @@ def prob11(sin_theta: float, r: float, grover_power: int) -> float:
     return math.sin((2 * grover_power + 1) * theta_tilde) ** 2
 
 
-class StateVector:
-    """Dense amplitudes over an (m+2)-qubit register: float64 from |0> or
-    from real input, complex128 from complex input."""
-
-    __slots__ = ("num_qubits", "amplitudes")
-
-    def __init__(self, num_qubits: int, amplitudes: Union[np.ndarray, None] = None):
-        if num_qubits < 2:
-            raise ValueError("need at least the two measured qubits")
-        if num_qubits > STATEVECTOR_QUBIT_LIMIT:
-            raise ValueError(
-                f"{num_qubits} qubits exceeds the statevector limit "
-                f"({STATEVECTOR_QUBIT_LIMIT})"
-            )
-        self.num_qubits = num_qubits
-        if amplitudes is None:
-            amp = np.zeros(1 << num_qubits)
-            amp[0] = 1.0
-        else:
-            amp = np.asarray(amplitudes)
-            amp = amp.astype(np.result_type(amp, np.float64), copy=False)
-            if amp.shape != (1 << num_qubits,):
-                raise ValueError("amplitude vector has the wrong length")
-        self.amplitudes = amp
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        return cls(num_qubits)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
-    def norm_squared(self) -> float:
-        return float(_vdot(self.amplitudes, self.amplitudes).real)
-
-    def prob11(self) -> float:
-        """Probability of measuring (flag, rot) = (1, 1)."""
-        block = self.amplitudes[3::4]
-        return float(_vdot(block, block).real)
+def _prob11(amp: np.ndarray) -> float:
+    """Probability of measuring (flag, rot) = (1, 1)."""
+    block = amp[3::4]
+    return float(_vdot(block, block).real)
 
 
 def _reflect_good(amp: np.ndarray) -> None:
@@ -174,28 +141,24 @@ def _check_r(r: float) -> None:
 
 
 def apply_Q(
-    state: StateVector, prepared: StateVector, scratch: Union[np.ndarray, None] = None
-) -> StateVector:
-    """One amplification iterate -A U_0 A^dagger U_11, with `prepared` = A|0>.
+    amp: np.ndarray, psi: np.ndarray, scratch: Union[np.ndarray, None] = None
+) -> np.ndarray:
+    """One amplification iterate -A U_0 A^dagger U_11 on `amp`, in place,
+    with `psi` = A|0>; returns `amp`.
 
-    A U_0 A^dagger is applied as the reflection I - 2|prepared><prepared|.
+    A U_0 A^dagger is applied as the reflection I - 2|psi><psi|.
     `scratch`, an array of the state's size and dtype, receives c psi;
     without one a scratch array is allocated.
     """
-    if state.num_qubits != prepared.num_qubits:
-        raise ValueError(
-            f"state has {state.num_qubits} qubits, prepared state has "
-            f"{prepared.num_qubits}"
-        )
-    amp = state.amplitudes
-    psi = prepared.amplitudes
+    if amp.shape != psi.shape:
+        raise ValueError(f"state has shape {amp.shape}, prepared state has {psi.shape}")
     _reflect_good(amp)
     # -(amp - c psi) written as c psi - amp into amp: the same nonzero
     # amplitudes bit for bit (an exact zero may change sign), with no
     # separate negation pass.
     c_psi = np.multiply(2 * _vdot(psi, amp), psi, out=scratch)
     np.subtract(c_psi, amp, out=amp)
-    return state
+    return amp
 
 
 def _marked_mask(sub: SubOracle) -> np.ndarray:
@@ -205,10 +168,10 @@ def _marked_mask(sub: SubOracle) -> np.ndarray:
     return mask
 
 
-def _prepare(marked_mask: np.ndarray, r: float) -> StateVector:
-    """A|0> written in closed form from a sub-oracle's `_marked_mask`; the
-    same bits as the gate-level `apply_A(StateVector.zero(m + 2), sub, r)`
-    of `tests/properties.py`."""
+def _prepare(marked_mask: np.ndarray, r: float) -> np.ndarray:
+    """A|0> as a float64 array, written in closed form from a sub-oracle's
+    `_marked_mask`; the same bits as the gate-level
+    `apply_A(zero_state(m + 2), sub, r)` of `tests/properties.py`."""
     _check_r(r)
     m = marked_mask.size.bit_length() - 1
     h = 1.0
@@ -218,8 +181,7 @@ def _prepare(marked_mask: np.ndarray, r: float) -> StateVector:
     # Columns (flag, rot) = 00, 01, 10, 11; each index row copies the
     # unmarked or the marked one, picked by its mask entry.
     table = np.array(((w0, w1, 0.0, 0.0), (0.0, 0.0, w0, w1)))
-    rows = np.take(table, marked_mask, axis=0)
-    return StateVector(m + 2, rows.reshape(-1))
+    return np.take(table, marked_mask, axis=0).reshape(-1)
 
 
 def prob11_statevector(sub: SubOracle, r: float, grover_power: int) -> float:
@@ -236,7 +198,9 @@ class Sampler:
     on every shot. `probability` hands out a Python float of it."""
 
     def __init__(self, rng: Union[int, np.random.Generator]):
-        self.rng = np.random.default_rng(rng)  # a Generator passes through
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(_integer(rng, "seed"))
+        self.rng = rng
         self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
         self._r: Union[float, None] = None  # nothing kept yet
         self._power = 0
@@ -300,11 +264,16 @@ class StatevectorSampler(Sampler):
     """
 
     def __init__(self, sub: SubOracle, rng: Union[int, np.random.Generator] = 0):
+        if sub.m + 2 > STATEVECTOR_QUBIT_LIMIT:
+            raise ValueError(
+                f"{sub.m + 2} qubits exceeds the statevector limit "
+                f"({STATEVECTOR_QUBIT_LIMIT})"
+            )
         super().__init__(rng)
-        self._state = StateVector.zero(sub.m + 2)
-        self._scratch = np.empty_like(self._state.amplitudes)
-        self._marked_mask = _marked_mask(sub)  # after the width check StateVector.zero makes
-        self._prepared: Union[StateVector, None] = None  # A|0> at the kept r
+        self._marked_mask = _marked_mask(sub)
+        self._state = np.zeros(4 << sub.m)
+        self._scratch = np.empty_like(self._state)
+        self._prepared: Union[np.ndarray, None] = None  # A|0> at the kept r
 
     def _advance(self, grover_power: int, r: float) -> float:
         """Step the state to `grover_power` iterates at `r`: forward from
@@ -317,12 +286,12 @@ class StatevectorSampler(Sampler):
             self._prepared = _prepare(self._marked_mask, r)
         power = self._power
         if new_r or grover_power < power:
-            np.copyto(self._state.amplitudes, self._prepared.amplitudes)
+            np.copyto(self._state, self._prepared)
             power = 0
         # Looked up per iterate, so a tracer that wraps `qsim.apply_Q` counts them.
         for _ in range(grover_power - power):
             apply_Q(self._state, self._prepared, self._scratch)
-        return self._state.prob11()
+        return _prob11(self._state)
 
 
 # Each backend by name, with the builder of its sampler for a sub-oracle and

@@ -2,9 +2,10 @@
 
 `apply_A` and `apply_A_dagger` run the preparation A gate by gate
 (Hadamards on the index register, an oracle that flips the flag of the
-marked rows, the rotation), and `_gate_level_Q` runs the iterate with
-them. They are the reference that the tests compare `qsim._prepare` and
-`qsim.apply_Q` against.
+marked rows, the rotation) on an amplitude array in place, and
+`_gate_level_Q` runs the iterate with them. They are the reference that
+the tests compare `qsim._prepare` and `qsim.apply_Q` against;
+`zero_state(qubits)` is the |0> they start from.
 
 Each `check_*` suite returns a dict with at least `name`, `passed` and
 `cases`, and enough detail to see how close the run came to its
@@ -23,9 +24,9 @@ from dqcount.qsim import (
     _INV_SQRT2,
     AnalyticSampler,
     StatevectorSampler,
-    StateVector,
     _check_r,
     _marked_mask,
+    _prob11,
     _reflect_good,
 )
 
@@ -74,42 +75,47 @@ def _reflect_zero(amp: np.ndarray) -> None:
     amp[0] = -amp[0]
 
 
-def _check_width(state: StateVector, sub: SubOracle) -> None:
-    if state.num_qubits != sub.m + 2:
+def zero_state(qubits: int) -> np.ndarray:
+    """|0> over `qubits` qubits as float64 amplitudes."""
+    amp = np.zeros(1 << qubits)
+    amp[0] = 1.0
+    return amp
+
+
+def _check_width(amp: np.ndarray, sub: SubOracle) -> None:
+    if amp.size != 4 << sub.m:
         raise ValueError(
-            f"state has {state.num_qubits} qubits, sub-oracle needs {sub.m + 2}"
+            f"state has {amp.size} amplitudes, sub-oracle needs {4 << sub.m}"
         )
 
 
-def apply_A(state: StateVector, sub: SubOracle, r: float) -> StateVector:
+def apply_A(amp: np.ndarray, sub: SubOracle, r: float) -> np.ndarray:
     """Hadamards on the index register, oracle into the flag, rotation on q0."""
-    _check_width(state, sub)
+    _check_width(amp, sub)
     _check_r(r)
-    amp = state.amplitudes
     _hadamard_index_register(amp, sub.m)
     _oracle_flag(amp, _marked_mask(sub))
     _rotate_q0(amp, r)
-    return state
+    return amp
 
 
-def apply_A_dagger(state: StateVector, sub: SubOracle, r: float) -> StateVector:
-    _check_width(state, sub)
+def apply_A_dagger(amp: np.ndarray, sub: SubOracle, r: float) -> np.ndarray:
+    _check_width(amp, sub)
     _check_r(r)
-    amp = state.amplitudes
     _rotate_q0(amp, r, dagger=True)
     _oracle_flag(amp, _marked_mask(sub))
     _hadamard_index_register(amp, sub.m)
-    return state
+    return amp
 
 
-def _gate_level_Q(state: StateVector, sub: SubOracle, r: float) -> None:
+def _gate_level_Q(amp: np.ndarray, sub: SubOracle, r: float) -> None:
     """The iterate with A^dagger and A run gate by gate: the reference for
     the reflection about the prepared state that `apply_Q` applies."""
-    _reflect_good(state.amplitudes)
-    apply_A_dagger(state, sub, r)
-    _reflect_zero(state.amplitudes)
-    apply_A(state, sub, r)
-    np.negative(state.amplitudes, out=state.amplitudes)
+    _reflect_good(amp)
+    apply_A_dagger(amp, sub, r)
+    _reflect_zero(amp)
+    apply_A(amp, sub, r)
+    np.negative(amp, out=amp)
 
 
 def check_backend_equivalence(max_m: int = 4) -> dict:
@@ -128,13 +134,13 @@ def check_backend_equivalence(max_m: int = 4) -> dict:
             analytic = AnalyticSampler.from_sub_oracle(sub)
             sampler = StatevectorSampler(sub)
             for r in _EQUIVALENCE_R_VALUES:
-                gates = apply_A(StateVector.zero(m + 2), sub, r)
+                gates = apply_A(zero_state(m + 2), sub, r)
                 for power in range(_EQUIVALENCE_MAX_POWER + 1):
                     if power:
                         _gate_level_Q(gates, sub, r)
                     expected = analytic.probability(power, r)
                     err = max(abs(sampler.probability(power, r) - expected),
-                              abs(gates.prob11() - expected))
+                              abs(_prob11(gates) - expected))
                     worst = max(worst, err)
                     cases += 1
     return {

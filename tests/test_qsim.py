@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +16,13 @@ from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 from dqcount.qsim import (
     AnalyticSampler,
     StatevectorSampler,
-    StateVector,
     apply_Q,
     prob11,
     prob11_statevector,
 )
 
 from exact_sampler import ExactSampler
-from properties import _gate_level_Q, apply_A, apply_A_dagger
+from properties import _gate_level_Q, apply_A, apply_A_dagger, zero_state
 
 
 def sub_for(m: int, t: int) -> SubOracle:
@@ -50,22 +50,22 @@ def test_model_validation():
 def test_apply_A_masses():
     oracle = make_oracle(6, {38, 8, 16})
     sub0 = decompose_prefix(oracle, 1)[0]
-    state = apply_A(StateVector.zero(7), sub0, 1.0)
-    assert state.prob11() == pytest.approx(2 / 32, abs=1e-12)
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    state = apply_A(zero_state(7), sub0, 1.0)
+    assert qsim._prob11(state) == pytest.approx(2 / 32, abs=1e-12)
+    assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)
 
     empty = sub_for(5, 0)
-    assert apply_A(StateVector.zero(7), empty, 1.0).prob11() == pytest.approx(0.0, abs=1e-15)
+    assert qsim._prob11(apply_A(zero_state(7), empty, 1.0)) == pytest.approx(0.0, abs=1e-15)
 
-    half = apply_A(StateVector.zero(7), sub_for(5, 2), 0.5)
-    assert half.prob11() == pytest.approx(0.5 * 2 / 32, abs=1e-12)
+    half = apply_A(zero_state(7), sub_for(5, 2), 0.5)
+    assert qsim._prob11(half) == pytest.approx(0.5 * 2 / 32, abs=1e-12)
 
 
 def test_apply_A_width_mismatch():
     with pytest.raises(ValueError):
-        apply_A(StateVector.zero(6), sub_for(5, 1), 1.0)
+        apply_A(zero_state(6), sub_for(5, 1), 1.0)
     with pytest.raises(ValueError):
-        apply_A(StateVector.zero(7), sub_for(5, 1), 0.0)
+        apply_A(zero_state(7), sub_for(5, 1), 0.0)
 
 
 def test_prepared_state_matches_two_component_decomposition():
@@ -86,14 +86,14 @@ def test_prepared_state_matches_two_component_decomposition():
     theta = math.asin(math.sqrt(r * t / (1 << m)))
     expected = math.sin(theta) * good + math.cos(theta) * rest
 
-    state = apply_A(StateVector.zero(m + 2), sub, r)
-    assert np.allclose(state.amplitudes, expected, atol=1e-12)
+    state = apply_A(zero_state(m + 2), sub, r)
+    assert np.allclose(state, expected, atol=1e-12)
 
     # two amplification iterates stay inside span{good, rest}
     prepared = state.copy()
     apply_Q(state, prepared)
     apply_Q(state, prepared)
-    overlap = abs(np.vdot(good, state.amplitudes)) ** 2 + abs(np.vdot(rest, state.amplitudes)) ** 2
+    overlap = abs(np.vdot(good, state)) ** 2 + abs(np.vdot(rest, state)) ** 2
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
@@ -103,15 +103,15 @@ def test_apply_Q_matches_analytic_on_small_grid():
             sub = sub_for(m, t)
             analytic = AnalyticSampler.from_sub_oracle(sub)
             for r in (0.25, 0.8, 1.0):
-                prepared = apply_A(StateVector.zero(m + 2), sub, r)
+                prepared = apply_A(zero_state(m + 2), sub, r)
                 state = prepared.copy()
                 for power in range(6):
                     if power:
                         apply_Q(state, prepared)
-                    assert state.prob11() == pytest.approx(
+                    assert qsim._prob11(state) == pytest.approx(
                         analytic.probability(power, r), abs=1e-10
                     )
-                assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+                assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_apply_Q_matches_gate_level_iterate_on_random_states():
@@ -120,20 +120,20 @@ def test_apply_Q_matches_gate_level_iterate_on_random_states():
         for t in (0, 1, (1 << m) - 1, 1 << m):
             sub = sub_for(m, t)
             for r in (0.25, 0.6, 1.0):
-                prepared = apply_A(StateVector.zero(m + 2), sub, r)
+                prepared = apply_A(zero_state(m + 2), sub, r)
                 size = 1 << (m + 2)
                 raw = rng.normal(size=size) + 1j * rng.normal(size=size)
                 raw /= np.linalg.norm(raw)
-                reflected = apply_Q(StateVector(m + 2, raw.copy()), prepared)
-                gates = StateVector(m + 2, raw.copy())
+                reflected = apply_Q(raw.copy(), prepared)
+                gates = raw.copy()
                 _gate_level_Q(gates, sub, r)
-                assert np.abs(reflected.amplitudes - gates.amplitudes).max() <= 1e-12
+                assert np.abs(reflected - gates).max() <= 1e-12
 
 
 def test_apply_Q_width_mismatch():
-    prepared = apply_A(StateVector.zero(6), sub_for(4, 3), 1.0)
-    with pytest.raises(ValueError):
-        apply_Q(StateVector.zero(7), prepared)
+    prepared = apply_A(zero_state(6), sub_for(4, 3), 1.0)
+    with pytest.raises(ValueError, match=r"^state has shape \(128,\), prepared state has \(64,\)$"):
+        apply_Q(zero_state(7), prepared)
 
 
 def test_prob11_statevector_matches_closed_form_at_depth():
@@ -167,7 +167,7 @@ def test_prob11_linear_in_r():
 )
 def test_unitarity_under_random_gate_sequences(m, r, ops, t):
     sub = sub_for(m, min(t, 1 << m))
-    prepared = apply_A(StateVector.zero(m + 2), sub, r)
+    prepared = apply_A(zero_state(m + 2), sub, r)
     state = prepared.copy()
     for op in ops:
         if op == "A":
@@ -176,7 +176,7 @@ def test_unitarity_under_random_gate_sequences(m, r, ops, t):
             apply_A_dagger(state, sub, r)
         else:
             apply_Q(state, prepared)
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_a_dagger_inverts_a():
@@ -184,18 +184,17 @@ def test_a_dagger_inverts_a():
     rng = np.random.default_rng(2)
     raw = rng.normal(size=64) + 1j * rng.normal(size=64)
     raw /= np.linalg.norm(raw)
-    state = StateVector(6, raw.copy())
+    state = raw.copy()
     apply_A_dagger(apply_A(state, sub, 0.6), sub, 0.6)
-    assert np.allclose(state.amplitudes, raw, atol=1e-12)
+    assert np.allclose(state, raw, atol=1e-12)
 
 
-def test_statevector_limits():
-    with pytest.raises(ValueError):
-        StateVector.zero(23)
-    with pytest.raises(ValueError):
-        StateVector.zero(1)
-    with pytest.raises(ValueError):
-        StateVector(3, np.ones(4))
+def test_statevector_limits(monkeypatch):
+    """The width check runs before the row mask or any state is made."""
+    counts = count_work(monkeypatch)
+    with pytest.raises(ValueError, match=r"^23 qubits exceeds the statevector limit \(22\)$"):
+        StatevectorSampler(sub_for(21, 1))
+    assert counts["_marked_mask"] == 0
 
 
 def test_sample_shots():
@@ -207,6 +206,20 @@ def test_sample_shots():
     assert AnalyticSampler(math.pi / 2, rng).sample(0, 1.0, 100) == 100  # p = 1
     assert (AnalyticSampler.from_amplitude(0.5, 123).sample(0, 1.0, 10)
             == AnalyticSampler.from_amplitude(0.5, 123).sample(0, 1.0, 10))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: AnalyticSampler.from_amplitude(0.3, rng),
+    lambda rng: StatevectorSampler(sub_for(4, 3), rng),
+], ids=["analytic", "statevector"])
+def test_a_seed_must_be_an_integer(make):
+    """None would draw from OS entropy and a float or a string would raise
+    numpy's TypeError; each is a one-line ValueError, and a numpy integer
+    draws what its int draws."""
+    for bad in (None, 1.5, "3", np.float64(3.0)):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            make(bad)
+    assert make(np.int64(3)).sample(2, 1.0, 1000) == make(3).sample(2, 1.0, 1000)
 
 
 def test_sample_shots_binomial_band():
@@ -363,7 +376,7 @@ def test_rejected_statevector_sample_leaves_the_kept_state(monkeypatch):
     want = [fresh.sample(power, 0.8, shots) for power, shots in ((2, 40), (2, 1000), (3, 1000))]
     kept = StatevectorSampler(sub, 11)
     assert kept.sample(2, 0.8, 40) == want[0]
-    amplitudes = kept._state.amplitudes.tobytes()
+    amplitudes = kept._state.tobytes()
     for power, r in ((-1, 0.8), (-1, 0.8), (-1, 0.3), (2, 0.0), (2, 1.5), (2, 1.5),
                      (2, float("nan")), (2, float("nan")), (-1, 0.0)):
         with pytest.raises(ValueError):
@@ -371,7 +384,7 @@ def test_rejected_statevector_sample_leaves_the_kept_state(monkeypatch):
         with pytest.raises(ValueError):
             kept.probability(power, r)
     assert (kept._power, kept._r) == (2, 0.8)
-    assert kept._state.amplitudes.tobytes() == amplitudes
+    assert kept._state.tobytes() == amplitudes
     counts = count_work(monkeypatch)
     assert kept.sample(2, 0.8, 1000) == want[1]
     assert counts == {"_marked_mask": 0, "_prepare": 0, "apply_Q": 0}
@@ -427,9 +440,9 @@ def test_prepare_writes_the_gate_level_prepared_state():
         every_third = SubOracle(m=m, node_id=0, marked_local=frozenset(range(0, 1 << m, 3)))
         for sub in (*(sub_for(m, t) for t in (0, 1, 1 << m)), every_third):
             for r in (1.0, 0.8, 0.3):
-                gates = apply_A(StateVector.zero(m + 2), sub, r)
+                gates = apply_A(zero_state(m + 2), sub, r)
                 prepared = qsim._prepare(qsim._marked_mask(sub), r)
-                assert prepared.amplitudes.tobytes() == gates.amplitudes.tobytes()
+                assert prepared.tobytes() == gates.tobytes()
 
 
 def test_statevector_sampler_builds_its_marked_rows_once(monkeypatch):
@@ -448,15 +461,14 @@ def test_statevector_sampler_builds_its_marked_rows_once(monkeypatch):
 
 def test_statevector_backend_runs_on_real_amplitudes():
     """The circuit is real, so |0>, A|0> and every buffer a sampler steps
-    are float64; real input of any precision is stored as float64."""
+    are plain float64 arrays."""
     sub = sub_for(4, 5)
-    assert StateVector.zero(6).amplitudes.dtype == np.float64
-    assert StateVector(6, np.ones(64, dtype=np.float32)).amplitudes.dtype == np.float64
-    assert qsim._prepare(qsim._marked_mask(sub), 0.7).amplitudes.dtype == np.float64
+    assert zero_state(6).dtype == np.float64
+    assert qsim._prepare(qsim._marked_mask(sub), 0.7).dtype == np.float64
     sampler = StatevectorSampler(sub)
     sampler.probability(3, 0.7)
-    for vec in (sampler._state.amplitudes, sampler._prepared.amplitudes, sampler._scratch):
-        assert vec.dtype == np.float64
+    for vec in (sampler._state, sampler._prepared, sampler._scratch):
+        assert type(vec) is np.ndarray and vec.dtype == np.float64
 
 
 def test_complex_state_stays_complex_under_the_real_gates():
@@ -467,17 +479,17 @@ def test_complex_state_stays_complex_under_the_real_gates():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=32) + 1j * rng.normal(size=32)
     raw /= np.linalg.norm(raw)
-    prepared = apply_A(StateVector.zero(m + 2), sub, r)
-    state = StateVector(m + 2, raw.copy())
-    parts = [StateVector(m + 2, raw.real.copy()), StateVector(m + 2, raw.imag.copy())]
+    prepared = apply_A(zero_state(m + 2), sub, r)
+    state = raw.copy()
+    parts = [raw.real.copy(), raw.imag.copy()]
     for s in (state, *parts):
         apply_A(s, sub, r)
         apply_Q(s, prepared)
         apply_A_dagger(s, sub, r)
-    assert state.amplitudes.dtype == np.complex128
-    assert [p.amplitudes.dtype for p in parts] == [np.float64, np.float64]
-    stepped_apart = parts[0].amplitudes + 1j * parts[1].amplitudes
-    assert np.abs(state.amplitudes - stepped_apart).max() <= 1e-12
+    assert state.dtype == np.complex128
+    assert [p.dtype for p in parts] == [np.float64, np.float64]
+    stepped_apart = parts[0] + 1j * parts[1]
+    assert np.abs(state - stepped_apart).max() <= 1e-12
 
 
 def test_real_sampler_matches_a_complex_gate_level_reference():
@@ -488,13 +500,13 @@ def test_real_sampler_matches_a_complex_gate_level_reference():
             sub = sub_for(m, t)
             sampler = StatevectorSampler(sub)
             for r in (0.3, 0.75, 1.0):
-                prepared = apply_A(StateVector.zero(m + 2), sub, r).amplitudes
-                reference = StateVector(m + 2, prepared.astype(np.complex128))
+                prepared = apply_A(zero_state(m + 2), sub, r)
+                reference = prepared.astype(np.complex128)
                 for power in range(11):
                     if power:
                         _gate_level_Q(reference, sub, r)
-                    assert abs(sampler.probability(power, r) - reference.prob11()) <= 1e-12
-                assert reference.amplitudes.dtype == np.complex128
+                    assert abs(sampler.probability(power, r) - qsim._prob11(reference)) <= 1e-12
+                assert reference.dtype == np.complex128
 
 
 def test_statevector_sampler_survives_a_width_switch():

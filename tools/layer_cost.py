@@ -104,7 +104,7 @@ def iterate_loop(qubits: int):
     sub = _sub_oracle(qubits)
     prepared = qsim._prepare(qsim._marked_mask(sub), R)
     state = prepared.copy()
-    scratch = np.empty_like(state.amplitudes)
+    scratch = np.empty_like(state)
 
     def loop(count):
         for _ in range(count):
