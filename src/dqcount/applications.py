@@ -64,7 +64,9 @@ class CommunicationLedger:
 @dataclass
 class ApplicationResult:
     """Scaled estimate in [0, 1] with its guarantee and transfer costs. The
-    estimate averages the node amplitudes, so its bound is one `half_width`."""
+    estimate averages the node amplitudes, so its bound is one `half_width`.
+    `exact` is the sub-oracles' marked counts over 2^n, the true value, and
+    `communication_bound` the function of that name at the per-node budget."""
 
     estimate: float
     error_bound: float
@@ -73,6 +75,8 @@ class ApplicationResult:
     n: int
     k: int
     ledger: CommunicationLedger
+    exact: float
+    communication_bound: float
     per_node: list[NodeResult] = field(default_factory=list)
 
     @property
@@ -125,8 +129,9 @@ def _run_pair(
     # Looked up at call time, so a tracer that wraps these module names sees the calls.
     build = inner_product_suboracle if problem == INNER_PRODUCT else hamming_suboracle
     nodes = 1 << k
-    agg = run_nodes([build(x_bits, y_bits, k, j) for j in range(nodes)],
-                    config, base_seed, backend)
+    subs = [build(x_bits, y_bits, k, j) for j in range(nodes)]
+    bound = communication_bound(problem, n, k, config.epsilon_node, config.alpha_node)
+    agg = run_nodes(subs, config, base_seed, backend)
     ledger = CommunicationLedger(
         qubits_per_preparation=_QUBITS_PER_PREPARATION[problem](m),
         preparations=sum(res.oracle_calls_physical for res in agg.per_node),
@@ -140,6 +145,8 @@ def _run_pair(
         n=n,
         k=k,
         ledger=ledger,
+        exact=sum(sub.t_local for sub in subs) / (1 << n),
+        communication_bound=bound,
         per_node=agg.per_node,
     )
 

@@ -312,27 +312,17 @@ def _load_vector(arg: str):
 def _cmd_pair(args) -> int:
     if args.x is None or args.y is None:
         raise ValueError("need --x and --y")
-    which = INNER_PRODUCT if args.command == "inner-product" else HAMMING
     x = _load_vector(args.x)
     y = _load_vector(args.y)
     if len(x) != len(y):  # before the budget, which reads x's width
         raise ValueError(f"vector lengths differ: {len(x)} != {len(y)}")
     # the width the vectors are zero-padded to, so the budget is checked as count's is
     k, _, _ = _global_budget(padded_width(len(x)), args.k, args.epsilon, args.alpha)
-    runner = estimate_inner_product if which == INNER_PRODUCT else estimate_hamming
+    runner = estimate_inner_product if args.command == "inner-product" else estimate_hamming
     result = runner(x, y, k, args.epsilon, args.alpha,
                     base_seed=args.seed, backend=args.backend)
-    if which == INNER_PRODUCT:
-        exact = sum(a & b for a, b in zip(x, y)) / (1 << result.n)
-    else:
-        exact = sum(a ^ b for a, b in zip(x, y)) / (1 << result.n)
     payload = result.to_dict()
-    payload["exact"] = exact
-    payload["abs_error"] = abs(result.estimate - exact)
-    node = result.per_node[0]
-    payload["communication_bound"] = communication_bound(
-        which, result.n, result.k, node.epsilon_node, node.alpha_node
-    )
+    payload["abs_error"] = abs(result.estimate - result.exact)
     payload["config"] = {
         "epsilon": args.epsilon,
         "alpha": args.alpha,
@@ -375,10 +365,9 @@ def _cmd_compare(args) -> int:
             results = [runner(args.seed + rep) for rep in range(args.reps)]
             good = [res for res in results if res.succeeded]
             pool = good if good else results
-            rows.append([eps, name, len(good),
-                         sum(res.max_big_k for res in pool) / len(pool),
-                         sum(res.oracle_calls for res in pool) / len(pool),
-                         sum(res.total_shots for res in pool) / len(pool)])
+            rows.append([eps, name, len(good), *(
+                sum(getattr(res, attr) for res in pool) / len(pool)
+                for attr in ("max_big_k", "oracle_calls", "total_shots"))])
     _write_csv(
         out / "sweep.csv",
         ["epsilon", "algorithm", "successes", "mean_max_big_k",
@@ -401,12 +390,8 @@ def _cmd_bench(args) -> int:
         "cost_dominance_holds": metrics.centralized_cost_dominates(n, k),
         "k_max_cap": metrics.k_max_cap(epsilon_node),
         "query_bound": metrics.query_bound(epsilon_node, alpha_node),
-        "communication_bound_inner": communication_bound(
-            INNER_PRODUCT, n, k, epsilon_node, alpha_node
-        ),
-        "communication_bound_hamming": communication_bound(
-            HAMMING, n, k, epsilon_node, alpha_node
-        ),
+        **{f"communication_bound_{problem}": communication_bound(
+            problem, n, k, epsilon_node, alpha_node) for problem in (INNER_PRODUCT, HAMMING)},
         "budget": {"epsilon_node": epsilon_node, "alpha_node": alpha_node},
     }
     _write_json(args.out, payload)

@@ -68,18 +68,23 @@ def query_bound(epsilon_node: float, alpha_node: float) -> float:
     return SHOT_CAP_CONSTANT * k_max_cap(epsilon_node) * bracket
 
 
+def _dense_gates(qubits: int) -> int:
+    """The module docstring's count for one dense gate: 2*4^q - 2^(q+1)."""
+    return 2 * 4 ** qubits - 2 ** (qubits + 1)
+
+
 def gates_controlled_grover(n: int) -> int:
     """Gate count of one controlled Grover iterate on an n-bit search register."""
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
-    return 2 * 4 ** (n + 1) - 2 ** (n + 2)
+    return _dense_gates(n + 1)
 
 
 def gates_node_grover(n: int, k: int) -> int:
     """Gate count of one uncontrolled per-node iterate on an (n-k)-bit slice."""
     m, _ = check_split(n, k)
-    return 2 ** (2 * m + 5) - 2 ** (m + 3)
+    return _dense_gates(m + 2)
 
 
 def gates_counting_circuit(n: int, m: int) -> int:

@@ -398,6 +398,5 @@ def run_for_amplitude(
     seed: int = 0,
 ) -> MiqaeResult:
     """Convenience wrapper: estimate a known amplitude with a seeded sampler.
-    The seed is an integer, as `diqc.run_amplitude`'s is."""
-    seed = _integer(seed, "seed")
+    The sampler checks the seed, as `qsim.Sampler` says."""
     return run_miqae(config, AnalyticSampler.from_amplitude(amplitude, seed))

@@ -35,13 +35,13 @@ of a complex128 one.
 
 `Sampler`, the base class of both backends, holds their per-call rules.
 It draws from a `Generator` as given, or from `np.random.default_rng`
-of an integer seed that `oracle._integer` checks, so None, a float or a
-string is a one-line ValueError. It binds the generator's `binomial`
-once, and keeps
-the (power, r) of its last accepted request with its P[11]: `probability`
-and `sample` call the backend's `_advance(power, r)` only when either
-changed, and keep the new pair only once `_advance` returns, so a rejected
-request changes nothing. It keeps P[11] as a 0-d float64 array and hands
+of an integer seed that `oracle._integer` checks, so None, a float, a
+string or a negative seed is a one-line ValueError. It binds the
+generator's `binomial` once, and keeps the (power, r) of its last
+accepted request with its P[11]: `probability` and `sample` call the
+backend's `_advance(power, r)` only when either changed, and keep the
+new pair only once `_advance` returns, so a rejected request changes
+nothing. It keeps P[11] as a 0-d float64 array and hands
 `binomial` that array: numpy's scalar path reads it as is, where a Python
 float would be copied into a new array on every call, and it runs the same
 C draw on the same double, so no count moves. `probability` returns a
@@ -199,7 +199,10 @@ class Sampler:
 
     def __init__(self, rng: Union[int, np.random.Generator]):
         if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(_integer(rng, "seed"))
+            seed = _integer(rng, "seed")
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
+            rng = np.random.default_rng(seed)
         self.rng = rng
         self._draw = self.rng.binomial  # scalar (n, p) in, Python int out
         self._r: Union[float, None] = None  # nothing kept yet

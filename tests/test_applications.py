@@ -157,6 +157,31 @@ def test_padding_to_power_of_two():
     assert _pad_to_power_of_two(tuple(full)) == (full, 6)
 
 
+@pytest.mark.parametrize("length", [64, 48])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("problem, estimate, pair_bit", [
+    (INNER_PRODUCT, estimate_inner_product, lambda a, b: a & b),
+    (HAMMING, estimate_hamming, lambda a, b: a ^ b),
+], ids=[INNER_PRODUCT, HAMMING])
+def test_result_carries_exact_value_and_communication_bound(problem, estimate, pair_bit, k,
+                                                            length):
+    """`exact` is the brute-force value over the 2^n padded entries, and
+    `communication_bound` the closed form at the per-node budget, which the
+    ledger stays within. A 48-bit pair is padded to 64."""
+    rng = random.Random(100 * k + length)
+    epsilon, alpha = 0.01, 0.05
+    for seed in range(3):
+        x, y = bits(rng, length), bits(rng, length)
+        result = estimate(x, y, k, epsilon, alpha, base_seed=seed)
+        padded = 64 - length
+        brute = sum(pair_bit(a, b) for a, b in zip(x + [0] * padded, y + [0] * padded))
+        assert result.n == 6
+        assert result.exact == brute / 64
+        assert result.communication_bound == communication_bound(
+            problem, 6, k, epsilon / 2 ** k, alpha / 2 ** k)
+        assert result.ledger.total_qubits <= result.communication_bound
+
+
 def test_ledger_accounting():
     rng = random.Random(13)
     x, y = bits(rng, 64), bits(rng, 64)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dqcount
+from dqcount.applications import estimate_hamming, estimate_inner_product
 from dqcount.cli import build_parser, main
 from dqcount.diqc import DiqcConfig, run_amplitude, sum_in_order
 from dqcount.miqae import MiqaeConfig, run_for_amplitude
@@ -254,6 +255,9 @@ def test_inner_product_and_hamming_commands(tmp_path):
     assert payload["exact"] == 1.0
     assert payload["abs_error"] <= payload["error_bound"]
     assert payload["ledger"]["total_qubits"] <= payload["communication_bound"]
+    result = estimate_inner_product([1] * 64, [1] * 64, 1, 0.01, 0.05, base_seed=1)
+    assert (payload["exact"], payload["communication_bound"]) == (
+        result.exact, result.communication_bound)
 
     vec = tmp_path / "x.txt"
     vec.write_text("01" * 32)
@@ -265,6 +269,9 @@ def test_inner_product_and_hamming_commands(tmp_path):
     assert code == 0
     payload = json.loads(read(out2))
     assert payload["exact"] == 1.0
+    result = estimate_hamming([0, 1] * 32, [1, 0] * 32, 1, 0.01, 0.05, base_seed=2)
+    assert (payload["exact"], payload["communication_bound"]) == (
+        result.exact, result.communication_bound)
 
     # inline vectors longer than a file name may be: 150 of 300 bits differ
     out3 = tmp_path / "long.json"
@@ -276,6 +283,9 @@ def test_inner_product_and_hamming_commands(tmp_path):
     payload = json.loads(read(out3))
     assert payload["n"] == 9
     assert payload["exact"] == 150 / 512
+    result = estimate_hamming([0, 1, 1, 0] * 75, [0, 0, 1, 1] * 75, 1, 0.01, 0.05, base_seed=3)
+    assert (payload["exact"], payload["communication_bound"]) == (
+        result.exact, result.communication_bound)
 
 
 def test_compare_command(tmp_path):

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dqcount import qsim
-from dqcount.diqc import DiqcConfig, run_node
-from dqcount.miqae import MiqaeConfig, run_miqae
+from dqcount.applications import estimate_hamming
+from dqcount.coordinator import run_distributed
+from dqcount.diqc import DiqcConfig, run_amplitude, run_node
+from dqcount.miqae import MiqaeConfig, run_for_amplitude, run_miqae
 from dqcount.oracle import SubOracle, decompose_prefix, make_oracle
 from dqcount.qsim import (
     AnalyticSampler,
@@ -220,6 +222,23 @@ def test_a_seed_must_be_an_integer(make):
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
             make(bad)
     assert make(np.int64(3)).sample(2, 1.0, 1000) == make(3).sample(2, 1.0, 1000)
+
+
+@pytest.mark.parametrize("call, seed", [
+    (lambda: AnalyticSampler(0.3, -1), -1),
+    (lambda: StatevectorSampler(SubOracle(3, 0, {1}), -2), -2),
+    (lambda: run_amplitude(0.3, DiqcConfig(0.01, 0.05), seed=-1), -1),
+    (lambda: run_for_amplitude(0.3, MiqaeConfig(0.01, 0.05), seed=-1), -1),
+    (lambda: run_distributed(make_oracle(6, {1}), 1, 0.002, 0.1, base_seed=-1), -1),
+    (lambda: estimate_hamming([0, 1, 1, 0], [1, 1, 0, 0], 1, 0.01, 0.05, base_seed=-5), -5),
+], ids=["analytic", "statevector", "run_amplitude", "run_for_amplitude",
+        "run_distributed", "estimate_hamming"])
+def test_a_negative_seed_is_named(call, seed):
+    """A negative seed from the library reaches the one sampler check (node
+    0's seed is the base seed) and is a ValueError that names it, not
+    numpy's bare "expected non-negative integer"."""
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        call()
 
 
 def test_sample_shots_binomial_band():

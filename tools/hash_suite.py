@@ -42,7 +42,8 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     """(run name, argv without --out, output: a directory "" or a file name,
     expected exit code).
 
-    The first run is the README `count` command at 20 repetitions. Every
+    The first run is the README `count` command at 20 repetitions, the
+    second a stride split on the statevector backend. Every
     run exits 0 but `count-failed-node` and `count-failed-reps`. In the
     first, node 0 (amplitude 20/32 at epsilon_node 0.005) fails before any
     round qualifies, so the command exits 1 and the node reports its last
@@ -65,6 +66,7 @@ def suite() -> list[tuple[str, list[str], str, int]]:
                      ["count", "--n", "8", "--marked", marked, "--k", "3", "--scheme", scheme,
                       "--epsilon-node", "0.001", "--alpha-node", "0.01", "--reps", "2",
                       "--seed", "7", "--trace"], "", 0))
+    # both pair estimates on both backends
     for command, k, seed in (("inner-product", "1", "1"), ("hamming", "2", "2")):
         for backend in ("analytic", "statevector"):
             runs.append((f"{command}-{backend}",
@@ -79,6 +81,7 @@ def suite() -> list[tuple[str, list[str], str, int]]:
     runs.append(("hamming-statevector-padded",
                  ["hamming", "--x", _bits(44, 100), "--y", _bits(45, 100), "--k", "1",
                   "--seed", "5", "--backend", "statevector"], "result.json", 0))
+    # a compare-miqae sweep over two epsilons, and the bench report at n 6, k 1
     runs += [
         ("compare-miqae", ["compare-miqae", "--epsilons", "0.005,0.002", "--reps", "10"], "", 0),
         ("bench", ["bench", "--n", "6", "--k", "1"], "bench.json", 0),
